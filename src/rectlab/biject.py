@@ -22,8 +22,9 @@ Conventions
 - The weak algorithm works on the n x n grid (non-aligned edges snap to the
   grid lines ``j-1`` / ``j``), producing the diagonal representative.  The
   strong algorithm places non-aligned edges strictly inside the neighbouring
-  rectangle's side (midpoint coordinates over exact rationals, normalized to
-  compact integers at the end).
+  rectangle's side (midpoint coordinates, normalized to compact integers at
+  the end).  Every midpoint is a dyadic rational of depth at most n, so the
+  coordinates are kept as exact integers scaled by ``2**n``.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import bisect
 import functools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .perm import Permutation
 from .rect import (
     Rect,
     Rectangulation,
+    RectangulationError,
+    _bits,
     _closure_masks,
     from_rects,
     is_diagonal,
@@ -74,9 +76,12 @@ class _Staircase:
             idx -= 1
         labels.insert(idx, j)
         self.inserted.add(j)
-        assert all(
-            y - x >= 2 for x, y in zip(labels, labels[1:])
-        ), "staircase invariant violated: consecutive peak labels differ by < 2"
+        near = labels[max(idx - 1, 0) : idx + 2]  # only the gaps next to j changed
+        if any(y - x < 2 for x, y in zip(near, near[1:])):
+            raise RectangulationError(
+                "staircase invariant violated at %d: consecutive peak labels"
+                " differ by < 2" % j
+            )
         return a, b, valley_index, n_valleys, top, right
 
 
@@ -100,37 +105,45 @@ def gamma_w(pi: Permutation) -> Rectangulation:
         corner[j] = (x2, y1)
         boxes[j] = (x1, y1, x2, y2)
     result = Rectangulation(Rect(j, *boxes[j]) for j in range(1, n + 1))
-    assert is_diagonal(result), "weak insertion must yield a diagonal drawing"
+    if not is_diagonal(result):
+        raise RectangulationError("weak insertion did not yield a diagonal drawing")
     return result
+
+
+def _midpoint(u: int, v: int) -> int:
+    """Exact midpoint of two coordinates on the ``2**n`` grid."""
+    if (u + v) & 1:
+        raise RectangulationError("midpoint of %d and %d is off the 2**n grid" % (u, v))
+    return (u + v) >> 1
+
+
+def _sentinel_boxes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Left-wall and bottom-wall boxes bounding the unit box, scaled by 2**n."""
+    one = 1 << n
+    return (-one, 0, 0, one), (0, one, one, 2 * one)
+
+
+def _strong_box(
+    a: tuple[int, ...], b: tuple[int, ...], top: bool, right: bool
+) -> tuple[int, int, int, int]:
+    """Box inserted in the valley between the rectangles ``a`` and ``b``
+    owning the two peaks; non-aligned sides attach strictly inside."""
+    x1, y2 = a[2], b[1]  # the valley
+    y1 = a[1] if top else _midpoint(a[1], min(a[3], y2))  # inside a's right side
+    x2 = b[2] if right else _midpoint(max(b[0], x1), b[2])  # inside b's top side
+    return (x1, y1, x2, y2)
 
 
 def gamma_s(pi: Permutation) -> Rectangulation:
     """Strong forward insertion: non-aligned edges attach strictly inside the
-    neighbouring side; exact rational coordinates, compacted to integers."""
+    neighbouring side; exact dyadic coordinates, compacted to integers."""
     n = pi.n
-    zero, one = Fraction(0), Fraction(1)
     st = _Staircase(n)
     # Full geometry per label, sentinels included (virtual boundary strips).
-    geo: dict[int, tuple[Fraction, Fraction, Fraction, Fraction]] = {
-        0: (-one, zero, zero, one),  # left wall: right side x=0, spans all y
-        n + 1: (zero, one, one, one + 1),  # bottom wall: top side y=1
-    }
+    geo = dict(zip((0, n + 1), _sentinel_boxes(n)))
     for j in pi:
         a, b, _, _, top, right = st.insert(j)
-        xr_a, yt_a = geo[a][2], geo[a][1]
-        xr_b, yt_b = geo[b][2], geo[b][1]
-        x1, y2 = xr_a, yt_b  # valley
-        if top:
-            y1 = yt_a
-        else:
-            yb_a = geo[a][3]
-            y1 = (yt_a + min(yb_a, y2)) / 2  # strictly inside a's right side
-        if right:
-            x2 = xr_b
-        else:
-            xl_b = geo[b][0]
-            x2 = (max(xl_b, x1) + xr_b) / 2  # strictly inside b's top side
-        geo[j] = (x1, y1, x2, y2)
+        geo[j] = _strong_box(geo[a], geo[b], top, right)
     xs = sorted({v for j in range(1, n + 1) for v in (geo[j][0], geo[j][2])})
     ys = sorted({v for j in range(1, n + 1) for v in (geo[j][1], geo[j][3])})
     xi = {v: i for i, v in enumerate(xs)}
@@ -180,36 +193,33 @@ def _poset_from_relations(
     n: int, pairs: set[tuple[int, int]], kind: str
 ) -> Poset:
     reach = _closure_masks(n, [(i - 1, j - 1) for i, j in pairs])
+    covers = []
     for i in range(n):
-        if reach[i] >> i & 1:
-            raise ValueError("relation is cyclic; not a partial order")
-    covers = {
-        (i + 1, j + 1)
-        for i in range(n)
-        for j in _bits(reach[i])
-        if not any(reach[k] >> j & 1 for k in _bits(reach[i]) if k != j)
-    }
+        # i < j is a cover unless some k with i < k already has k < j
+        # (bitmask transitive reduction, Aho-Garey-Ullman 1972).
+        beyond = 0
+        for k in _bits(reach[i]):
+            beyond |= reach[k]
+        covers.extend((i + 1, j + 1) for j in _bits(reach[i] & ~beyond))
     return Poset(n, frozenset(covers), kind)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        b = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        yield b
-
-
 def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
-    """Direct blocking pairs: (a, b) when a is left of b or below b, touching."""
+    """Direct blocking pairs: (a, b) when a is left of b or below b, touching.
+
+    Two rectangles touch only across a segment, so only its two sides are
+    compared.
+    """
     pairs = set()
-    for p in r.rects:
-        for q in r.rects:
-            if p.label == q.label:
-                continue
-            if p.x2 == q.x1 and max(p.y1, q.y1) < min(p.y2, q.y2):
-                pairs.add((p.label, q.label))  # a left of b
-            if p.y1 == q.y2 and max(p.x1, q.x1) < min(p.x2, q.x2):
-                pairs.add((p.label, q.label))  # a below b
+    for s in r.segments:
+        for p in s.side_a:
+            u = r.rect(p)
+            for q in s.side_b:
+                w = r.rect(q)
+                if s.orientation == "v" and max(u.y1, w.y1) < min(u.y2, w.y2):
+                    pairs.add((p, q))  # p left of q
+                elif s.orientation == "h" and max(u.x1, w.x1) < min(u.x2, w.x2):
+                    pairs.add((q, p))  # q below p
     return pairs
 
 
@@ -443,10 +453,13 @@ class FlipGraph:
 
 
 def _default_max_n() -> int:
+    raw = os.environ.get("RECTLAB_MAX_N", "6")
     try:
-        return int(os.environ.get("RECTLAB_MAX_N", "6"))
+        return int(raw)
     except ValueError:
-        return 6
+        raise ValueError(
+            "RECTLAB_MAX_N must be an integer, got %r" % (raw,)
+        ) from None
 
 
 def quotient_cover_graph(n: int, max_n: int | None = None) -> FlipGraph:

@@ -100,26 +100,39 @@ class Segment:
         return ((self.lo, self.line), (self.hi, self.line))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        b = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        yield b
+
+
 def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Transitive closure as bitmasks: bit ``j`` of ``reach[i]`` iff i -> j."""
+    """Transitive closure as bitmasks: bit ``j`` of ``reach[i]`` iff i -> j.
+
+    One Kahn pass orders the vertices topologically; walking that order
+    backwards, each vertex ORs in the finished masks of its successors.
+    Raises ``ValueError`` when the relation has a cycle.
+    """
     succ = [0] * n
     for i, j in edges:
         succ[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = succ[i]
-            extra = 0
-            m = acc
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                extra |= succ[j]
-            new = acc | extra
-            if new != acc:
-                succ[i] = new
-                changed = True
+    indeg = [0] * n
+    for m in succ:
+        for j in _bits(m):
+            indeg[j] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:  # grows while iterated: a FIFO queue
+        for j in _bits(succ[i]):
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) != n:
+        raise ValueError("relation is cyclic; not a partial order")
+    for i in reversed(order):  # successors first; _bits reads succ[i] once
+        for j in _bits(succ[i]):
+            succ[i] |= succ[j]
     return succ
 
 
@@ -136,7 +149,6 @@ class Rectangulation:
         "width",
         "height",
         "segments",
-        "joints",
         "_left_reach",
         "_above_reach",
     )
@@ -158,9 +170,8 @@ class Rectangulation:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
         self._validate_tiling()
-        segments, joints = self._derive_segments()
+        segments = self._derive_segments()
         object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "joints", joints)
         if len(segments) != n - 1:
             raise RectangulationError(
                 "expected %d segments, found %d" % (n - 1, len(segments))
@@ -223,70 +234,40 @@ class Rectangulation:
                     "malformed joint at %r (%d rectangle corners)" % ((x, y), c)
                 )
 
-    def _derive_segments(self) -> tuple[tuple[Segment, ...], dict[tuple[int, int], str]]:
+    def _derive_segments(self) -> tuple[Segment, ...]:
         segments: list[Segment] = []
-        # Vertical walls per internal x line (only lines hosting sides).
-        v_lines = sorted(
-            {r.x2 for r in self.rects if r.x2 < self.width}
-            | {r.x1 for r in self.rects if r.x1 > 0}
-        )
-        for line in v_lines:
-            lefts = sorted(
-                (r for r in self.rects if r.x2 == line), key=lambda r: r.y1
-            )
-            rights = sorted(
-                (r for r in self.rects if r.x1 == line), key=lambda r: r.y1
-            )
-            runs_a = _merge_runs((r.y1, r.y2) for r in lefts)
-            runs_b = _merge_runs((r.y1, r.y2) for r in rights)
-            if runs_a != runs_b:
-                raise RectangulationError("wall mismatch on vertical line x=%d" % line)
-            for lo, hi in runs_a:
-                side_a = tuple(r.label for r in lefts if lo <= r.y1 and r.y2 <= hi)
-                side_b = tuple(r.label for r in rights if lo <= r.y1 and r.y2 <= hi)
-                segments.append(Segment("v", line, lo, hi, side_a, side_b))
-        # Horizontal walls per internal y line.
-        h_lines = sorted(
-            {r.y2 for r in self.rects if r.y2 < self.height}
-            | {r.y1 for r in self.rects if r.y1 > 0}
-        )
-        for line in h_lines:
-            aboves = sorted(
-                (r for r in self.rects if r.y2 == line), key=lambda r: r.x1
-            )
-            belows = sorted(
-                (r for r in self.rects if r.y1 == line), key=lambda r: r.x1
-            )
-            runs_a = _merge_runs((r.x1, r.x2) for r in aboves)
-            runs_b = _merge_runs((r.x1, r.x2) for r in belows)
-            if runs_a != runs_b:
-                raise RectangulationError("wall mismatch on horizontal line y=%d" % line)
-            for lo, hi in runs_a:
-                side_a = tuple(r.label for r in aboves if lo <= r.x1 and r.x2 <= hi)
-                side_b = tuple(r.label for r in belows if lo <= r.x1 and r.x2 <= hi)
-                segments.append(Segment("h", line, lo, hi, side_a, side_b))
-        joints: dict[tuple[int, int], str] = {}
-        for r in self.rects:
-            for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)):
-                x, y = p
-                if not (0 < x < self.width and 0 < y < self.height):
-                    continue
-                if p in joints:
-                    continue
-                mates = [
-                    s
-                    for s in self.rects
-                    if p in ((s.x1, s.y1), (s.x2, s.y1), (s.x1, s.y2), (s.x2, s.y2))
-                ]
-                if all(s.x1 == x for s in mates):
-                    joints[p] = "right"
-                elif all(s.x2 == x for s in mates):
-                    joints[p] = "left"
-                elif all(s.y1 == y for s in mates):
-                    joints[p] = "down"
-                else:
-                    joints[p] = "up"
-        return tuple(segments), joints
+        for orientation, axis, size, key in (
+            ("v", "x", self.width, lambda r: (r.x2, r.x1, r.y1, r.y2)),
+            ("h", "y", self.height, lambda r: (r.y2, r.y1, r.x1, r.x2)),
+        ):
+            # Per internal line: (lo, hi, label) of the rectangles ending on
+            # it (side a: left/above) and starting on it (side b: right/below).
+            ends: dict[int, list[tuple[int, int, int]]] = {}
+            starts: dict[int, list[tuple[int, int, int]]] = {}
+            for r in self.rects:
+                end, start, lo, hi = key(r)
+                if end < size:
+                    ends.setdefault(end, []).append((lo, hi, r.label))
+                if start > 0:
+                    starts.setdefault(start, []).append((lo, hi, r.label))
+            for line in sorted(ends.keys() | starts.keys()):
+                side_a = sorted(ends.get(line, ()))
+                side_b = sorted(starts.get(line, ()))
+                runs = _merge_runs((lo, hi) for lo, hi, _ in side_a)
+                if runs != _merge_runs((lo, hi) for lo, hi, _ in side_b):
+                    raise RectangulationError(
+                        "wall mismatch on %s line %s=%d"
+                        % ("vertical" if orientation == "v" else "horizontal", axis, line)
+                    )
+                for lo, hi in runs:
+                    segments.append(
+                        Segment(
+                            orientation, line, lo, hi,
+                            tuple(q for u, v, q in side_a if lo <= u and v <= hi),
+                            tuple(q for u, v, q in side_b if lo <= u and v <= hi),
+                        )
+                    )
+        return tuple(segments)
 
     def _derive_orders(self) -> tuple[list[int], list[int]]:
         n = len(self.rects)
@@ -450,29 +431,35 @@ def from_json(text: str) -> Rectangulation:
         raise RectangulationError(
             "invalid JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
         ) from None
-    if not isinstance(data, dict) or "rects" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("rects"), list):
         raise RectangulationError('JSON must be an object with a "rects" array')
+    n = _json_int(data, "n", "document") if "n" in data else None
     rects = []
-    for i, obj in enumerate(data["rects"]):
-        try:
-            rects.append(
-                Rect(
-                    int(obj["label"]),
-                    int(obj["x1"]),
-                    int(obj["y1"]),
-                    int(obj["x2"]),
-                    int(obj["y2"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RectangulationError("bad rectangle #%d: %s" % (i + 1, exc)) from None
+    for i, obj in enumerate(data["rects"], start=1):
+        where = "rectangle #%d" % i
+        if not isinstance(obj, dict):
+            raise RectangulationError("%s must be a JSON object" % where)
+        rects.append(
+            Rect(*(_json_int(obj, f, where) for f in ("label", "x1", "y1", "x2", "y2")))
+        )
     r = Rectangulation(rects)
-    if "n" in data and int(data["n"]) != r.n:
+    if n is not None and n != r.n:
         raise RectangulationError(
-            'field "n" (%s) disagrees with the number of rectangles (%d)'
-            % (data["n"], r.n)
+            'field "n" (%d) disagrees with the number of rectangles (%d)' % (n, r.n)
         )
     return r
+
+
+def _json_int(obj: dict, field: str, where: str) -> int:
+    """The exact integer ``obj[field]``; floats, bools and strings are rejected."""
+    if field not in obj:
+        raise RectangulationError('%s: missing field "%s"' % (where, field))
+    v = obj[field]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise RectangulationError(
+            '%s: field "%s" must be an integer, got %s' % (where, field, json.dumps(v))
+        )
+    return v
 
 
 def to_json(r: Rectangulation) -> str:

@@ -20,7 +20,6 @@ excursion decodes to a rectangulation; no permutation is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .perm import Permutation
@@ -149,39 +148,28 @@ def encode_weak(pi: Permutation) -> HistoryQuadrantWalk:
 def decode_strong(w: HistoryQuadrantWalk) -> Rectangulation:
     """Replay a closed excursion as strong insertions.
 
-    Peaks are replayed geometrically over exact rationals: each point's
-    ``x`` selects the valley, its color dictates which sides align.  Raises
-    ``ValueError`` for walks that do not close into a tiling.
+    Peaks are replayed geometrically over exact dyadic coordinates: each
+    point's ``x`` selects the valley, its color dictates which sides align.
+    Raises ``ValueError`` for walks that do not close into a tiling.
     """
+    from .biject import _sentinel_boxes, _strong_box
+
     if not w.is_closed:
         raise ValueError("only closed excursions decode to rectangulations")
-    one = Fraction(1)
     # Peak records are the owning rectangle's box (x1, y1, x2, y2); the
     # peak proper is the corner (x2, y1).  Sentinels: left and bottom walls.
-    peaks: list[tuple[Fraction, Fraction, Fraction, Fraction]] = [
-        (-one, Fraction(0), Fraction(0), one),
-        (Fraction(0), one, one, one + 1),
-    ]
+    peaks = list(_sentinel_boxes(w.n))
     boxes = []
     for p in w.points:
         if p.x + 1 >= len(peaks):
             raise ValueError("valley index %d out of range" % p.x)
-        a = peaks[p.x]
-        b = peaks[p.x + 1]
-        x1, y2 = a[2], b[1]  # the valley
-        if p.color in ("green", "white"):
-            y1 = a[1]
-        else:
-            y1 = (a[1] + min(a[3], y2)) / 2
-        if p.color in ("red", "white"):
-            x2 = b[2]
-        else:
-            x2 = (max(b[0], x1) + b[2]) / 2
-        box = (x1, y1, x2, y2)
+        top = p.color in ("green", "white")
+        right = p.color in ("red", "white")
+        box = _strong_box(peaks[p.x], peaks[p.x + 1], top, right)
         idx = p.x
-        if p.color in ("red", "white"):
+        if right:
             del peaks[idx + 1]
-        if p.color in ("green", "white"):
+        if top:
             del peaks[idx]
             idx -= 1
         peaks.insert(idx + 1, box)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectlab import biject
 from rectlab.biject import (
     FlipGraph,
     Poset,
+    _Staircase,
     _fiber_strong_geometric,
     _fiber_weak_geometric,
     adjacency_poset,
@@ -40,7 +42,7 @@ from rectlab.perm import (
     parse_permutation,
     reverse_permutation,
 )
-from rectlab.rect import is_diagonal, strong_key, weak_key
+from rectlab.rect import RectangulationError, from_rects, is_diagonal, strong_key, weak_key
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(Permutation)
 
@@ -83,6 +85,36 @@ class TestForwardMaps:
     def test_diagonal_representative(self, d1, r1):
         assert diagonal_representative(r1) == d1
         assert diagonal_representative(d1) == d1
+
+
+class TestInvariantChecks:
+    """Internal invariants raise real errors (they survive ``python -O``)."""
+
+    def test_corrupted_staircase(self):
+        stair = _Staircase(5)
+        stair.labels = [0, 2, 3, 6]  # peaks 2 and 3 leave no valley between
+        with pytest.raises(RectangulationError, match="staircase invariant"):
+            stair.insert(2)
+
+    def test_non_diagonal_weak_drawing(self, monkeypatch):
+        # A compacted drawing of the right class is valid but not diagonal.
+        monkeypatch.setattr(
+            biject, "Rectangulation", lambda rects: from_rects(q.box for q in rects)
+        )
+        with pytest.raises(RectangulationError, match="diagonal"):
+            gamma_w(identity_permutation(3))
+
+    def test_midpoint_off_the_dyadic_grid(self):
+        assert biject._midpoint(2, 6) == 4
+        with pytest.raises(RectangulationError, match="2\\*\\*n grid"):
+            biject._midpoint(1, 2)
+
+    def test_max_n_environment_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("RECTLAB_MAX_N", "7")
+        assert biject._default_max_n() == 7
+        monkeypatch.setenv("RECTLAB_MAX_N", "abc")
+        with pytest.raises(ValueError, match="RECTLAB_MAX_N"):
+            biject._default_max_n()
 
 
 # ---------------------------------------------------------------------------

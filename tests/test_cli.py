@@ -192,6 +192,42 @@ class TestFiberAndKey:
         assert strong_key(from_json(first)) == strong_key(from_json(second))
 
 
+def _tamper_first_x2(doc):
+    rect = next(q for q in doc["rects"] if q["x2"] == 1)
+    rect["x2"] = 1.4  # int() would truncate this back to the original drawing
+
+
+class TestInexactJson:
+    """Fields must be exact JSON integers: no truncation, no bools, no leaks."""
+
+    @pytest.mark.parametrize(
+        "tamper, field",
+        [
+            (_tamper_first_x2, "x2"),
+            (lambda doc: doc["rects"][0].update(label=True), "label"),
+            (lambda doc: doc.update(n=4.9), "n"),
+            (lambda doc: doc.update(rects=5), "rects"),
+        ],
+    )
+    def test_key_rejects(self, capsys, tmp_path, tamper, field):
+        run(["map", "--strong", "2 4 1 3"])
+        doc = json.loads(out_of(capsys))
+        tamper(doc)
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        assert run(["key", "--strong", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert '"%s"' % field in err
+
+
+class TestMaxNEnvironment:
+    def test_non_integer_bound_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RECTLAB_MAX_N", "abc")
+        assert run(["flipgraph", "3"]) == 1
+        assert "RECTLAB_MAX_N" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # walk encode/decode
 # ---------------------------------------------------------------------------

@@ -1,0 +1,234 @@
+"""Reference implementations kept as oracles for the fast construction path.
+
+The library computes closures with one topological pass, covers with a
+bitmask transitive reduction, segments and touching pairs from per-line
+groups, and strong-insertion coordinates as integers on the ``2**n`` grid.
+The straightforward versions below (a fixpoint closure, the cubic cover
+comprehension, all-pairs scans and exact ``Fraction`` midpoints) must agree
+with them exactly: same covers, same segments, same JSON bytes.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rectlab import biject
+from rectlab.biject import (
+    _adjacency_pairs,
+    _Staircase,
+    adjacency_poset,
+    gamma_s,
+    gamma_w,
+    strong_poset,
+    weak_poset,
+)
+from rectlab.perm import Permutation, all_permutations
+from rectlab.rect import (
+    Rect,
+    Rectangulation,
+    Segment,
+    _closure_masks,
+    _merge_runs,
+    from_rects,
+    to_json,
+)
+from rectlab.walks import decode_strong, encode_strong
+
+perms = lambda n: st.permutations(range(1, n + 1)).map(Permutation)
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+def ref_closure_masks(n, edges):
+    """Fixpoint transitive closure: OR successor masks until nothing changes."""
+    succ = [0] * n
+    for i, j in edges:
+        succ[i] |= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            new = succ[i]
+            for j in range(n):
+                if succ[i] >> j & 1:
+                    new |= succ[j]
+            if new != succ[i]:
+                succ[i] = new
+                changed = True
+    return succ
+
+
+def ref_covers(n, pairs):
+    """Cubic cover comprehension over the fixpoint closure (1-based pairs)."""
+    reach = ref_closure_masks(n, [(i - 1, j - 1) for i, j in pairs])
+    if any(reach[i] >> i & 1 for i in range(n)):
+        raise ValueError("cyclic")
+    bits = lambda m: [k for k in range(n) if m >> k & 1]
+    return frozenset(
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in bits(reach[i])
+        if not any(reach[k] >> j & 1 for k in bits(reach[i]) if k != j)
+    )
+
+
+def ref_adjacency_pairs(r):
+    """All-pairs scan for touching left-of / below pairs."""
+    pairs = set()
+    for p in r.rects:
+        for q in r.rects:
+            if p.x2 == q.x1 and max(p.y1, q.y1) < min(p.y2, q.y2):
+                pairs.add((p.label, q.label))
+            if p.y1 == q.y2 and max(p.x1, q.x1) < min(p.x2, q.x2):
+                pairs.add((p.label, q.label))
+    return pairs
+
+
+def ref_segments(r):
+    """Per-line scans over every rectangle, vertical lines first."""
+    out = []
+    for orient, size, end, start, lo_of, hi_of in (
+        ("v", r.width, "x2", "x1", "y1", "y2"),
+        ("h", r.height, "y2", "y1", "x1", "x2"),
+    ):
+        at = lambda side, line: sorted(
+            (q for q in r.rects if getattr(q, side) == line),
+            key=lambda q: getattr(q, lo_of),
+        )
+        span = lambda q: (getattr(q, lo_of), getattr(q, hi_of))
+        lines = {getattr(q, f) for q in r.rects for f in (end, start)}
+        for line in sorted(v for v in lines if 0 < v < size):
+            a, b = at(end, line), at(start, line)
+            runs = _merge_runs(span(q) for q in a)
+            assert runs == _merge_runs(span(q) for q in b)
+            for lo, hi in runs:
+                inside = lambda q: lo <= span(q)[0] and span(q)[1] <= hi
+                out.append(
+                    Segment(
+                        orient, line, lo, hi,
+                        tuple(q.label for q in a if inside(q)),
+                        tuple(q.label for q in b if inside(q)),
+                    )
+                )
+    return tuple(out)
+
+
+def _ref_box(a, b, top, right):
+    x1, y2 = a[2], b[1]
+    y1 = a[1] if top else (a[1] + min(a[3], y2)) / 2
+    x2 = b[2] if right else (max(b[0], x1) + b[2]) / 2
+    return (x1, y1, x2, y2)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_REF_SENTINELS = ((-_ONE, _ZERO, _ZERO, _ONE), (_ZERO, _ONE, _ONE, 2 * _ONE))
+
+
+def ref_gamma_s(pi):
+    """Strong insertion with exact ``Fraction`` midpoints, then compaction."""
+    n = pi.n
+    stair = _Staircase(n)
+    geo = dict(zip((0, n + 1), _REF_SENTINELS))
+    for j in pi:
+        a, b, _, _, top, right = stair.insert(j)
+        geo[j] = _ref_box(geo[a], geo[b], top, right)
+    xs = sorted({v for j in range(1, n + 1) for v in (geo[j][0], geo[j][2])})
+    ys = sorted({v for j in range(1, n + 1) for v in (geo[j][1], geo[j][3])})
+    return Rectangulation(
+        Rect(j, *((ys if k % 2 else xs).index(geo[j][k]) for k in range(4)))
+        for j in range(1, n + 1)
+    )
+
+
+def ref_decode_strong(w):
+    """Walk replay with exact ``Fraction`` midpoints."""
+    peaks = list(_REF_SENTINELS)
+    boxes = []
+    for p in w.points:
+        top, right = p.color in ("green", "white"), p.color in ("red", "white")
+        box = _ref_box(peaks[p.x], peaks[p.x + 1], top, right)
+        idx = p.x
+        if right:
+            del peaks[idx + 1]
+        if top:
+            del peaks[idx]
+            idx -= 1
+        peaks.insert(idx + 1, box)
+        boxes.append(box)
+    assert len(peaks) == 1
+    return from_rects(boxes)
+
+
+# ---------------------------------------------------------------------------
+# Checks
+# ---------------------------------------------------------------------------
+
+
+def check_against_references(pi: Permutation) -> None:
+    rs = gamma_s(pi)
+    assert to_json(rs) == to_json(ref_gamma_s(pi))
+    w = encode_strong(pi)
+    assert to_json(decode_strong(w)) == to_json(ref_decode_strong(w))
+
+    seen = []
+    real = biject._poset_from_relations
+
+    def spy(n, pairs, kind):
+        poset = real(n, pairs, kind)
+        seen.append((n, set(pairs), poset))
+        return poset
+
+    for r in (rs, gamma_w(pi)):
+        assert r.segments == ref_segments(r)
+        assert _adjacency_pairs(r) == ref_adjacency_pairs(r)
+        with mock.patch.object(biject, "_poset_from_relations", spy):
+            adjacency_poset(r)
+            strong_poset(r)
+            weak_poset(r)
+    kinds = {poset.kind for _, _, poset in seen}
+    assert kinds == {"adjacency", "strong", "weak"}
+    for n, pairs, poset in seen:
+        assert poset.covers == ref_covers(n, pairs)
+        edges = [(i - 1, j - 1) for i, j in pairs]
+        assert _closure_masks(n, edges) == ref_closure_masks(n, edges)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exhaustive_against_references(n):
+    for pi in all_permutations(n):
+        check_against_references(pi)
+
+
+@given(st.integers(1, 64).flatmap(perms))
+@settings(max_examples=60, deadline=None)
+def test_random_against_references(pi):
+    check_against_references(pi)
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n
+            ),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_closure_matches_fixpoint_or_rejects_cycles(case):
+    n, edges = case
+    ref = ref_closure_masks(n, edges)
+    if any(ref[i] >> i & 1 for i in range(n)):
+        with pytest.raises(ValueError, match="cyclic"):
+            _closure_masks(n, edges)
+    else:
+        assert _closure_masks(n, edges) == ref

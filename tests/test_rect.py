@@ -446,6 +446,13 @@ class TestJson:
             '{"n": 2}',
             '{"n": 1, "rects": [{"label": 1, "x1": 0, "y1": 0, "x2": 1}]}',
             '{"n": 2, "rects": [{"label": 1, "x1": 0, "y1": 0, "x2": 1, "y2": 1}]}',
+            '{"n": 1, "rects": [{"label": 1, "x1": 0, "y1": 0, "x2": 1.0, "y2": 1}]}',
+            '{"n": 1, "rects": [{"label": 1, "x1": 0, "y1": 0, "x2": "1", "y2": 1}]}',
+            '{"n": 1, "rects": [{"label": true, "x1": 0, "y1": 0, "x2": 1, "y2": 1}]}',
+            '{"n": 1.0, "rects": [{"label": 1, "x1": 0, "y1": 0, "x2": 1, "y2": 1}]}',
+            '{"rects": 5}',
+            '{"rects": {"label": 1}}',
+            '{"rects": [[1, 0, 0, 1, 1]]}',
         ],
     )
     def test_malformed_documents(self, text):
