@@ -64,6 +64,11 @@ class _Staircase:
         """
         labels = self.labels
         idx = bisect.bisect_left(labels, j)
+        if not 0 < idx < len(labels) or labels[idx] == j:
+            raise RectangulationError(
+                "staircase invariant violated at %d: no valley strictly between"
+                " two peaks holds it" % j
+            )
         a, b = labels[idx - 1], labels[idx]
         valley_index = idx - 1
         n_valleys = len(labels) - 1

@@ -183,10 +183,6 @@ class CheckResult:
 
 _RUNNING_PERM = perm.Permutation((7, 5, 14, 8, 1, 6, 15, 11, 4, 10, 16, 2, 9, 13, 3, 12))
 
-_U_SEQUENCE = (1, 2, 6, 24, 112, 582, 3272, 19550, 122628, 800392)
-_O_SEQUENCE = (1, 2, 6, 20, 72, 274, 1088, 4470, 18884, 81652)
-_STRONG_SEQUENCE = (1, 2, 6, 24, 116, 642, 3938, 26194, 186042, 1395008)
-
 
 def _data_dir() -> Path:
     return Path(__file__).parent / "data"
@@ -286,15 +282,16 @@ def _check_walk_round_trip(max_n: int) -> tuple[bool, str]:
     return True, ""
 
 
-def _check_u_o_sequences(max_n: int) -> tuple[bool, str]:
-    for n in range(1, 11):
-        if walks.count_U(n) != _U_SEQUENCE[n - 1]:
-            return False, "U mismatch at n=%d" % n
-        if walks.count_O(n) != _O_SEQUENCE[n - 1]:
-            return False, "O mismatch at n=%d" % n
-    for n in range(1, 11):
-        if walks.count_strong_rect(n) != _STRONG_SEQUENCE[n - 1]:
-            return False, "strong sequence mismatch at n=%d" % n
+def _check_u_o_sequences(max_n: int, data_dir: Path) -> tuple[bool, str]:
+    data = json.loads((data_dir / "oeis.json").read_text())
+    for name, count in (
+        ("strong_leftright", walks.count_U),
+        ("one_sided", walks.count_O),
+        ("strong_rect", walks.count_strong_rect),
+    ):
+        for n, want in enumerate(data[name]["terms"], start=1):
+            if count(n) != want:
+                return False, "%s mismatch at n=%d" % (name, n)
     return True, ""
 
 
@@ -468,7 +465,7 @@ def verify_fixtures(
         for name, fn in _SUITES[suite]:
             start = time.perf_counter()
             try:
-                if fn in (_check_guillotine_table, _check_oeis):
+                if fn in (_check_guillotine_table, _check_u_o_sequences, _check_oeis):
                     passed, detail = fn(bound, directory)
                 else:
                     passed, detail = fn(bound)

@@ -221,7 +221,7 @@ class CountTable:
             raise ValueError("n must be >= 1")
         for m in range(self.max_n + 1, n + 1):
             layer = self._compute_layer(m)
-            self._assert_symmetries(layer)
+            _check_symmetries(m, layer)
             self._sv[m] = layer
 
     def _compute_layer(self, n: int) -> dict[tuple[int, int, int, int], int]:
@@ -261,10 +261,20 @@ class CountTable:
                     out[key] = out.get(key, 0) + z[lp] * v2
         return out
 
-    def _assert_symmetries(self, layer: dict[tuple[int, int, int, int], int]) -> None:
-        for (l, t, r, b), v in layer.items():
-            assert layer.get((r, t, l, b), 0) == v, "left-right symmetry broken"
-            assert layer.get((l, b, r, t), 0) == v, "top-bottom symmetry broken"
+
+def _check_symmetries(n: int, layer: dict[tuple[int, int, int, int], int]) -> None:
+    """Raise ``ArithmeticError`` unless the vertical-cut layer of size ``n``
+    is invariant under the left-right and top-bottom reflections."""
+    for (l, t, r, b), v in layer.items():
+        if layer.get((r, t, l, b), 0) != v:
+            broken = "left-right"
+        elif layer.get((l, b, r, t), 0) != v:
+            broken = "top-bottom"
+        else:
+            continue
+        raise ArithmeticError(
+            "%s symmetry broken in layer %d at profile %r" % (broken, n, (l, t, r, b))
+        )
 
 
 _TABLE = CountTable()
@@ -375,15 +385,14 @@ def _spectral_radius(matrix: tuple[tuple[int, ...], ...]) -> float:
     """Power iteration; the matrices here are nonnegative and primitive."""
     dim = len(matrix)
     vec = [1.0] * dim
-    value = 0.0
     for _ in range(10_000):
         nxt = [sum(matrix[i][j] * vec[j] for j in range(dim)) for i in range(dim)]
         norm = max(abs(c) for c in nxt)
         nxt = [c / norm for c in nxt]
         if all(abs(a - b) < 1e-15 for a, b in zip(nxt, vec)):
             return norm
-        vec, value = nxt, norm
-    return value
+        vec = nxt
+    raise ArithmeticError("power iteration did not converge in 10000 steps")
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -446,7 +455,11 @@ def _x0() -> float:
     # bracketing interval
     signs = [_small_windmill_poly(k) > 0 for k in range(0, 65)]
     changes = [k for k in range(1, 65) if signs[k] != signs[k - 1]]
-    assert len(changes) == 1, "expected a unique positive root"
+    if len(changes) != 1:
+        raise ArithmeticError(
+            "expected one sign change of the windmill polynomial on 0..64, found %d"
+            % len(changes)
+        )
     hi = changes[0]
     return _bisect(_small_windmill_poly, hi - 1, hi, 1e-12)
 

@@ -77,11 +77,21 @@ def parse_permutation(text: str) -> Permutation:
     parts = text.split()
     if not parts:
         raise ValueError("empty permutation text")
-    try:
-        values = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError("bad permutation entry in %r: %s" % (text, exc)) from None
+    values = []
+    for i, part in enumerate(parts, start=1):
+        try:
+            values.append(_numeral(part))
+        except ValueError as exc:
+            raise ValueError("permutation entry %d: %s" % (i, exc)) from None
     return Permutation(values)
+
+
+def _numeral(token: str) -> int:
+    """The value of an ASCII decimal numeral ``[0-9]+``.  Signs, underscores
+    and non-ASCII digits, which ``int()`` accepts, raise ``ValueError``."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError("expected a decimal numeral [0-9]+, got %r" % token)
+    return int(token)
 
 
 def identity_permutation(n: int) -> Permutation:

@@ -62,7 +62,7 @@ class Rect:
 
     def __post_init__(self) -> None:
         for v in (self.label, self.x1, self.y1, self.x2, self.y2):
-            if not isinstance(v, int):
+            if type(v) is not int:  # bool is an int subclass; reject it too
                 raise RectangulationError("rectangle fields must be integers: %r" % (self,))
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise RectangulationError(
@@ -431,6 +431,8 @@ def from_json(text: str) -> Rectangulation:
         raise RectangulationError(
             "invalid JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
         ) from None
+    except RecursionError:
+        raise RectangulationError("JSON nested too deeply to parse") from None
     if not isinstance(data, dict) or not isinstance(data.get("rects"), list):
         raise RectangulationError('JSON must be an object with a "rects" array')
     n = _json_int(data, "n", "document") if "n" in data else None

@@ -20,9 +20,11 @@ excursion decodes to a rectangulation; no permutation is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterator
 
-from .perm import Permutation
+from .perm import Permutation, _numeral
 from .rect import Rectangulation, from_rects
 
 COLORS = ("black", "red", "green", "white")
@@ -38,8 +40,8 @@ class WalkPoint:
     color: str
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.x, int) and isinstance(self.y, int)):
-            raise ValueError("walk coordinates must be integers")
+        if type(self.x) is not int or type(self.y) is not int:  # rejects bool
+            raise ValueError("walk coordinates must be integers: %r" % (self,))
         if self.x < 0 or self.y < 0:
             raise ValueError("walk points live in the quarter plane: %r" % (self,))
         if self.color not in COLORS:
@@ -99,7 +101,7 @@ def walk_from_text(text: str, variant: str = "strong") -> HistoryQuadrantWalk:
         if len(parts) != 3:
             raise ValueError('line %d: expected "x y color"' % lineno)
         try:
-            pts.append(WalkPoint(int(parts[0]), int(parts[1]), parts[2]))
+            pts.append(WalkPoint(_numeral(parts[0]), _numeral(parts[1]), parts[2]))
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
     return HistoryQuadrantWalk(tuple(pts), variant)
@@ -194,23 +196,28 @@ def decode(w: HistoryQuadrantWalk) -> Rectangulation:
 # ---------------------------------------------------------------------------
 
 
-def _leftmost_ok(c: str, x: int, c2: str, x2: int, weak: bool) -> bool:
-    inward = c in ("black", "red"), c2 in ("black", "green")
-    cond = (inward[0] or inward[1]) if weak else (inward[0] and inward[1])
-    return x2 >= x if cond else x2 >= x - 1
+def _slack(inward_from: bool, inward_to: bool, weak: bool) -> int:
+    """How far one step may move back in x (leftmost rule) or in y
+    (rightmost rule): 0 when it is inward (either side inward for the weak
+    variant, both sides for the strong one), else 1.  The walk predicates
+    and the counting DP share this one definition of the step rules."""
+    inward = (inward_from or inward_to) if weak else (inward_from and inward_to)
+    return 0 if inward else 1
 
 
-def _rightmost_ok(c: str, y: int, c2: str, y2: int, weak: bool) -> bool:
-    inward = c in ("black", "green"), c2 in ("black", "red")
-    cond = (inward[0] or inward[1]) if weak else (inward[0] and inward[1])
-    return y2 >= y if cond else y2 >= y - 1
+def _left_slack(c: str, c2: str, weak: bool) -> int:
+    return _slack(c in ("black", "red"), c2 in ("black", "green"), weak)
+
+
+def _right_slack(c: str, c2: str, weak: bool) -> int:
+    return _slack(c in ("black", "green"), c2 in ("black", "red"), weak)
 
 
 def is_leftmost(w: HistoryQuadrantWalk) -> bool:
     """True iff the walk encodes a leftmost linear extension (per variant)."""
     weak = w.variant == "weak"
     return all(
-        _leftmost_ok(p.color, p.x, q.color, q.x, weak)
+        q.x >= p.x - _left_slack(p.color, q.color, weak)
         for p, q in zip(w.points, w.points[1:])
     )
 
@@ -219,7 +226,7 @@ def is_rightmost(w: HistoryQuadrantWalk) -> bool:
     """True iff the walk encodes a rightmost linear extension (per variant)."""
     weak = w.variant == "weak"
     return all(
-        _rightmost_ok(p.color, p.y, q.color, q.y, weak)
+        q.y >= p.y - _right_slack(p.color, q.color, weak)
         for p, q in zip(w.points, w.points[1:])
     )
 
@@ -237,41 +244,64 @@ def is_leftright(w: HistoryQuadrantWalk) -> bool:
 def _excursion_count(
     n: int, *, leftmost: bool = False, rightmost: bool = False, weak: bool = False
 ) -> int:
-    """Closed excursions with ``n`` points under the chosen constraints.
+    """Closed excursions with ``n`` points under the chosen step rules.
 
-    Dense DP over (x, y, color) layers; arbitrary-precision integers.
+    Frontier DP over the points in order: ``rows[c][h][x]`` counts the
+    admissible prefixes ending in the point (x, h - x) colored ``c``.  A
+    level above the number of points still to come cannot return to 0 in
+    time, so it is never stored.  Both step rules leave a contiguous window
+    of x: leftmost asks x2 >= x - dl and rightmost y2 >= y - dr, that is
+    x2 <= x + step + dr.  So the point (x2, h2) collects the window
+    x2 - step - dr <= x <= x2 + dl of one source row per color, a
+    difference of two prefix sums: O(1) per state and color pair instead
+    of O(n).  Arbitrary-precision integers throughout.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    size = n + 2
-    layer = {c: [[0] * size for _ in range(size)] for c in COLORS}
-    for c in COLORS:
-        layer[c][0][0] = 1
-    for _ in range(n - 1):
-        nxt = {c: [[0] * size for _ in range(size)] for c in COLORS}
+    # (dl, dr) per color pair; a slack of n is wider than any row, which
+    # switches the rule off
+    slack = {
+        (c, c2): (
+            _left_slack(c, c2, weak) if leftmost else n,
+            _right_slack(c, c2, weak) if rightmost else n,
+        )
+        for c in COLORS
+        for c2 in COLORS
+    }
+    # prefix sums padded with n + 1 zeros on the left and n + 1 copies of
+    # the row total on the right, so that every window end is a plain slice
+    pad = n + 1
+    rows = {c: [[1]] for c in COLORS}
+    for t in range(1, n):
+        prefix = {}
         for c in COLORS:
-            grid = layer[c]
-            for x in range(size):
-                row = grid[x]
-                for y in range(size):
-                    v = row[y]
-                    if not v:
+            prefix[c] = padded = []
+            for row in rows[c]:
+                p = list(accumulate(row, initial=0))
+                padded.append([0] * pad + p + [p[-1]] * pad)
+        # levels rise by at most 1 per point, and point t must leave
+        # n - 1 - t points to come back down to the origin
+        levels = range(min(t, n - 1 - t) + 1)
+        nxt = {}
+        for c2 in COLORS:
+            out = []
+            for h2 in levels:
+                m = h2 + 1
+                acc = [0] * m
+                for c in COLORS:
+                    step = _LEVEL_STEP[c]
+                    h = h2 - step
+                    if not 0 <= h < len(prefix[c]):
                         continue
-                    h2 = x + y + _LEVEL_STEP[c]
-                    if h2 < 0:
-                        continue
-                    for c2 in COLORS:
-                        for x2 in range(min(h2, size - 1) + 1):
-                            y2 = h2 - x2
-                            if y2 >= size:
-                                continue
-                            if leftmost and not _leftmost_ok(c, x, c2, x2, weak):
-                                continue
-                            if rightmost and not _rightmost_ok(c, y, c2, y2, weak):
-                                continue
-                            nxt[c2][x2][y2] += v
-        layer = nxt
-    return layer["white"][0][0]
+                    p = prefix[c][h]
+                    dl, dr = slack[c, c2]
+                    hi = pad + dl + 1
+                    lo = pad - step - dr
+                    acc = list(map(add, acc, map(sub, p[hi : hi + m], p[lo : lo + m])))
+                out.append(acc)
+            nxt[c2] = out
+        rows = nxt
+    return rows["white"][0][0]
 
 
 def count_strong_rect(n: int) -> int:
@@ -286,118 +316,17 @@ def count_weak_rect(n: int) -> int:
 
 
 def count_U(n: int) -> int:
-    """Strong leftright excursions with ``n`` points, by the four-color
-    first-point-removal recurrence (arbitrary precision).
+    """Strong leftright excursions with ``n`` points.
 
     Counts the strong rectangulations whose fiber is a single permutation;
     equivalently the permutations that are both 2-clumped and co-2-clumped.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    # Layers over (i, j): B and W are symmetric, G is the transpose of R,
-    # so only B, R, W are stored.  A = B + R + R^T + W.
-    B: dict[tuple[int, int], int] = {}
-    R: dict[tuple[int, int], int] = {(0, 0): 0}
-    W: dict[tuple[int, int], int] = {(0, 0): 1}
-
-    def A(i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return (
-            B.get((i, j), 0) + R.get((i, j), 0) + R.get((j, i), 0) + W.get((i, j), 0)
-        )
-
-    def get(d: dict, i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return d.get((i, j), 0)
-
-    for t in range(1, n):
-        B2: dict[tuple[int, int], int] = {}
-        R2: dict[tuple[int, int], int] = {}
-        W2: dict[tuple[int, int], int] = {}
-        for i in range(2 * t + 1):
-            for j in range(2 * t + 1 - i):
-                b = (
-                    A(i + 1, j)
-                    + A(i, j + 1)
-                    + get(R, i - 1, j + 2)
-                    + get(W, i - 1, j + 2)
-                    + get(R, j - 1, i + 2)  # G(i+2, j-1) by transpose
-                    + get(W, i + 2, j - 1)
-                )
-                if b:
-                    B2[(i, j)] = b
-                r = (
-                    A(i + 1, j - 1)
-                    + A(i, j)
-                    + get(R, i - 1, j + 1)
-                    + get(W, i - 1, j + 1)
-                )
-                if r:
-                    R2[(i, j)] = r
-                w = A(i - 1, j) + A(i, j - 1)
-                if w:
-                    W2[(i, j)] = w
-        B, R, W = B2, R2, W2
-    return A(0, 0)
+    return _excursion_count(n, leftmost=True, rightmost=True)
 
 
 def count_O(n: int) -> int:
-    """Weak leftright excursions with ``n`` points (one-sided weak classes).
-
-    The recurrence is derived by first-point removal from the weak
-    leftright step set (steps written target-relative as (dx, dy)):
-
-        black:  (0,1), (1,0)  -> any color
-        red:    (0,0)         -> any;  (1,-1) -> green/white
-        green:  (0,0)         -> any;  (-1,1) -> red/white
-        white:  (-1,0) -> red/white;   (0,-1) -> green/white
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    B: dict[tuple[int, int], int] = {}
-    R: dict[tuple[int, int], int] = {(0, 0): 0}
-    W: dict[tuple[int, int], int] = {(0, 0): 1}
-
-    def A(i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return (
-            B.get((i, j), 0) + R.get((i, j), 0) + R.get((j, i), 0) + W.get((i, j), 0)
-        )
-
-    def get(d: dict, i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return d.get((i, j), 0)
-
-    for t in range(1, n):
-        B2: dict[tuple[int, int], int] = {}
-        R2: dict[tuple[int, int], int] = {}
-        W2: dict[tuple[int, int], int] = {}
-        for i in range(2 * t + 1):
-            for j in range(2 * t + 1 - i):
-                b = A(i, j + 1) + A(i + 1, j)
-                if b:
-                    B2[(i, j)] = b
-                r = (
-                    A(i, j)
-                    + get(R, j - 1, i + 1)  # G(i+1, j-1) by transpose
-                    + get(W, i + 1, j - 1)
-                )
-                if r:
-                    R2[(i, j)] = r
-                w = (
-                    get(R, i - 1, j)
-                    + get(W, i - 1, j)
-                    + get(R, j - 1, i)  # G(i, j-1) by transpose
-                    + get(W, i, j - 1)
-                )
-                if w:
-                    W2[(i, j)] = w
-        B, R, W = B2, R2, W2
-    return A(0, 0)
+    """Weak leftright excursions with ``n`` points (one-sided weak classes)."""
+    return _excursion_count(n, leftmost=True, rightmost=True, weak=True)
 
 
 # ---------------------------------------------------------------------------

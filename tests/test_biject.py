@@ -96,6 +96,26 @@ class TestInvariantChecks:
         with pytest.raises(RectangulationError, match="staircase invariant"):
             stair.insert(2)
 
+    def test_inserted_set_disagreeing_with_peaks(self):
+        # Flip one label of ``inserted`` before each insertion of each pi in
+        # S_n: the staircase either still replays or names the broken
+        # invariant, never a bare IndexError.
+        named = 0
+        for n in range(1, 6):
+            for pi in all_permutations(n):
+                for step in range(n):
+                    for k in range(1, n + 1):
+                        stair = _Staircase(n)
+                        try:
+                            for i, j in enumerate(pi):
+                                if i == step:
+                                    stair.inserted ^= {k}
+                                stair.insert(j)
+                        except RectangulationError as exc:
+                            assert "staircase invariant" in str(exc)
+                            named += 1
+        assert named > 0
+
     def test_non_diagonal_weak_drawing(self, monkeypatch):
         # A compacted drawing of the right class is valid but not diagonal.
         monkeypatch.setattr(

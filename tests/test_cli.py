@@ -220,6 +220,13 @@ class TestInexactJson:
         assert err.startswith("error: ") and "Traceback" not in err
         assert '"%s"' % field in err
 
+    def test_key_rejects_deep_nesting(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["key", "--strong", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
+
 
 class TestMaxNEnvironment:
     def test_non_integer_bound_is_an_error(self, capsys, monkeypatch):
@@ -258,6 +265,28 @@ class TestWalk:
         monkeypatch.setattr("sys.stdin", io.StringIO("0 0 chartreuse\n"))
         assert run(["walk", "decode", "--strong"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ["0_0 0 white", "0 +0 white", "\u0660 0 white"])
+    def test_decode_rejects_inexact_numbers(self, capsys, monkeypatch, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 0 green\n%s\n" % line))
+        assert run(["walk", "decode", "--strong"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: expected a decimal numeral")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--strong", "2 +1"],
+            ["classify", "1_0 2"],
+            ["walk", "encode", "--weak", "2 \u0661"],
+        ],
+    )
+    def test_permutation_arguments_are_ascii_numerals(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: permutation entry" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +366,19 @@ class TestVerifyFixtures:
         assert not by_name["counting/guillotine-table"].passed
         others = [r for r in report if r.name != "counting/guillotine-table"]
         assert all(r.passed for r in others)
+
+    def test_tampered_u_terms_detected(self, tmp_path):
+        for f in DATA_DIR.iterdir():
+            shutil.copy(f, tmp_path / f.name)
+        path = tmp_path / "oeis.json"
+        data = json.loads(path.read_text())
+        data["strong_leftright"]["terms"][7] += 1
+        path.write_text(json.dumps(data))
+        report = verify_fixtures(max_n=4, suites=("walks",), data_dir=tmp_path)
+        by_name = {r.name: r for r in report}
+        failed = by_name["walks/u-o-strong-sequences"]
+        assert not failed.passed and failed.detail == "strong_leftright mismatch at n=8"
+        assert all(r.passed for r in report if r is not failed)
 
     def test_cli_verify_exit_codes(self, capsys, tmp_path, monkeypatch):
         assert run(["verify", "perm", "--max-n", "4"]) == 0

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectlab import counting
 from rectlab.biject import gamma_w
 from rectlab.counting import (
     CountTable,
+    _check_symmetries,
     GrowthConstants,
     Series,
     baxter_number,
@@ -207,6 +209,29 @@ class TestCountTable:
         assert t.max_n >= 4
         assert strong_guillotine_table(6) is t
 
+    @pytest.mark.parametrize(
+        "layer, broken, profile",
+        [
+            ({(0, 1, 2, 1): 1, (2, 1, 0, 1): 2}, "left-right", (0, 1, 2, 1)),
+            ({(0, 1, 0, 2): 1, (0, 2, 0, 1): 2}, "top-bottom", (0, 1, 0, 2)),
+        ],
+    )
+    def test_symmetry_check_names_layer_and_profile(self, layer, broken, profile):
+        with pytest.raises(ArithmeticError) as exc:
+            _check_symmetries(4, layer)
+        assert str(exc.value) == "%s symmetry broken in layer 4 at profile %r" % (
+            broken,
+            profile,
+        )
+
+    def test_corrupted_layer_is_not_stored(self, monkeypatch):
+        t = CountTable()
+        t.extend_to(3)
+        monkeypatch.setattr(t, "_compute_layer", lambda n: {(0, 1, 2, 1): 1})
+        with pytest.raises(ArithmeticError, match="layer 4"):
+            t.extend_to(4)
+        assert t.max_n == 3
+
 
 class TestMultiplicityOracle:
     def test_counts_all_strong_classes(self):
@@ -311,6 +336,17 @@ class TestGrowthConstants:
         with pytest.raises(ValueError):
             z0_bound(0)
 
+    def test_x0_requires_a_unique_sign_change(self, monkeypatch):
+        monkeypatch.setattr(counting, "_small_windmill_poly", lambda x: (x - 3) * (x - 7))
+        with pytest.raises(ArithmeticError, match="found 2"):
+            counting._x0()
+
+    def test_spectral_radius_raises_without_convergence(self):
+        assert counting._spectral_radius(((2, 1), (1, 2))) == pytest.approx(3)
+        # eigenvalues +-sqrt(2): the normalized iterates alternate forever
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            counting._spectral_radius(((0, 2), (1, 0)))
+
     def test_accessors_on_dataclass(self):
         assert GrowthConstants.rho(0) == Fraction(2, 27)
         assert GrowthConstants.z0_bound(1) == pytest.approx(
@@ -346,6 +382,7 @@ class TestPackagedData:
         assert data["half_schroder"]["oeis"] == "A001003"
         assert data["strong_rect"]["oeis"] == "A342141"
         assert data["one_sided"]["oeis"] == "A348351"
+        assert data["strong_leftright"]["oeis"] is None  # none confirmed
         assert data["schroder"]["terms"] == SCHRODER
         assert data["baxter"]["terms"] == BAXTER
         assert data["strong_rect"]["terms"][:7] == [1, 2, 6, 24, 116, 642, 3938]

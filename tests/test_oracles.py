@@ -6,6 +6,11 @@ groups, and strong-insertion coordinates as integers on the ``2**n`` grid.
 The straightforward versions below (a fixpoint closure, the cubic cover
 comprehension, all-pairs scans and exact ``Fraction`` midpoints) must agree
 with them exactly: same covers, same segments, same JSON bytes.
+
+Walk counts come from one interval-window frontier DP.  Two independent
+engines check it: the dense DP over every (x, y, color) cell with its own
+copy of the step rules, and the hand-derived first-point-removal
+recurrences for the leftright families U and O.
 """
 
 from __future__ import annotations
@@ -37,7 +42,16 @@ from rectlab.rect import (
     from_rects,
     to_json,
 )
-from rectlab.walks import decode_strong, encode_strong
+from rectlab.walks import (
+    COLORS,
+    _excursion_count,
+    count_O,
+    count_strong_rect,
+    count_U,
+    count_weak_rect,
+    decode_strong,
+    encode_strong,
+)
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(Permutation)
 
@@ -167,6 +181,161 @@ def ref_decode_strong(w):
     return from_rects(boxes)
 
 
+_LEVEL_STEP = {"black": 1, "red": 0, "green": 0, "white": -1}
+
+
+def _ref_leftmost_ok(c, x, c2, x2, weak):
+    inward = c in ("black", "red"), c2 in ("black", "green")
+    cond = (inward[0] or inward[1]) if weak else (inward[0] and inward[1])
+    return x2 >= x if cond else x2 >= x - 1
+
+
+def _ref_rightmost_ok(c, y, c2, y2, weak):
+    inward = c in ("black", "green"), c2 in ("black", "red")
+    cond = (inward[0] or inward[1]) if weak else (inward[0] and inward[1])
+    return y2 >= y if cond else y2 >= y - 1
+
+
+def ref_excursion_count(n, *, leftmost=False, rightmost=False, weak=False):
+    """Dense DP over every (x, y, color) cell, testing each step pointwise."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = n + 2
+    layer = {c: [[0] * size for _ in range(size)] for c in COLORS}
+    for c in COLORS:
+        layer[c][0][0] = 1
+    for _ in range(n - 1):
+        nxt = {c: [[0] * size for _ in range(size)] for c in COLORS}
+        for c in COLORS:
+            grid = layer[c]
+            for x in range(size):
+                row = grid[x]
+                for y in range(size):
+                    v = row[y]
+                    if not v:
+                        continue
+                    h2 = x + y + _LEVEL_STEP[c]
+                    if h2 < 0:
+                        continue
+                    for c2 in COLORS:
+                        for x2 in range(min(h2, size - 1) + 1):
+                            y2 = h2 - x2
+                            if y2 >= size:
+                                continue
+                            if leftmost and not _ref_leftmost_ok(c, x, c2, x2, weak):
+                                continue
+                            if rightmost and not _ref_rightmost_ok(c, y, c2, y2, weak):
+                                continue
+                            nxt[c2][x2][y2] += v
+        layer = nxt
+    return layer["white"][0][0]
+
+
+def ref_count_U(n):
+    """Strong leftright excursions by the four-color first-point-removal
+    recurrence over (i, j) layers."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # B and W are symmetric, G is the transpose of R, so only B, R, W are
+    # stored.  A = B + R + R^T + W.
+    B = {}
+    R = {(0, 0): 0}
+    W = {(0, 0): 1}
+
+    def A(i, j):
+        if i < 0 or j < 0:
+            return 0
+        return (
+            B.get((i, j), 0) + R.get((i, j), 0) + R.get((j, i), 0) + W.get((i, j), 0)
+        )
+
+    def get(d, i, j):
+        if i < 0 or j < 0:
+            return 0
+        return d.get((i, j), 0)
+
+    for t in range(1, n):
+        B2, R2, W2 = {}, {}, {}
+        for i in range(2 * t + 1):
+            for j in range(2 * t + 1 - i):
+                b = (
+                    A(i + 1, j)
+                    + A(i, j + 1)
+                    + get(R, i - 1, j + 2)
+                    + get(W, i - 1, j + 2)
+                    + get(R, j - 1, i + 2)  # G(i+2, j-1) by transpose
+                    + get(W, i + 2, j - 1)
+                )
+                if b:
+                    B2[(i, j)] = b
+                r = (
+                    A(i + 1, j - 1)
+                    + A(i, j)
+                    + get(R, i - 1, j + 1)
+                    + get(W, i - 1, j + 1)
+                )
+                if r:
+                    R2[(i, j)] = r
+                w = A(i - 1, j) + A(i, j - 1)
+                if w:
+                    W2[(i, j)] = w
+        B, R, W = B2, R2, W2
+    return A(0, 0)
+
+
+def ref_count_O(n):
+    """Weak leftright excursions by first-point removal from the weak
+    leftright step set (steps written target-relative as (dx, dy)):
+
+        black:  (0,1), (1,0)  -> any color
+        red:    (0,0)         -> any;  (1,-1) -> green/white
+        green:  (0,0)         -> any;  (-1,1) -> red/white
+        white:  (-1,0) -> red/white;   (0,-1) -> green/white
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    B = {}
+    R = {(0, 0): 0}
+    W = {(0, 0): 1}
+
+    def A(i, j):
+        if i < 0 or j < 0:
+            return 0
+        return (
+            B.get((i, j), 0) + R.get((i, j), 0) + R.get((j, i), 0) + W.get((i, j), 0)
+        )
+
+    def get(d, i, j):
+        if i < 0 or j < 0:
+            return 0
+        return d.get((i, j), 0)
+
+    for t in range(1, n):
+        B2, R2, W2 = {}, {}, {}
+        for i in range(2 * t + 1):
+            for j in range(2 * t + 1 - i):
+                b = A(i, j + 1) + A(i + 1, j)
+                if b:
+                    B2[(i, j)] = b
+                r = (
+                    A(i, j)
+                    + get(R, j - 1, i + 1)  # G(i+1, j-1) by transpose
+                    + get(W, i + 1, j - 1)
+                )
+                if r:
+                    R2[(i, j)] = r
+                w = (
+                    get(R, i - 1, j)
+                    + get(W, i - 1, j)
+                    + get(R, j - 1, i)  # G(i, j-1) by transpose
+                    + get(W, i, j - 1)
+                )
+                if w:
+                    W2[(i, j)] = w
+        B, R, W = B2, R2, W2
+    return A(0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -232,3 +401,31 @@ def test_closure_matches_fixpoint_or_rejects_cycles(case):
             _closure_masks(n, edges)
     else:
         assert _closure_masks(n, edges) == ref
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("leftmost", [False, True])
+@pytest.mark.parametrize("rightmost", [False, True])
+@pytest.mark.parametrize("weak", [False, True])
+def test_excursion_count_matches_dense_dp(n, leftmost, rightmost, weak):
+    flags = dict(leftmost=leftmost, rightmost=rightmost, weak=weak)
+    assert _excursion_count(n, **flags) == ref_excursion_count(n, **flags)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_leftright_counts_match_recurrences(n):
+    assert count_U(n) == ref_count_U(n)
+    assert count_O(n) == ref_count_O(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_counts_reject_sizes_below_one(n):
+    for count in (
+        _excursion_count,
+        count_strong_rect,
+        count_weak_rect,
+        count_U,
+        count_O,
+    ):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            count(n)

@@ -64,6 +64,21 @@ class TestPermutation:
         with pytest.raises(ValueError):
             parse_permutation(bad)
 
+    @pytest.mark.parametrize(
+        "bad, entry",
+        [
+            ("2 +1", 2),
+            ("1_0 2", 1),
+            ("2 -1", 2),
+            ("\u0662 1", 1),  # ARABIC-INDIC DIGIT TWO
+            ("2 \uff11", 2),  # FULLWIDTH DIGIT ONE
+        ],
+    )
+    def test_parse_accepts_only_ascii_numerals(self, bad, entry):
+        # int() reads each of these as a number
+        with pytest.raises(ValueError, match="entry %d" % entry):
+            parse_permutation(bad)
+
     def test_identity_and_reverse(self):
         assert identity_permutation(4) == Permutation((1, 2, 3, 4))
         assert reverse_permutation(4) == Permutation((4, 3, 2, 1))

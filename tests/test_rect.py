@@ -119,6 +119,11 @@ class TestConstruction:
         with pytest.raises(RectangulationError):
             Rect(1, 0, 0, 0, 1)
 
+    @pytest.mark.parametrize("fields", [(True, 0, 0, 1, 1), (1, False, 0, 1, 1)])
+    def test_rect_rejects_bool_fields(self, fields):
+        with pytest.raises(RectangulationError, match="integers"):
+            Rect(*fields)
+
     def test_constructor_rejects_wrong_labels(self):
         # Labels must be the NW-SE order: the right rectangle may not be 1.
         with pytest.raises(RectangulationError):

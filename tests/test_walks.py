@@ -76,7 +76,15 @@ class TestWalkPoint:
         assert WalkPoint(2, 3, "black").level == 5
 
     @pytest.mark.parametrize(
-        "bad", [(-1, 0, "black"), (0, -2, "red"), (0, 0, "blue"), (0.5, 0, "red")]
+        "bad",
+        [
+            (-1, 0, "black"),
+            (0, -2, "red"),
+            (0, 0, "blue"),
+            (0.5, 0, "red"),
+            (False, 0, "white"),
+            (0, True, "red"),
+        ],
     )
     def test_rejects_invalid(self, bad):
         with pytest.raises((ValueError, TypeError)):
@@ -141,6 +149,14 @@ class TestTextFormat:
     def test_error_mentions_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
             walk_from_text("0 0 black\nbogus line\n", "strong")
+
+    @pytest.mark.parametrize(
+        "line", ["0_0 0 white", "+0 0 white", "0 \u0660 white", "\uff10 0 white"]
+    )
+    def test_numbers_are_ascii_numerals(self, line):
+        # int() reads each coordinate here as 0
+        with pytest.raises(ValueError, match="line 2: expected a decimal numeral"):
+            walk_from_text("0 0 green\n" + line, "strong")
 
 
 # ---------------------------------------------------------------------------
