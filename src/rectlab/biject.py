@@ -35,16 +35,19 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perm import Permutation
+from .perm import Permutation, all_permutations
 from .rect import (
     Rect,
     Rectangulation,
     RectangulationError,
     _bits,
     _closure_masks,
+    _compact,
     from_rects,
     is_diagonal,
+    strong_key,
     swne_labeling,
+    weak_key,
 )
 
 
@@ -149,14 +152,8 @@ def gamma_s(pi: Permutation) -> Rectangulation:
     for j in pi:
         a, b, _, _, top, right = st.insert(j)
         geo[j] = _strong_box(geo[a], geo[b], top, right)
-    xs = sorted({v for j in range(1, n + 1) for v in (geo[j][0], geo[j][2])})
-    ys = sorted({v for j in range(1, n + 1) for v in (geo[j][1], geo[j][3])})
-    xi = {v: i for i, v in enumerate(xs)}
-    yi = {v: i for i, v in enumerate(ys)}
-    return Rectangulation(
-        Rect(j, xi[geo[j][0]], yi[geo[j][1]], xi[geo[j][2]], yi[geo[j][3]])
-        for j in range(1, n + 1)
-    )
+    boxes = _compact([geo[j] for j in range(1, n + 1)])
+    return Rectangulation(Rect(j, *box) for j, box in enumerate(boxes, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +181,11 @@ class Poset:
 
     @functools.cached_property
     def _pred_masks(self) -> tuple[int, ...]:
+        """Cover predecessors: an extension places ``j`` once these are placed."""
+        self._reach  # rejects a cyclic cover set
         pred = [0] * self.n
-        for i in range(self.n):
-            m = self._reach[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                pred[j] |= 1 << i
+        for i, j in self.covers:
+            pred[j - 1] |= 1 << (i - 1)
         return tuple(pred)
 
 
@@ -213,18 +208,18 @@ def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
     """Direct blocking pairs: (a, b) when a is left of b or below b, touching.
 
     Two rectangles touch only across a segment, so only its two sides are
-    compared.
+    compared, by their spans along the segment.
     """
+    box = [q.box for q in r.rects]
     pairs = set()
     for s in r.segments:
+        k = 1 if s.orientation == "v" else 0  # box index of the span start
         for p in s.side_a:
-            u = r.rect(p)
+            u = box[p - 1]
             for q in s.side_b:
-                w = r.rect(q)
-                if s.orientation == "v" and max(u.y1, w.y1) < min(u.y2, w.y2):
-                    pairs.add((p, q))  # p left of q
-                elif s.orientation == "h" and max(u.x1, w.x1) < min(u.x2, w.x2):
-                    pairs.add((q, p))  # q below p
+                w = box[q - 1]
+                if max(u[k], w[k]) < min(u[k + 2], w[k + 2]):
+                    pairs.add((p, q) if k else (q, p))  # p left of q / q below p
     return pairs
 
 
@@ -235,12 +230,14 @@ def adjacency_poset(r: Rectangulation) -> Poset:
 
 def diagonal_representative(r: Rectangulation) -> Rectangulation:
     """The diagonal drawing of the weak class of ``r`` on the n x n grid."""
+    if is_diagonal(r):
+        return r
     return gamma_w(leftmost_extension(adjacency_poset(r)))
 
 
 def weak_poset(r: Rectangulation) -> Poset:
     """Adjacency poset of the diagonal representative of ``r``'s weak class."""
-    d = r if is_diagonal(r) else diagonal_representative(r)
+    d = diagonal_representative(r)
     return _poset_from_relations(d.n, _adjacency_pairs(d), "weak")
 
 
@@ -252,18 +249,15 @@ def strong_poset(r: Rectangulation) -> Poset:
     above-side rectangle precedes every below-side rectangle starting
     strictly to its right.
     """
+    box = [q.box for q in r.rects]
     pairs = _adjacency_pairs(r)
     for s in r.segments:
-        if s.orientation == "v":
-            for lb in s.side_a:  # right side of r_lb on the segment
-                for ra in s.side_b:  # left side of r_ra on the segment
-                    if r.rect(lb).y2 < r.rect(ra).y1:
-                        pairs.add((ra, lb))
-        else:
-            for ab in s.side_a:  # bottom side of r_ab on the segment
-                for bl in s.side_b:  # top side of r_bl on the segment
-                    if r.rect(bl).x1 > r.rect(ab).x2:
-                        pairs.add((ab, bl))
+        k = 1 if s.orientation == "v" else 0  # box index of the span start
+        for a in s.side_a:
+            end = box[a - 1][k + 2]
+            for b in s.side_b:
+                if end < box[b - 1][k]:  # b starts past a's end
+                    pairs.add((b, a) if k else (a, b))
     return _poset_from_relations(r.n, pairs, "strong")
 
 
@@ -315,36 +309,27 @@ def count_linear_extensions(p: Poset) -> int:
     return result
 
 
-def leftmost_extension(p: Poset) -> Permutation:
-    """Greedy smallest-available extension: the unique Bruhat-minimal one."""
+def _greedy_extension(p: Poset, candidates: range) -> Permutation:
+    """Extension placing, at each step, the first available label in the
+    scan order ``candidates`` (0-based)."""
     pred = p._pred_masks
-    n = p.n
     placed = 0
     out = []
-    for _ in range(n):
-        j = next(
-            j for j in range(n) if not placed >> j & 1 and not pred[j] & ~placed
-        )
+    for _ in range(p.n):
+        j = next(j for j in candidates if not placed >> j & 1 and not pred[j] & ~placed)
         out.append(j + 1)
         placed |= 1 << j
     return Permutation(tuple(out))
+
+
+def leftmost_extension(p: Poset) -> Permutation:
+    """Greedy smallest-available extension: the unique Bruhat-minimal one."""
+    return _greedy_extension(p, range(p.n))
 
 
 def rightmost_extension(p: Poset) -> Permutation:
     """Greedy largest-available extension: the unique Bruhat-maximal one."""
-    pred = p._pred_masks
-    n = p.n
-    placed = 0
-    out = []
-    for _ in range(n):
-        j = next(
-            j
-            for j in range(n - 1, -1, -1)
-            if not placed >> j & 1 and not pred[j] & ~placed
-        )
-        out.append(j + 1)
-        placed |= 1 << j
-    return Permutation(tuple(out))
+    return _greedy_extension(p, range(p.n - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +350,7 @@ def fiber_s(r: Rectangulation) -> list[Permutation]:
 def baxter_representative(r: Rectangulation) -> Permutation:
     """The unique Baxter permutation in the weak fiber: read the diagonal
     representative's labels in SW-NE order."""
-    d = r if is_diagonal(r) else diagonal_representative(r)
-    return Permutation(swne_labeling(d))
+    return Permutation(swne_labeling(diagonal_representative(r)))
 
 
 def reflect_swne(r: Rectangulation) -> Rectangulation:
@@ -400,8 +384,6 @@ def _union_is_rect(r: Rectangulation, j: int, k: int) -> bool:
 def _flip_kind(
     r: Rectangulation, r2: Rectangulation, j: int, k: int
 ) -> str:
-    from .rect import weak_key
-
     if weak_key(r) == weak_key(r2):
         return "wall_slide"
     if _union_is_rect(r, j, k) and _union_is_rect(r2, j, k):
@@ -417,8 +399,6 @@ def flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
     slides (weak class unchanged), simple flips (the two swapped rectangles
     form a rectangle together before and after), and pivoting flips.
     """
-    from .rect import strong_key
-
     base = strong_key(r)
     found: dict[tuple[int, ...], tuple[str, Rectangulation]] = {}
     for pi in linear_extensions(strong_poset(r)):
@@ -474,9 +454,6 @@ def quotient_cover_graph(n: int, max_n: int | None = None) -> FlipGraph:
     differ, an edge joins the two canonical keys.  Guarded by ``max_n``
     (default: the RECTLAB_MAX_N environment variable, else 6).
     """
-    from .perm import all_permutations
-    from .rect import strong_key
-
     bound = max_n if max_n is not None else _default_max_n()
     if n > bound:
         raise ValueError(
@@ -494,114 +471,3 @@ def quotient_cover_graph(n: int, max_n: int | None = None) -> FlipGraph:
             if k1 != k2:
                 edges.add((min(k1, k2), max(k1, k2)))
     return FlipGraph(n, tuple(vertices), tuple(sorted(edges)))
-
-
-# ---------------------------------------------------------------------------
-# Geometric backward algorithms (independent cross-checks for the fibers)
-# ---------------------------------------------------------------------------
-
-
-def _fiber_weak_geometric(r: Rectangulation) -> set[Permutation]:
-    """Enumerate the weak fiber by reverse deletion on the diagonal drawing:
-    a rectangle is removable when no remaining rectangle blocks it (nothing
-    it is left of or below remains)."""
-    d = r if is_diagonal(r) else diagonal_representative(r)
-    pairs = _adjacency_pairs(d)
-    succ = {j: {b for a, b in pairs if a == j} for j in range(1, d.n + 1)}
-    out: set[Permutation] = set()
-    order: list[int] = []
-
-    def rec(remaining: frozenset[int]) -> None:
-        if not remaining:
-            out.add(Permutation(tuple(reversed(order))))
-            return
-        for j in sorted(remaining):
-            if succ[j] & remaining:
-                continue
-            order.append(j)
-            rec(remaining - {j})
-            order.pop()
-
-    rec(frozenset(range(1, d.n + 1)))
-    return out
-
-
-def _strong_available(
-    r: Rectangulation, remaining: frozenset[int]
-) -> list[int]:
-    """Labels deletable next in the strong backward algorithm.
-
-    The remaining rectangles form a staircase region; a rectangle is
-    available when its top and right sides lie on the staircase boundary,
-    its top-left corner continues a horizontal wall (or sits on the previous
-    peak), and its bottom-right corner continues a vertical wall (or the
-    next peak sits on the supporting rectangle's top side).
-    """
-    W, H = r.width, r.height
-    INF = H  # empty column: boundary at the bottom of the box
-    top = [INF] * W
-    for j in remaining:
-        q = r.rect(j)
-        for x in range(q.x1, q.x2):
-            top[x] = min(top[x], q.y1)
-    avail = []
-    for j in sorted(remaining):
-        q = r.rect(j)
-        if any(top[x] != q.y1 for x in range(q.x1, q.x2)):
-            continue  # top side not exposed
-        if q.x2 < W and top[q.x2] < q.y2:
-            continue  # right side not exposed
-        # top-left corner
-        if q.x1 > 0:
-            left = next(
-                (
-                    r.rect(k)
-                    for k in remaining
-                    if r.rect(k).x2 == q.x1
-                    and r.rect(k).y1 <= q.y1 < r.rect(k).y2
-                ),
-                None,
-            )
-            if left is None:
-                continue
-            if left.y1 != q.y1 and top[q.x1 - 1] != left.y1:
-                continue
-        # bottom-right corner
-        if q.y2 < H:
-            below = next(
-                (
-                    r.rect(k)
-                    for k in remaining
-                    if r.rect(k).y1 == q.y2 and r.rect(k).x1 < q.x2 <= r.rect(k).x2
-                ),
-                None,
-            )
-            if below is None:
-                continue
-            if below.x2 != q.x2:
-                x_next = next(
-                    (x for x in range(q.x2, W) if top[x] != q.y2), W
-                )
-                if x_next > below.x2:
-                    continue
-        avail.append(j)
-    return avail
-
-
-def _fiber_strong_geometric(r: Rectangulation) -> set[Permutation]:
-    """Enumerate the strong fiber by reverse deletion with the geometric
-    availability rules (independent of the poset route)."""
-    out: set[Permutation] = set()
-    order: list[int] = []
-
-    def rec(remaining: frozenset[int]) -> None:
-        if not remaining:
-            out.add(Permutation(tuple(reversed(order))))
-            return
-        for j in _strong_available(r, remaining):
-            order.append(j)
-            rec(remaining - {j})
-            order.pop()
-
-    rec(frozenset(range(1, r.n + 1)))
-    return out

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .biject import _default_max_n, gamma_w
+from .perm import all_permutations
+from .rect import is_guillotine, multiplicity
+
 # ---------------------------------------------------------------------------
 # Truncated power series over exact rationals
 # ---------------------------------------------------------------------------
@@ -310,10 +314,6 @@ def strong_count_via_multiplicity(
     ``guillotine_only`` restricts the sweep to guillotine classes.  Guarded
     by the same exhaustive-size bound as the other sweeps.
     """
-    from .biject import _default_max_n, gamma_w
-    from .perm import all_permutations
-    from .rect import is_guillotine, multiplicity
-
     bound = _default_max_n() if max_n is None else max_n
     if n > bound:
         raise ValueError(
@@ -497,20 +497,12 @@ def z0_bound(k: int) -> float:
 
 @dataclass(frozen=True)
 class GrowthConstants:
-    """Named growth rates; see each accessor for provenance."""
+    """Named growth rates; see :func:`growth_constants` for provenance."""
 
     gamma: float
     gamma_prime: float
     x0: float
     lower_bound: float
-
-    @staticmethod
-    def rho(v: int | float | Fraction) -> Fraction | float:
-        return rho(v)
-
-    @staticmethod
-    def z0_bound(k: int) -> float:
-        return z0_bound(k)
 
 
 def growth_constants() -> GrowthConstants:

@@ -179,12 +179,14 @@ class Rectangulation:
         left, above = self._derive_orders()
         object.__setattr__(self, "_left_reach", left)
         object.__setattr__(self, "_above_reach", above)
-        if _check_labels:
-            got = nwse_labeling(self)
-            if got != tuple(range(1, n + 1)):
-                raise RectangulationError(
-                    "labels are not the NW-SE labeling (expected order %r)" % (got,)
-                )
+        # NW-SE labels: label i + 1 precedes exactly the labels i + 2..n.
+        if _check_labels and any(
+            l | a != (1 << n) - (2 << i) for i, (l, a) in enumerate(zip(left, above))
+        ):
+            raise RectangulationError(
+                "labels are not the NW-SE labeling (expected order %r)"
+                % (nwse_labeling(self),)
+            )
 
     # -- invariant machinery -------------------------------------------------
 
@@ -270,19 +272,11 @@ class Rectangulation:
         return tuple(segments)
 
     def _derive_orders(self) -> tuple[list[int], list[int]]:
-        n = len(self.rects)
-        left_edges = []
-        above_edges = []
+        edges: dict[str, list[tuple[int, int]]] = {"v": [], "h": []}
         for s in self.segments:
-            if s.orientation == "v":
-                left_edges.extend(
-                    (i - 1, j - 1) for i in s.side_a for j in s.side_b
-                )
-            else:
-                above_edges.extend(
-                    (i - 1, j - 1) for i in s.side_a for j in s.side_b
-                )
-        return _closure_masks(n, left_edges), _closure_masks(n, above_edges)
+            edges[s.orientation].extend((i - 1, j - 1) for i in s.side_a for j in s.side_b)
+        n = len(self.rects)
+        return _closure_masks(n, edges["v"]), _closure_masks(n, edges["h"])
 
     # -- basic relations -----------------------------------------------------
 
@@ -354,15 +348,9 @@ def from_rects(boxes: Iterable[Sequence[int | Fraction]]) -> Rectangulation:
         raw.append(vals)
     if not raw:
         raise RectangulationError("a rectangulation has at least one rectangle")
-    xs = sorted({v for b in raw for v in (b[0], b[2])})
-    ys = sorted({v for b in raw for v in (b[1], b[3])})
-    xmap = {v: i for i, v in enumerate(xs)}
-    ymap = {v: i for i, v in enumerate(ys)}
-    compact = sorted(
-        (xmap[b[0]], ymap[b[1]], xmap[b[2]], ymap[b[3]]) for b in raw
-    )
     provisional = Rectangulation(
-        (Rect(i + 1, *b) for i, b in enumerate(compact)), _check_labels=False
+        (Rect(i + 1, *b) for i, b in enumerate(sorted(_compact(raw)))),
+        _check_labels=False,
     )
     order = nwse_labeling(provisional)
     rects = [
@@ -371,19 +359,62 @@ def from_rects(boxes: Iterable[Sequence[int | Fraction]]) -> Rectangulation:
     return Rectangulation(rects)
 
 
+def _compact(boxes: Sequence[Sequence]) -> list[tuple[int, int, int, int]]:
+    """Each ``(x1, y1, x2, y2)`` with every coordinate replaced by its rank
+    among the distinct values on its axis."""
+    xs = sorted({v for b in boxes for v in (b[0], b[2])})
+    ys = sorted({v for b in boxes for v in (b[1], b[3])})
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    return [(xi[b[0]], yi[b[1]], xi[b[2]], yi[b[3]]) for b in boxes]
+
+
+def _transpose(masks: Sequence[int]) -> list[int]:
+    """Bit ``i`` of ``out[j]`` iff bit ``j`` of ``masks[i]``."""
+    out = [0] * len(masks)
+    for i, m in enumerate(masks):
+        for j in _bits(m):
+            out[j] |= 1 << i
+    return out
+
+
+def _linear_order(rows: Sequence[int]) -> tuple[int, ...]:
+    """Labels ``1..n`` in the strict total order given by ``rows``: bit ``j``
+    of ``rows[i]`` is set when label ``i + 1`` comes before label ``j + 1``.
+
+    In a total order the k-th label has ``n - 1 - k`` labels after it, so
+    sorting by bit count and checking each row against the suffix after it
+    checks every pair.  Raises :class:`RectangulationError` naming a pair
+    when the rows are not a total order.
+    """
+    n = len(rows)
+    order = sorted(range(n), key=lambda i: -rows[i].bit_count())
+    after = 0
+    for i in reversed(order):
+        if rows[i] != after:
+            pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
+            for a, b in pairs:
+                if not (rows[a] >> b ^ rows[b] >> a) & 1:
+                    raise RectangulationError(
+                        "rectangles %d and %d are not comparable by exactly one"
+                        " relation" % (a + 1, b + 1)
+                    )
+            # Every pair is ordered one way, so the misplaced pair is on a cycle.
+            j = next(_bits(rows[i] ^ after))
+            raise RectangulationError(
+                "rectangles %d and %d lie on a cycle of the order" % (i + 1, j + 1)
+            )
+        after |= 1 << i
+    return tuple(i + 1 for i in order)
+
+
 def nwse_labeling(r: Rectangulation) -> tuple[int, ...]:
     """Labels in NW-SE reading order: ``i`` before ``j`` iff left-of or above.
 
     For a valid rectangulation this is ``(1, 2, .., n)`` by the labeling
     invariant.
     """
-    n = r.n
-    return tuple(
-        sorted(
-            range(1, n + 1),
-            key=_total_order_key(r, flip_above=False),
-        )
-    )
+    return _linear_order([l | a for l, a in zip(r._left_reach, r._above_reach)])
 
 
 def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
@@ -391,36 +422,8 @@ def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
 
     ``i`` before ``j`` iff ``i`` left of ``j`` or ``j`` above ``i``.
     """
-    n = r.n
-    return tuple(
-        sorted(
-            range(1, n + 1),
-            key=_total_order_key(r, flip_above=True),
-        )
-    )
-
-
-def _total_order_key(r: Rectangulation, flip_above: bool):
-    import functools
-
-    def cmp(i: int, j: int) -> int:
-        if i == j:
-            return 0
-        li, lj = r.left_of(i, j), r.left_of(j, i)
-        ai, aj = r.above(i, j), r.above(j, i)
-        if flip_above:
-            ai, aj = aj, ai
-        before = li or ai
-        after = lj or aj
-        if before and not after:
-            return -1
-        if after and not before:
-            return 1
-        raise RectangulationError(
-            "rectangles %d and %d are not comparable by exactly one relation" % (i, j)
-        )
-
-    return functools.cmp_to_key(cmp)
+    below = _transpose(r._above_reach)
+    return _linear_order([l | b for l, b in zip(r._left_reach, below)])
 
 
 def from_json(text: str) -> Rectangulation:
@@ -501,31 +504,10 @@ def segment_joint_counts(r: Rectangulation) -> list[tuple[int, int]]:
 
     For a vertical segment, ``side_a`` counts horizontal segments arriving
     from the left, ``side_b`` from the right; for a horizontal segment,
-    arrivals from above and from below.
+    arrivals from above and from below.  A side with ``k`` rectangles meets
+    ``k - 1`` such T-joints.
     """
-    counts = []
-    for s in r.segments:
-        a = b = 0
-        for t in r.segments:
-            if t.orientation == s.orientation:
-                continue
-            # t's endpoints: (line, lo/hi) in t's own orientation.
-            if s.orientation == "v":
-                # horizontal t at y=t.line spanning x in [lo, hi]
-                if s.lo < t.line < s.hi:
-                    if t.hi == s.line:
-                        a += 1
-                    if t.lo == s.line:
-                        b += 1
-            else:
-                # vertical t at x=t.line spanning y in [lo, hi]
-                if s.lo < t.line < s.hi:
-                    if t.hi == s.line:
-                        a += 1
-                    if t.lo == s.line:
-                        b += 1
-        counts.append((a, b))
-    return counts
+    return [(len(s.side_a) - 1, len(s.side_b) - 1) for s in r.segments]
 
 
 def multiplicity(r: Rectangulation) -> int:
@@ -583,36 +565,21 @@ def guillotine_tree(r: Rectangulation):
     choice just fixes a deterministic tree).
     """
 
-    def solve(labels: tuple[int, ...], box: tuple[int, int, int, int]):
+    box = {q.label: q.box for q in r.rects}
+
+    def solve(labels: tuple[int, ...]):
         if len(labels) == 1:
             return ("leaf", labels[0])
-        x1, y1, x2, y2 = box
-        group = [r.rect(i) for i in labels]
-        for x in sorted({q.x2 for q in group if q.x2 < x2}):
-            if all(not (q.x1 < x < q.x2) for q in group):
-                first = tuple(q.label for q in group if q.x2 <= x)
-                second = tuple(q.label for q in group if q.x1 >= x)
-                a = solve(first, (x1, y1, x, y2))
-                if a is None:
-                    return None
-                b = solve(second, (x, y1, x2, y2))
-                if b is None:
-                    return None
-                return ("v", x, a, b)
-        for y in sorted({q.y2 for q in group if q.y2 < y2}):
-            if all(not (q.y1 < y < q.y2) for q in group):
-                first = tuple(q.label for q in group if q.y2 <= y)
-                second = tuple(q.label for q in group if q.y1 >= y)
-                a = solve(first, (x1, y1, x2, y))
-                if a is None:
-                    return None
-                b = solve(second, (x1, y, x2, y2))
-                if b is None:
-                    return None
-                return ("h", y, a, b)
+        for orientation, k in (("v", 0), ("h", 1)):  # k: box index of x1 / y1
+            # every far side but the outermost one may carry a full cut
+            for c in sorted({box[i][k + 2] for i in labels})[:-1]:
+                if all(not box[i][k] < c < box[i][k + 2] for i in labels):
+                    a = solve(tuple(i for i in labels if box[i][k + 2] <= c))
+                    b = solve(tuple(i for i in labels if box[i][k] >= c)) if a else None
+                    return (orientation, c, a, b) if b else None
         return None
 
-    return solve(tuple(range(1, r.n + 1)), (0, 0, r.width, r.height))
+    return solve(tuple(range(1, r.n + 1)))
 
 
 def is_guillotine(r: Rectangulation) -> bool:

@@ -19,11 +19,13 @@ excursion decodes to a rectangulation; no permutation is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterator
 
+from .biject import _sentinel_boxes, _Staircase, _strong_box, diagonal_representative
 from .perm import Permutation, _numeral
 from .rect import Rectangulation, from_rects
 
@@ -113,8 +115,6 @@ def walk_from_text(text: str, variant: str = "strong") -> HistoryQuadrantWalk:
 
 
 def _encode_points(pi: Permutation) -> tuple[WalkPoint, ...]:
-    from .biject import _Staircase
-
     st = _Staircase(pi.n)
     pts = []
     for j in pi:
@@ -154,8 +154,6 @@ def decode_strong(w: HistoryQuadrantWalk) -> Rectangulation:
     point's ``x`` selects the valley, its color dictates which sides align.
     Raises ``ValueError`` for walks that do not close into a tiling.
     """
-    from .biject import _sentinel_boxes, _strong_box
-
     if not w.is_closed:
         raise ValueError("only closed excursions decode to rectangulations")
     # Peak records are the owning rectangle's box (x1, y1, x2, y2); the
@@ -185,8 +183,6 @@ def decode(w: HistoryQuadrantWalk) -> Rectangulation:
     """Decode by variant: strong replay, or its diagonal drawing for weak."""
     r = decode_strong(w)
     if w.variant == "weak":
-        from .biject import diagonal_representative
-
         return diagonal_representative(r)
     return r
 
@@ -335,8 +331,6 @@ def count_O(n: int) -> int:
 
 
 def _paths(dx: int, dy: int) -> int:
-    import math
-
     if dx < 0 or dy < 0:
         return 0
     return math.comb(dx + dy, dx)

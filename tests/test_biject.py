@@ -12,9 +12,8 @@ from rectlab import biject
 from rectlab.biject import (
     FlipGraph,
     Poset,
+    _adjacency_pairs,
     _Staircase,
-    _fiber_strong_geometric,
-    _fiber_weak_geometric,
     adjacency_poset,
     baxter_representative,
     count_linear_extensions,
@@ -42,7 +41,14 @@ from rectlab.perm import (
     parse_permutation,
     reverse_permutation,
 )
-from rectlab.rect import RectangulationError, from_rects, is_diagonal, strong_key, weak_key
+from rectlab.rect import (
+    Rectangulation,
+    RectangulationError,
+    from_rects,
+    is_diagonal,
+    strong_key,
+    weak_key,
+)
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(Permutation)
 
@@ -224,6 +230,17 @@ class TestLinearExtensions:
         assert list(linear_extensions(p)) == [identity_permutation(4)]
         assert count_linear_extensions(p) == 1
 
+    def test_cyclic_cover_set_is_rejected(self):
+        p = Poset(2, frozenset({(1, 2), (2, 1)}))
+        for extensions in (
+            leftmost_extension,
+            rightmost_extension,
+            lambda q: list(linear_extensions(q)),
+            count_linear_extensions,
+        ):
+            with pytest.raises(ValueError, match="cyclic"):
+                extensions(p)
+
     def test_extremal_extensions_of_antichain(self):
         p = Poset(3, frozenset())
         assert leftmost_extension(p) == Permutation((1, 2, 3))
@@ -249,6 +266,115 @@ class TestLinearExtensions:
 # ---------------------------------------------------------------------------
 # Fibers
 # ---------------------------------------------------------------------------
+
+# Geometric backward algorithms: enumerate a fiber by deleting rectangles
+# from the drawing, independently of the poset route the library takes.
+
+
+def _fiber_weak_geometric(r: Rectangulation) -> set[Permutation]:
+    """Enumerate the weak fiber by reverse deletion on the diagonal drawing:
+    a rectangle is removable when no remaining rectangle blocks it (nothing
+    it is left of or below remains)."""
+    d = diagonal_representative(r)
+    pairs = _adjacency_pairs(d)
+    succ = {j: {b for a, b in pairs if a == j} for j in range(1, d.n + 1)}
+    out: set[Permutation] = set()
+    order: list[int] = []
+
+    def rec(remaining: frozenset[int]) -> None:
+        if not remaining:
+            out.add(Permutation(tuple(reversed(order))))
+            return
+        for j in sorted(remaining):
+            if succ[j] & remaining:
+                continue
+            order.append(j)
+            rec(remaining - {j})
+            order.pop()
+
+    rec(frozenset(range(1, d.n + 1)))
+    return out
+
+
+def _strong_available(
+    r: Rectangulation, remaining: frozenset[int]
+) -> list[int]:
+    """Labels deletable next in the strong backward algorithm.
+
+    The remaining rectangles form a staircase region; a rectangle is
+    available when its top and right sides lie on the staircase boundary,
+    its top-left corner continues a horizontal wall (or sits on the previous
+    peak), and its bottom-right corner continues a vertical wall (or the
+    next peak sits on the supporting rectangle's top side).
+    """
+    W, H = r.width, r.height
+    INF = H  # empty column: boundary at the bottom of the box
+    top = [INF] * W
+    for j in remaining:
+        q = r.rect(j)
+        for x in range(q.x1, q.x2):
+            top[x] = min(top[x], q.y1)
+    avail = []
+    for j in sorted(remaining):
+        q = r.rect(j)
+        if any(top[x] != q.y1 for x in range(q.x1, q.x2)):
+            continue  # top side not exposed
+        if q.x2 < W and top[q.x2] < q.y2:
+            continue  # right side not exposed
+        # top-left corner
+        if q.x1 > 0:
+            left = next(
+                (
+                    r.rect(k)
+                    for k in remaining
+                    if r.rect(k).x2 == q.x1
+                    and r.rect(k).y1 <= q.y1 < r.rect(k).y2
+                ),
+                None,
+            )
+            if left is None:
+                continue
+            if left.y1 != q.y1 and top[q.x1 - 1] != left.y1:
+                continue
+        # bottom-right corner
+        if q.y2 < H:
+            below = next(
+                (
+                    r.rect(k)
+                    for k in remaining
+                    if r.rect(k).y1 == q.y2 and r.rect(k).x1 < q.x2 <= r.rect(k).x2
+                ),
+                None,
+            )
+            if below is None:
+                continue
+            if below.x2 != q.x2:
+                x_next = next(
+                    (x for x in range(q.x2, W) if top[x] != q.y2), W
+                )
+                if x_next > below.x2:
+                    continue
+        avail.append(j)
+    return avail
+
+
+def _fiber_strong_geometric(r: Rectangulation) -> set[Permutation]:
+    """Enumerate the strong fiber by reverse deletion with the geometric
+    availability rules (independent of the poset route)."""
+    out: set[Permutation] = set()
+    order: list[int] = []
+
+    def rec(remaining: frozenset[int]) -> None:
+        if not remaining:
+            out.add(Permutation(tuple(reversed(order))))
+            return
+        for j in _strong_available(r, remaining):
+            order.append(j)
+            rec(remaining - {j})
+            order.pop()
+
+    rec(frozenset(range(1, r.n + 1)))
+    return out
 
 
 class TestFibers:

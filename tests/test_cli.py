@@ -380,6 +380,21 @@ class TestVerifyFixtures:
         assert not failed.passed and failed.detail == "strong_leftright mismatch at n=8"
         assert all(r.passed for r in report if r is not failed)
 
+    def test_tampered_one_sided_term_fails_one_check(self, tmp_path):
+        # every oeis.json entry is verified by exactly one check
+        for f in DATA_DIR.iterdir():
+            shutil.copy(f, tmp_path / f.name)
+        path = tmp_path / "oeis.json"
+        data = json.loads(path.read_text())
+        data["one_sided"]["terms"][5] += 1
+        path.write_text(json.dumps(data))
+        report = verify_fixtures(max_n=4, data_dir=tmp_path)
+        assert len(report) == 16
+        failed = [r for r in report if not r.passed]
+        assert [(r.name, r.detail) for r in failed] == [
+            ("walks/u-o-strong-sequences", "one_sided mismatch at n=6")
+        ]
+
     def test_cli_verify_exit_codes(self, capsys, tmp_path, monkeypatch):
         assert run(["verify", "perm", "--max-n", "4"]) == 0
         text = out_of(capsys)

@@ -17,7 +17,6 @@ from rectlab.biject import gamma_w
 from rectlab.counting import (
     CountTable,
     _check_symmetries,
-    GrowthConstants,
     Series,
     baxter_number,
     growth_constants,
@@ -346,12 +345,6 @@ class TestGrowthConstants:
         # eigenvalues +-sqrt(2): the normalized iterates alternate forever
         with pytest.raises(ArithmeticError, match="did not converge"):
             counting._spectral_radius(((0, 2), (1, 0)))
-
-    def test_accessors_on_dataclass(self):
-        assert GrowthConstants.rho(0) == Fraction(2, 27)
-        assert GrowthConstants.z0_bound(1) == pytest.approx(
-            z0_bound(1), abs=1e-12
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ The straightforward versions below (a fixpoint closure, the cubic cover
 comprehension, all-pairs scans and exact ``Fraction`` midpoints) must agree
 with them exactly: same covers, same segments, same JSON bytes.
 
+Orders and joint counts are read from what a rectangulation already holds:
+labelings sort the reach-mask rows by bit count, joint counts are side
+lengths minus one, extensions read cover predecessors.  The comparison
+sort, the all-pairs joint scan, the closure transpose, the separate
+greedy loops and the per-orientation copies they replaced are the
+references here.
+
 Walk counts come from one interval-window frontier DP.  Two independent
 engines check it: the dense DP over every (x, y, color) cell with its own
 copy of the step rules, and the hand-derived first-point-removal
@@ -15,6 +22,9 @@ recurrences for the leftright families U and O.
 
 from __future__ import annotations
 
+import functools
+import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -25,10 +35,15 @@ from hypothesis import strategies as st
 from rectlab import biject
 from rectlab.biject import (
     _adjacency_pairs,
+    _poset_from_relations,
     _Staircase,
     adjacency_poset,
+    diagonal_representative,
     gamma_s,
     gamma_w,
+    leftmost_extension,
+    linear_extensions,
+    rightmost_extension,
     strong_poset,
     weak_poset,
 )
@@ -36,11 +51,20 @@ from rectlab.perm import Permutation, all_permutations
 from rectlab.rect import (
     Rect,
     Rectangulation,
+    RectangulationError,
     Segment,
     _closure_masks,
     _merge_runs,
     from_rects,
+    guillotine_tree,
+    is_diagonal,
+    multiplicity,
+    nwse_labeling,
+    segment_joint_counts,
+    strong_key,
+    swne_labeling,
     to_json,
+    weak_key,
 )
 from rectlab.walks import (
     COLORS,
@@ -179,6 +203,146 @@ def ref_decode_strong(w):
         boxes.append(box)
     assert len(peaks) == 1
     return from_rects(boxes)
+
+
+def ref_labeling(r, flip_above=False):
+    """NW-SE (or, flipping above, SW-NE) labels by a comparison sort that
+    asks ``left_of``/``above`` about each pair it compares."""
+
+    def cmp(i, j):
+        if i == j:
+            return 0
+        li, lj = r.left_of(i, j), r.left_of(j, i)
+        ai, aj = r.above(i, j), r.above(j, i)
+        if flip_above:
+            ai, aj = aj, ai
+        before, after = li or ai, lj or aj
+        if before != after:
+            return -1 if before else 1
+        raise RectangulationError("rectangles %d and %d are not comparable" % (i, j))
+
+    return tuple(sorted(range(1, r.n + 1), key=functools.cmp_to_key(cmp)))
+
+
+def ref_reach(r):
+    """Left-of and above closures, each from its own orientation's segments."""
+    return tuple(
+        ref_closure_masks(
+            r.n,
+            [
+                (i - 1, j - 1)
+                for s in r.segments
+                if s.orientation == orientation
+                for i in s.side_a
+                for j in s.side_b
+            ],
+        )
+        for orientation in "vh"
+    )
+
+
+def ref_joint_counts(r):
+    """All pairs of segments: perpendicular ends strictly inside, per side."""
+    counts = []
+    for s in r.segments:
+        a = b = 0
+        for t in r.segments:
+            if t.orientation != s.orientation and s.lo < t.line < s.hi:
+                a += t.hi == s.line
+                b += t.lo == s.line
+        counts.append((a, b))
+    return counts
+
+
+def ref_strong_pairs(r):
+    """Strong-poset relations with one loop per segment orientation."""
+    pairs = ref_adjacency_pairs(r)
+    for s in r.segments:
+        if s.orientation == "v":
+            for lb in s.side_a:
+                for ra in s.side_b:
+                    if r.rect(lb).y2 < r.rect(ra).y1:
+                        pairs.add((ra, lb))
+        else:
+            for ab in s.side_a:
+                for bl in s.side_b:
+                    if r.rect(bl).x1 > r.rect(ab).x2:
+                        pairs.add((ab, bl))
+    return pairs
+
+
+def ref_pred_masks(p):
+    """Predecessor masks: the full closure, transposed bit by bit."""
+    pred = [0] * p.n
+    for i in range(p.n):
+        m = p._reach[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            pred[j] |= 1 << i
+    return pred
+
+
+def ref_leftmost(p):
+    pred, placed, out = ref_pred_masks(p), 0, []
+    for _ in range(p.n):
+        j = next(j for j in range(p.n) if not placed >> j & 1 and not pred[j] & ~placed)
+        out.append(j + 1)
+        placed |= 1 << j
+    return Permutation(tuple(out))
+
+
+def ref_rightmost(p):
+    pred, placed, out = ref_pred_masks(p), 0, []
+    for _ in range(p.n):
+        j = next(
+            j
+            for j in range(p.n - 1, -1, -1)
+            if not placed >> j & 1 and not pred[j] & ~placed
+        )
+        out.append(j + 1)
+        placed |= 1 << j
+    return Permutation(tuple(out))
+
+
+def ref_diagonal(r):
+    return r if is_diagonal(r) else gamma_w(ref_leftmost(adjacency_poset(r)))
+
+
+def ref_from_rects(boxes):
+    """Compaction by ``list.index`` and relabeling by the comparison sort."""
+    xs = sorted({v for b in boxes for v in (b[0], b[2])})
+    ys = sorted({v for b in boxes for v in (b[1], b[3])})
+    compact = sorted(
+        (xs.index(b[0]), ys.index(b[1]), xs.index(b[2]), ys.index(b[3])) for b in boxes
+    )
+    r = Rectangulation((Rect(i, *b) for i, b in enumerate(compact, 1)), _check_labels=False)
+    return Rectangulation(
+        Rect(rank, *r.rect(lbl).box) for rank, lbl in enumerate(ref_labeling(r), 1)
+    )
+
+
+def ref_guillotine_tree(r):
+    """Cut decomposition tracking each part's box, one loop per orientation."""
+
+    def solve(labels, box):
+        if len(labels) == 1:
+            return ("leaf", labels[0])
+        x1, y1, x2, y2 = box
+        group = [r.rect(i) for i in labels]
+        for x in sorted({q.x2 for q in group if q.x2 < x2}):
+            if all(not (q.x1 < x < q.x2) for q in group):
+                a = solve(tuple(q.label for q in group if q.x2 <= x), (x1, y1, x, y2))
+                b = a and solve(tuple(q.label for q in group if q.x1 >= x), (x, y1, x2, y2))
+                return b and ("v", x, a, b)
+        for y in sorted({q.y2 for q in group if q.y2 < y2}):
+            if all(not (q.y1 < y < q.y2) for q in group):
+                a = solve(tuple(q.label for q in group if q.y2 <= y), (x1, y1, x2, y))
+                b = a and solve(tuple(q.label for q in group if q.y1 >= y), (x1, y, x2, y2))
+                return b and ("h", y, a, b)
+        return None
+
+    return solve(tuple(range(1, r.n + 1)), (0, 0, r.width, r.height))
 
 
 _LEVEL_STEP = {"black": 1, "red": 0, "green": 0, "white": -1}
@@ -370,16 +534,77 @@ def check_against_references(pi: Permutation) -> None:
         assert _closure_masks(n, edges) == ref_closure_masks(n, edges)
 
 
+def check_orders_against_references(pi: Permutation, seed: int) -> None:
+    rng = random.Random(seed)
+    boxes = [q.box for q in gamma_s(pi).rects]
+    rng.shuffle(boxes)
+    shuffled = from_rects(boxes)
+    assert to_json(shuffled) == to_json(ref_from_rects(boxes))
+    for r in (gamma_s(pi), gamma_w(pi), shuffled):
+        assert (r._left_reach, r._above_reach) == ref_reach(r)
+        assert nwse_labeling(r) == ref_labeling(r) == tuple(range(1, r.n + 1))
+        assert swne_labeling(r) == ref_labeling(r, flip_above=True)
+        assert segment_joint_counts(r) == ref_joint_counts(r)
+        assert multiplicity(r) == math.prod(
+            math.comb(a + b, a) for a, b in ref_joint_counts(r)
+        )
+        assert guillotine_tree(r) == ref_guillotine_tree(r)
+        d = diagonal_representative(r)
+        assert to_json(d) == to_json(ref_diagonal(r))
+        assert strong_poset(r).covers == ref_covers(r.n, ref_strong_pairs(r))
+        weak = _poset_from_relations(d.n, ref_adjacency_pairs(d), "weak")
+        assert weak_poset(r).covers == weak.covers
+        assert strong_key(r) == ref_leftmost(strong_poset(r))
+        assert weak_key(r) == ref_leftmost(weak)
+        for p in (strong_poset(r), weak, adjacency_poset(r)):
+            assert leftmost_extension(p) == ref_leftmost(p)
+            assert rightmost_extension(p) == ref_rightmost(p)
+            if r.n <= 6:
+                exts = list(linear_extensions(p))
+                assert exts[0] == ref_leftmost(p) and exts[-1] == ref_rightmost(p)
+    # Provisional labels in any order: the labelings must still match, and
+    # the validating constructor accepts exactly the NW-SE labels.
+    labels = list(range(1, pi.n + 1))
+    rng.shuffle(labels)
+    r = Rectangulation(
+        (Rect(lbl, *q.box) for lbl, q in zip(labels, gamma_s(pi).rects)),
+        _check_labels=False,
+    )
+    want = ref_labeling(r)
+    assert nwse_labeling(r) == want
+    assert swne_labeling(r) == ref_labeling(r, flip_above=True)
+    if want == tuple(range(1, r.n + 1)):
+        assert Rectangulation(r.rects) == r
+    else:
+        with pytest.raises(RectangulationError) as exc:
+            Rectangulation(r.rects)
+        assert str(exc.value) == (
+            "labels are not the NW-SE labeling (expected order %r)" % (want,)
+        )
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exhaustive_against_references(n):
     for pi in all_permutations(n):
         check_against_references(pi)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exhaustive_orders_against_references(n):
+    for seed, pi in enumerate(all_permutations(n)):
+        check_orders_against_references(pi, seed)
+
+
 @given(st.integers(1, 64).flatmap(perms))
 @settings(max_examples=60, deadline=None)
 def test_random_against_references(pi):
     check_against_references(pi)
+
+
+@given(st.integers(1, 64).flatmap(perms), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_random_orders_against_references(pi, seed):
+    check_orders_against_references(pi, seed)
 
 
 @given(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PINWHEEL5_RECTS, build
+from conftest import D1_RECTS, PINWHEEL5_RECTS, build
 from rectlab.biject import fiber_w, gamma_s, gamma_w
 from rectlab.perm import (
     Permutation,
@@ -26,6 +26,7 @@ from rectlab.rect import (
     Rect,
     Rectangulation,
     RectangulationError,
+    _linear_order,
     count_two_sided_segments,
     find_windmills,
     from_json,
@@ -241,6 +242,23 @@ class TestLabelings:
                         assert sum(comparisons) == 1, (r, i, j)
                         assert leftof[i][j] or above[i][j]  # i < j points NW
 
+    @pytest.mark.parametrize("labeling", [nwse_labeling, swne_labeling])
+    def test_corrupt_reach_names_a_pair(self, labeling):
+        # Built drawings are never corrupt; tamper with one past validation,
+        # so that rectangles side by side are no longer related at all.
+        r = build(D1_RECTS)
+        object.__setattr__(r, "_left_reach", [0] * r.n)
+        with pytest.raises(
+            RectangulationError, match=r"rectangles \d+ and \d+ are not comparable"
+        ):
+            labeling(r)
+
+    def test_cyclic_rows_name_a_pair(self):
+        # every pair ordered one way, but 1 < 2 < 3 < 1
+        with pytest.raises(RectangulationError, match="on a cycle"):
+            _linear_order([0b010, 0b100, 0b001])
+        assert _linear_order([0b000, 0b101, 0b001]) == (2, 3, 1)
+
 
 # ---------------------------------------------------------------------------
 # Segments
@@ -436,6 +454,20 @@ class TestJson:
         assert doc["n"] == 5
         assert [q["label"] for q in doc["rects"]] == [1, 2, 3, 4, 5]
         assert set(doc["rects"][0]) == {"label", "x1", "y1", "x2", "y2"}
+
+    @pytest.mark.parametrize("pi", ["2 4 1 3", "3 1 4 2 5", "5 1 4 2 6 3"])
+    def test_swapped_first_and_last_labels_are_rejected(self, pi):
+        r = gamma_s(Permutation(tuple(int(v) for v in pi.split())))
+        n = r.n
+        doc = json.loads(to_json(r))
+        for q in doc["rects"]:
+            q["label"] = {1: n, n: 1}.get(q["label"], q["label"])
+        want = (n,) + tuple(range(2, n)) + (1,)
+        with pytest.raises(RectangulationError) as exc:
+            from_json(json.dumps(doc))
+        assert str(exc.value) == (
+            "labels are not the NW-SE labeling (expected order %r)" % (want,)
+        )
 
     def test_reader_revalidates(self, pinwheel5):
         doc = json.loads(to_json(pinwheel5))
