@@ -130,7 +130,9 @@ def schroder_series(N: int) -> Series:
         if G2 == G:
             return G
         G = G2
-    raise AssertionError("fixed point not reached within the iteration bound")
+    raise ArithmeticError(
+        "Schroder series fixed point not reached in %d iterations at N=%d" % (N + 2, N)
+    )
 
 
 def schroder_counts(N: int) -> list[int]:
@@ -144,7 +146,7 @@ def schroder_counts(N: int) -> list[int]:
     for k in range(1, N + 1):
         c = G.coefficient(k)
         if c.denominator != 1:
-            raise AssertionError("non-integer coefficient %r at order %d" % (c, k))
+            raise ArithmeticError("Schroder count %s at n=%d is not an integer" % (c, k))
         out.append(c.numerator)
     return out
 
@@ -165,7 +167,7 @@ def baxter_number(n: int) -> int:
     den = math.comb(m, 0) * math.comb(m, 1) * math.comb(m, 2)
     q, r = divmod(num, den)
     if r:
-        raise AssertionError("Baxter sum not divisible at n=%d" % n)
+        raise ArithmeticError("Baxter sum %d at n=%d is not divisible by %d" % (num, n, den))
     return q
 
 
@@ -181,6 +183,15 @@ class CountTable:
     Only the vertical-cut table is stored; the horizontal one is its
     transpose.  Every stored layer is checked against the left-right and
     top-bottom reflection symmetries.
+
+    Layer n sums over the size n1 of the left factor at the leftmost cut.
+    The top and bottom counts of the two factors only add, so each split
+    is a convolution in (t, b): every (t, b) grid of counts is packed into
+    one integer (Kronecker substitution), one bigint product per (left,
+    cut-side, right) count triple does the convolution, and the packed
+    accumulators are unpacked once per layer.  Digit width and spacing are
+    derived from exact bounds on the data, so no digit carries into the
+    next.
     """
 
     def __init__(self) -> None:
@@ -234,36 +245,92 @@ class CountTable:
         # and the endpoints meeting the cut from the two sides interleave
         # freely (binomial weight).  The cut itself adds one endpoint to the
         # top and bottom sides.
+        #
+        # The top and bottom counts only add, so for each (l, lp, r) a split
+        # is a 2-D convolution in (t, b).  Each (t, b) grid is packed into
+        # one integer, digit (t, b) at position t * width + b, so that one
+        # bigint product does the convolution (Kronecker substitution).
+        # ``width`` keeps every t1 + t2 and b1 + b2 inside a digit, and a
+        # digit of ``nbytes`` bytes holds the largest possible coefficient:
+        # a split contributes at most (sum of all left weights) times (sum
+        # of all right counts) to any one profile.
+        splits = range(1, n)
+        # the largest endpoint count on any side, per layer
+        sides = [0] + [max(map(max, self._sv[m])) for m in splits]
+        width = 1 + max(sides[n1] + sides[n - n1] for n1 in splits)
+        bound = sum(self._left_weight(n1, n - n1) * self.total(n - n1) for n1 in splits)
+        nbytes = (bound.bit_length() + 7) // 8
+        acc: dict[tuple[int, int], int] = {}
+        for n1 in splits:
+            self._add_split(acc, n1, n - n1, sides, width, nbytes)
         out: dict[tuple[int, int, int, int], int] = {}
-        for n1 in range(1, n):
-            n2 = n - n1
-            # left factors, read off the vertical table by transposition:
-            # group by (left, top, bottom), keep the cut-side counts r1
-            groups: dict[tuple[int, int, int], dict[int, int]] = {}
-            for (a, b, c, d), v in self._sv[n1].items():
-                # s_h(n1, l=b, t=a, r=d, b=c) == s_v(n1, a, b, c, d)
-                groups.setdefault((b, a, c), {}).setdefault(d, 0)
-                groups[(b, a, c)][d] += v
-            # right factors: any orientation (size 1 counts once, not as
-            # both a degenerate vertical and a degenerate horizontal)
-            right: dict[tuple[int, int, int, int], int] = {}
-            if n2 == 1:
-                right[(0, 0, 0, 0)] = 1
-            else:
-                for (a, b, c, d), v in self._sv[n2].items():
-                    right[(a, b, c, d)] = right.get((a, b, c, d), 0) + v  # vertical
-                    key = (b, a, d, c)  # horizontal, by transposition
-                    right[key] = right.get(key, 0) + v
-            for (l, t1, b1), weights in groups.items():
-                # interleaving weight, pre-summed over the left cut counts
-                z = [
-                    sum(v * math.comb(r1 + lp, r1) for r1, v in weights.items())
-                    for lp in range(n2)
-                ]
-                for (lp, t2, r, b2), v2 in right.items():
-                    key = (l, t1 + 1 + t2, r, b1 + 1 + b2)
-                    out[key] = out.get(key, 0) + z[lp] * v2
+        for (l, r), packed in acc.items():
+            ndigits = -(-packed.bit_length() // (8 * nbytes))
+            buf = packed.to_bytes(ndigits * nbytes, "little")
+            for pos in range(ndigits):
+                v = int.from_bytes(buf[pos * nbytes : (pos + 1) * nbytes], "little")
+                if v:
+                    t, b = divmod(pos, width)
+                    out[(l, t + 1, r, b + 1)] = v
         return out
+
+    def _left_weight(self, n1: int, n2: int) -> int:
+        """Sum of the interleaving weights of all left factors of size
+        ``n1`` over the cut counts 0..n2-1 of a right factor of size ``n2``.
+
+        By the hockey-stick identity, sum(C(r1 + lp, r1) for lp < n2)
+        equals C(r1 + n2, r1 + 1)."""
+        return sum(v * math.comb(r1 + n2, r1 + 1) for (*_, r1), v in self._sv[n1].items())
+
+    def _add_split(
+        self,
+        acc: dict[tuple[int, int], int],
+        n1: int,
+        n2: int,
+        sides: list[int],
+        width: int,
+        nbytes: int,
+    ) -> None:
+        """Add the composites whose leftmost cut leaves a left factor of size
+        ``n1`` into the packed accumulators ``acc[(l, r)]``."""
+        # left factors, horizontal or size 1, by transposing the vertical
+        # table: one (t1, b1) grid per left and cut-side count (l, r1)
+        by_l: dict[int, list[tuple[int, int]]] = {}
+        for (l, r1), grid in self._pack_layer(n1, True, sides[n1], width, nbytes).items():
+            by_l.setdefault(l, []).append((r1, grid))
+        # right factors, any orientation: one (t2, b2) grid per cut-side and
+        # right count (lp, r); size 1 counts once, not as both a degenerate
+        # vertical and a degenerate horizontal
+        right = self._pack_layer(n2, False, sides[n2], width, nbytes)
+        if n2 > 1:
+            for key, grid in self._pack_layer(n2, True, sides[n2], width, nbytes).items():
+                right[key] = right.get(key, 0) + grid
+        by_lp: dict[int, dict[int, int]] = {}
+        for (lp, r), grid in right.items():
+            by_lp.setdefault(lp, {})[r] = grid
+        for l, grids in by_l.items():
+            for lp, rights in by_lp.items():
+                # the r1 left and lp right cut endpoints interleave freely
+                z = sum(math.comb(r1 + lp, r1) * grid for r1, grid in grids)
+                for r, grid in rights.items():
+                    acc[(l, r)] = acc.get((l, r), 0) + z * grid
+
+    def _pack_layer(
+        self, m: int, transpose: bool, side: int, width: int, nbytes: int
+    ) -> dict[tuple[int, int], int]:
+        """Layer ``m`` (vertical, or horizontal when ``transpose``) as one
+        packed (t, b) grid per (l, r): the count of profile (l, t, r, b) is
+        the ``nbytes``-byte little-endian digit at position t * width + b.
+        ``side`` bounds every t."""
+        bufs: dict[tuple[int, int], bytearray] = {}
+        for (a, b, c, d), v in self._sv[m].items():
+            # s_h(m, b, a, d, c) == s_v(m, a, b, c, d)
+            key, pos = ((b, d), a * width + c) if transpose else ((a, c), b * width + d)
+            buf = bufs.get(key)
+            if buf is None:
+                buf = bufs[key] = bytearray((side + 1) * width * nbytes)
+            buf[pos * nbytes : (pos + 1) * nbytes] = v.to_bytes(nbytes, "little")
+        return {key: int.from_bytes(buf, "little") for key, buf in bufs.items()}
 
 
 def _check_symmetries(n: int, layer: dict[tuple[int, int, int, int], int]) -> None:
@@ -360,7 +427,10 @@ def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
         if G2 == G:
             return G
         G = G2
-    raise AssertionError("fixed point not reached within the iteration bound")
+    raise ArithmeticError(
+        "weighted guillotine series fixed point (y=%s) not reached in %d iterations at N=%d"
+        % (y, 2 * N + 4, N)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +557,9 @@ def z0_bound(k: int) -> float:
     while True:
         z += step
         if 9 + 4 * arg(z) <= 0:
-            raise AssertionError("left the domain of rho before a crossing")
+            raise ArithmeticError(
+                "z0_bound(%d): left the domain of rho at z=%r before a crossing" % (k, z)
+            )
         if f(z) <= 0:
             break
         prev = z

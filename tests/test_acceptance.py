@@ -515,8 +515,8 @@ class TestReferenceTable:
             if line and not line.startswith("#"):
                 n, v = line.split()
                 rows[int(n)] = int(v)
-        # desk-scale prefix is recomputed exactly
-        for n in range(1, 13):
+        # rows 1..22 are recomputed exactly
+        for n in range(1, 23):
             assert rows[n] == strong_guillotine_count(n)
         # the remaining rows are fixture data: present, increasing, and
         # growing by bounded log-ratios -- but never recomputed here

@@ -6,11 +6,12 @@ from __future__ import annotations
 import io
 import json
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rectlab import cli
+from rectlab import cli, counting
 from rectlab.cli import run, verify_fixtures
 from rectlab.perm import parse_permutation
 from rectlab.rect import from_json, strong_key, to_json
@@ -51,6 +52,23 @@ class TestExitCodes:
     def test_count_rejects_nonpositive(self, capsys):
         assert run(["count", "baxter", "0"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "family, series, quantity",
+        [
+            ("schroder", "schroder_series", "Schroder count"),
+            ("weighted-guillotine", "weighted_guillotine_series", "weighted guillotine count"),
+        ],
+    )
+    def test_count_names_non_integer_coefficient(
+        self, capsys, monkeypatch, family, series, quantity
+    ):
+        bad = counting.Series((Fraction(0), Fraction(1), Fraction(5, 2)))
+        monkeypatch.setattr(counting, series, lambda *args: bad)
+        assert run(["count", family, "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s 5/2 at n=2 is not an integer\n" % quantity
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +412,18 @@ class TestVerifyFixtures:
         assert [(r.name, r.detail) for r in failed] == [
             ("walks/u-o-strong-sequences", "one_sided mismatch at n=6")
         ]
+
+    def test_data_check_is_declared_in_the_registry_alone(self, tmp_path, monkeypatch):
+        seen = []
+
+        def data_check(max_n, data_dir):
+            seen.append((max_n, data_dir))
+            return True, ""
+
+        monkeypatch.setitem(cli._SUITES, "perm", (("perm/data", data_check, cli._DATA),))
+        report = verify_fixtures(max_n=4, suites=("perm",), data_dir=tmp_path)
+        assert [(r.name, r.passed, r.detail) for r in report] == [("perm/data", True, "")]
+        assert seen == [(4, tmp_path)]
 
     def test_cli_verify_exit_codes(self, capsys, tmp_path, monkeypatch):
         assert run(["verify", "perm", "--max-n", "4"]) == 0

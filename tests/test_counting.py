@@ -138,6 +138,13 @@ class TestSchroder:
         with pytest.raises(ValueError):
             schroder_series(0)
 
+    def test_non_integer_coefficient_is_named(self, monkeypatch):
+        bad = poly(0, 1, Fraction(5, 2))
+        monkeypatch.setattr(counting, "schroder_series", lambda N: bad)
+        with pytest.raises(ArithmeticError) as exc:
+            schroder_counts(2)
+        assert str(exc.value) == "Schroder count 5/2 at n=2 is not an integer"
+
 
 class TestBaxter:
     def test_values(self):
