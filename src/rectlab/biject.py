@@ -43,7 +43,6 @@ from .rect import (
     _bits,
     _closure_masks,
     _compact,
-    from_rects,
     is_diagonal,
     strong_key,
     swne_labeling,
@@ -125,33 +124,23 @@ def _midpoint(u: int, v: int) -> int:
     return (u + v) >> 1
 
 
-def _sentinel_boxes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Left-wall and bottom-wall boxes bounding the unit box, scaled by 2**n."""
-    one = 1 << n
-    return (-one, 0, 0, one), (0, one, one, 2 * one)
-
-
-def _strong_box(
-    a: tuple[int, ...], b: tuple[int, ...], top: bool, right: bool
-) -> tuple[int, int, int, int]:
-    """Box inserted in the valley between the rectangles ``a`` and ``b``
-    owning the two peaks; non-aligned sides attach strictly inside."""
-    x1, y2 = a[2], b[1]  # the valley
-    y1 = a[1] if top else _midpoint(a[1], min(a[3], y2))  # inside a's right side
-    x2 = b[2] if right else _midpoint(max(b[0], x1), b[2])  # inside b's top side
-    return (x1, y1, x2, y2)
-
-
 def gamma_s(pi: Permutation) -> Rectangulation:
     """Strong forward insertion: non-aligned edges attach strictly inside the
     neighbouring side; exact dyadic coordinates, compacted to integers."""
     n = pi.n
     st = _Staircase(n)
-    # Full geometry per label, sentinels included (virtual boundary strips).
-    geo = dict(zip((0, n + 1), _sentinel_boxes(n)))
+    # Full geometry per label, sentinels included: the left and bottom walls
+    # of the unit box, scaled by 2**n.
+    one = 1 << n
+    geo = {0: (-one, 0, 0, one), n + 1: (0, one, one, 2 * one)}
     for j in pi:
         a, b, _, _, top, right = st.insert(j)
-        geo[j] = _strong_box(geo[a], geo[b], top, right)
+        (_, ay1, ax2, ay2), (bx1, by1, bx2, _) = geo[a], geo[b]
+        # the valley (ax2, by1) is the bottom-left corner; a side that does
+        # not align attaches strictly inside the neighbour's side
+        y1 = ay1 if top else _midpoint(ay1, min(ay2, by1))
+        x2 = bx2 if right else _midpoint(max(bx1, ax2), bx2)
+        geo[j] = (ax2, y1, x2, by1)
     boxes = _compact([geo[j] for j in range(1, n + 1)])
     return Rectangulation(Rect(j, *box) for j, box in enumerate(boxes, start=1))
 
@@ -267,46 +256,42 @@ def strong_poset(r: Rectangulation) -> Poset:
 
 
 def linear_extensions(p: Poset) -> Iterator[Permutation]:
-    """All linear extensions, in lexicographic order of one-line notation."""
+    """All linear extensions, in lexicographic order of one-line notation
+    (depth first; ``out`` is the stack of placed labels)."""
     pred = p._pred_masks
     n = p.n
     out: list[int] = []
-
-    def rec(placed: int) -> Iterator[Permutation]:
-        if len(out) == n:
-            yield Permutation(tuple(out))
-            return
-        for j in range(n):
-            if placed >> j & 1:
-                continue
-            if pred[j] & ~placed:
-                continue
+    placed = j = 0  # j: the next 0-based label to try at this depth
+    while True:
+        while j < n and (placed >> j & 1 or pred[j] & ~placed):
+            j += 1
+        if j < n:
             out.append(j + 1)
-            yield from rec(placed | 1 << j)
-            out.pop()
-
-    return rec(0)
+            placed |= 1 << j
+            j = 0
+            if len(out) < n:
+                continue
+            yield Permutation(tuple(out))
+        if not out:
+            return
+        j = out.pop()  # 1-based: the scan resumes one label further
+        placed ^= 1 << (j - 1)
 
 
 def count_linear_extensions(p: Poset) -> int:
-    """Number of linear extensions (downset dynamic programming)."""
+    """Number of linear extensions: ways per downset, one layer per size."""
     pred = p._pred_masks
-    n = p.n
-    full = (1 << n) - 1
-
-    @functools.lru_cache(maxsize=None)
-    def rec(placed: int) -> int:
-        if placed == full:
-            return 1
-        total = 0
-        for j in range(n):
-            if not placed >> j & 1 and not pred[j] & ~placed:
-                total += rec(placed | 1 << j)
-        return total
-
-    result = rec(0)
-    rec.cache_clear()
-    return result
+    full = (1 << p.n) - 1
+    layer = {0: 1}
+    for _ in range(p.n):
+        nxt: dict[int, int] = {}
+        for placed, ways in layer.items():
+            for j in _bits(full & ~placed):
+                if not pred[j] & ~placed:
+                    down = placed | 1 << j
+                    nxt[down] = nxt.get(down, 0) + ways
+        layer = nxt
+    return layer[full]
 
 
 def _greedy_extension(p: Poset, candidates: range) -> Permutation:
@@ -354,11 +339,11 @@ def baxter_representative(r: Rectangulation) -> Permutation:
 
 
 def reflect_swne(r: Rectangulation) -> Rectangulation:
-    """Reflect across the SW-NE diagonal (an involution on strong classes)."""
-    w, h = r.width, r.height
-    return from_rects(
-        (h - q.y2, w - q.x2, h - q.y1, w - q.x1) for q in r.rects
-    )
+    """Reflect across the SW-NE diagonal (an involution on strong classes).
+    Left-of becomes below and above becomes right-of: labels reverse."""
+    w, h, n = r.width, r.height, r.n
+    reflected = [(h - q.y2, w - q.x2, h - q.y1, w - q.x1) for q in r.rects]
+    return Rectangulation(Rect(n - i, *box) for i, box in enumerate(_compact(reflected)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ point in the quarter plane:
 
 Levels therefore step by +1 after a black point, 0 after red/green, and -1
 after white.  A walk is an *excursion* when it starts at the origin, and
-*closed* when its final point is the origin colored white.  Every closed
-excursion decodes to a rectangulation; no permutation is needed.
+*closed* when its final point is the origin colored white.  Closed
+excursions are in bijection with permutations: each one is the strong
+encoding of exactly one ``pi``, and decoding recovers that ``pi`` and maps it
+forward again.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Iterator
 
-from .biject import _sentinel_boxes, _Staircase, _strong_box, diagonal_representative
+from .biject import _Staircase, gamma_s, gamma_w
 from .perm import Permutation, _numeral
-from .rect import Rectangulation, from_rects
+from .rect import Rectangulation
 
 COLORS = ("black", "red", "green", "white")
 _LEVEL_STEP = {"black": 1, "red": 0, "green": 0, "white": -1}
@@ -143,48 +145,58 @@ def encode_weak(pi: Permutation) -> HistoryQuadrantWalk:
 
 
 # ---------------------------------------------------------------------------
-# Decoding (walk -> rectangulation; the permutation is not needed)
+# Decoding (walk -> the permutation it encodes -> rectangulation)
 # ---------------------------------------------------------------------------
 
 
-def decode_strong(w: HistoryQuadrantWalk) -> Rectangulation:
-    """Replay a closed excursion as strong insertions.
+def _permutation(w: HistoryQuadrantWalk) -> Permutation:
+    """The permutation whose insertion history is the closed excursion ``w``.
 
-    Peaks are replayed geometrically over exact dyadic coordinates: each
-    point's ``x`` selects the valley, its color dictates which sides align.
-    Raises ``ValueError`` for walks that do not close into a tiling.
+    The steps are placed in NW-SE order.  Each valley holds one nonempty run
+    of labels still to come, kept as the list it fills from the left plus its
+    red steps: a green step goes first in its run, a red step last, a white
+    step fills the run and a black step splits it in two around itself.
+    Raises ``ValueError`` unless ``w`` is closed.
     """
     if not w.is_closed:
         raise ValueError("only closed excursions decode to rectangulations")
-    # Peak records are the owning rectangle's box (x1, y1, x2, y2); the
-    # peak proper is the corner (x2, y1).  Sentinels: left and bottom walls.
-    peaks = list(_sentinel_boxes(w.n))
-    boxes = []
-    for p in w.points:
-        if p.x + 1 >= len(peaks):
-            raise ValueError("valley index %d out of range" % p.x)
-        top = p.color in ("green", "white")
-        right = p.color in ("red", "white")
-        box = _strong_box(peaks[p.x], peaks[p.x + 1], top, right)
-        idx = p.x
-        if right:
-            del peaks[idx + 1]
-        if top:
-            del peaks[idx]
-            idx -= 1
-        peaks.insert(idx + 1, box)
-        boxes.append(box)
-    if len(peaks) != 1:
-        raise ValueError("walk does not close into a tiling")
-    return from_rects(boxes)
+    order: list = []
+    runs = [(order, [])]  # the open runs, one per valley from left to right
+    for t, p in enumerate(w.points):
+        run, reds = runs[p.x]
+        if p.color == "green":
+            run.append(t)
+        elif p.color == "red":
+            reds.append(t)
+        elif p.color == "white":
+            run += [t, *reversed(reds)]
+            del runs[p.x]
+        else:  # black
+            left, right = [], []
+            run += [left, t, right, *reversed(reds)]
+            runs[p.x : p.x + 1] = (left, []), (right, [])
+    label = [0] * w.n
+    stack, k = [order], 0
+    while stack:  # flatten the nested runs without recursion
+        item = stack.pop()
+        if type(item) is list:
+            stack += reversed(item)
+        else:
+            k += 1
+            label[item] = k
+    return Permutation(tuple(label))
+
+
+def decode_strong(w: HistoryQuadrantWalk) -> Rectangulation:
+    """The strong rectangulation of a closed excursion: ``gamma_s`` of the
+    permutation it encodes.  Raises ``ValueError`` unless ``w`` is closed."""
+    return gamma_s(_permutation(w))
 
 
 def decode(w: HistoryQuadrantWalk) -> Rectangulation:
-    """Decode by variant: strong replay, or its diagonal drawing for weak."""
-    r = decode_strong(w)
-    if w.variant == "weak":
-        return diagonal_representative(r)
-    return r
+    """Decode by variant: ``gamma_s`` of the permutation the walk encodes,
+    or ``gamma_w`` (the diagonal drawing) for a weak walk."""
+    return (gamma_w if w.variant == "weak" else gamma_s)(_permutation(w))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,12 @@ class TestLinearExtensions:
         assert list(linear_extensions(p)) == [identity_permutation(4)]
         assert count_linear_extensions(p) == 1
 
+    def test_long_chain_needs_no_recursion(self):
+        n = 1200
+        p = Poset(n, frozenset((i, i + 1) for i in range(1, n)))
+        assert list(linear_extensions(p)) == [identity_permutation(n)]
+        assert count_linear_extensions(p) == 1
+
     def test_cyclic_cover_set_is_rejected(self):
         p = Poset(2, frozenset({(1, 2), (2, 1)}))
         for extensions in (

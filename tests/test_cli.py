@@ -198,6 +198,16 @@ class TestFiberAndKey:
         assert run(["key", "--weak", "-"]) == 0
         assert out_of(capsys).strip()
 
+    @pytest.mark.parametrize("variant", ["--weak", "--strong"])
+    def test_fiber_of_1200_strips(self, capsys, tmp_path, variant):
+        # a 1200-chain: extension search and counting must not recurse
+        identity = " ".join(str(i) for i in range(1, 1201))
+        run(["map", "--strong", identity])
+        path = tmp_path / "strips.json"
+        path.write_text(out_of(capsys))
+        assert run(["fiber", variant, str(path)]) == 0
+        assert out_of(capsys) == identity + "\n"
+
     def test_map_key_map_preserves_class(self, capsys, tmp_path):
         run(["map", "--strong", "2 4 1 3"])
         first = out_of(capsys)

@@ -1,8 +1,12 @@
-"""Package layering: modules import each other at the top level only."""
+"""Package layering: modules import each other at the top level only, and
+the package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rectlab
@@ -29,3 +33,26 @@ def test_no_imports_inside_functions():
         for name, line in _function_imports(ast.parse(path.read_text()))
     }
     assert {(f, name) for f, name, _ in found} == LAZY, sorted(found)
+
+
+def test_no_assert_statements():
+    """Invariants are real checks: ``python -O`` strips every ``assert``."""
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_verify_passes_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "rectlab.cli", "verify", "walks", "--max-n", "4"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith(" 0 failed")

@@ -12,12 +12,19 @@ labelings sort the reach-mask rows by bit count, joint counts are side
 lengths minus one, extensions read cover predecessors.  The comparison
 sort, the all-pairs joint scan, the closure transpose, the separate
 greedy loops and the per-orientation copies they replaced are the
-references here.
+references here, and so are the recursive extension enumerator and the
+memoized recursive count that the explicit stack and the layered downset
+count replaced.
 
 Walk counts come from one interval-window frontier DP.  Two independent
 engines check it: the dense DP over every (x, y, color) cell with its own
 copy of the step rules, and the hand-derived first-point-removal
 recurrences for the leftright families U and O.
+
+Walks decode through the permutation they encode, replayed over the NW-SE
+order of the steps.  The reference decoder replays the staircase
+geometrically with exact ``Fraction`` midpoints and never forms a
+permutation.
 
 Guillotine layers come from packed-integer products (Kronecker
 substitution).  The reference is the direct recurrence: one dictionary
@@ -43,11 +50,13 @@ from rectlab.biject import (
     _poset_from_relations,
     _Staircase,
     adjacency_poset,
+    count_linear_extensions,
     diagonal_representative,
     gamma_s,
     gamma_w,
     leftmost_extension,
     linear_extensions,
+    reflect_swne,
     rightmost_extension,
     strong_poset,
     weak_poset,
@@ -73,13 +82,18 @@ from rectlab.rect import (
 )
 from rectlab.walks import (
     COLORS,
+    HistoryQuadrantWalk,
     _excursion_count,
+    _permutation,
+    closed_excursions,
     count_O,
     count_strong_rect,
     count_U,
     count_weak_rect,
+    decode,
     decode_strong,
     encode_strong,
+    encode_weak,
 )
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(Permutation)
@@ -308,6 +322,37 @@ def ref_rightmost(p):
         out.append(j + 1)
         placed |= 1 << j
     return Permutation(tuple(out))
+
+
+def ref_linear_extensions(p):
+    """Recursive lexicographic enumeration of the extensions."""
+    pred = ref_pred_masks(p)
+
+    def rec(placed, out):
+        if len(out) == p.n:
+            yield Permutation(tuple(out))
+        for j in range(p.n):
+            if not placed >> j & 1 and not pred[j] & ~placed:
+                yield from rec(placed | 1 << j, out + [j + 1])
+
+    return list(rec(0, []))
+
+
+def ref_count_linear_extensions(p):
+    """Extensions counted by memoized recursion over downsets."""
+    pred = ref_pred_masks(p)
+
+    @functools.lru_cache(maxsize=None)
+    def rec(placed):
+        if placed == (1 << p.n) - 1:
+            return 1
+        return sum(
+            rec(placed | 1 << j)
+            for j in range(p.n)
+            if not placed >> j & 1 and not pred[j] & ~placed
+        )
+
+    return rec(0)
 
 
 def ref_diagonal(r):
@@ -552,11 +597,18 @@ def ref_guillotine_layer(sv, n):
 # ---------------------------------------------------------------------------
 
 
+def check_decoders(w) -> None:
+    ref = ref_decode_strong(w)
+    assert to_json(decode_strong(w)) == to_json(ref)
+    weak = HistoryQuadrantWalk(w.points, "weak")
+    assert to_json(decode(weak)) == to_json(diagonal_representative(ref))
+
+
 def check_against_references(pi: Permutation) -> None:
     rs = gamma_s(pi)
     assert to_json(rs) == to_json(ref_gamma_s(pi))
     w = encode_strong(pi)
-    assert to_json(decode_strong(w)) == to_json(ref_decode_strong(w))
+    check_decoders(w)
 
     seen = []
     real = biject._poset_from_relations
@@ -608,7 +660,10 @@ def check_orders_against_references(pi: Permutation, seed: int) -> None:
             assert rightmost_extension(p) == ref_rightmost(p)
             if r.n <= 6:
                 exts = list(linear_extensions(p))
+                assert exts == ref_linear_extensions(p)
                 assert exts[0] == ref_leftmost(p) and exts[-1] == ref_rightmost(p)
+            if r.n <= 12:
+                assert count_linear_extensions(p) == ref_count_linear_extensions(p)
     # Provisional labels in any order: the labelings must still match, and
     # the validating constructor accepts exactly the NW-SE labels.
     labels = list(range(1, pi.n + 1))
@@ -640,6 +695,42 @@ def test_exhaustive_against_references(n):
 def test_exhaustive_orders_against_references(n):
     for seed, pi in enumerate(all_permutations(n)):
         check_orders_against_references(pi, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_permutation_inverts_encoding(n):
+    for pi in all_permutations(n):
+        assert _permutation(encode_strong(pi)) == pi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_excursions_decode_like_the_geometric_replay(n):
+    for w in closed_excursions(n):
+        assert encode_strong(_permutation(w)).points == w.points
+        check_decoders(w)
+
+
+def test_decoders_and_reflection_build_one_drawing(monkeypatch):
+    built = []
+    real = Rectangulation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    for pi in all_permutations(4):
+        strong, weak = encode_strong(pi), encode_weak(pi)
+        r = gamma_s(pi)
+        with monkeypatch.context() as m:
+            m.setattr(Rectangulation, "__init__", counted)
+            for name, build in (
+                ("decode_strong", lambda: decode_strong(strong)),
+                ("weak decode", lambda: decode(weak)),
+                ("reflect_swne", lambda: reflect_swne(r)),
+            ):
+                built.clear()
+                build()
+                assert len(built) == 1, (name, pi)
 
 
 @given(st.integers(1, 64).flatmap(perms))
