@@ -51,14 +51,21 @@ from .rect import (
 
 
 class _Staircase:
-    """Peak bookkeeping shared by the forward algorithms and walk encoding."""
+    """Peak bookkeeping shared by the forward algorithms and walk encoding,
+    and the walls it builds: ``(orientation, side_a, side_b)``, sides in
+    order.  Both maps keep every rectangle-segment adjacency, so these are
+    the segments of both."""
 
-    __slots__ = ("n", "labels", "inserted")
+    __slots__ = ("labels", "inserted", "right", "top", "walls")
 
     def __init__(self, n: int):
-        self.n = n
         self.labels = [0, n + 1]
         self.inserted = {0, n + 1}
+        # the walls right of / above each label; the sentinels' sides lie on
+        # the box boundary, which takes appends like a wall but is no segment
+        edge = ("", [], [])
+        self.right, self.top = [edge] * (n + 2), [edge] * (n + 2)
+        self.walls: list[tuple[str, list[int], list[int]]] = []
 
     def insert(self, j: int) -> tuple[int, int, int, int, bool, bool]:
         """Insert label ``j``; returns (a, b, valley_index, n_valleys,
@@ -74,14 +81,10 @@ class _Staircase:
         a, b = labels[idx - 1], labels[idx]
         valley_index = idx - 1
         n_valleys = len(labels) - 1
-        top = all(k in self.inserted for k in range(a + 1, j))
-        right = all(k in self.inserted for k in range(j + 1, b))
-        if right:
-            del labels[idx]
-        if top:
-            del labels[idx - 1]
-            idx -= 1
-        labels.insert(idx, j)
+        top = self.inserted.issuperset(range(a + 1, j))
+        right = self.inserted.issuperset(range(j + 1, b))
+        labels[idx - top : idx + right] = [j]  # j replaces the peaks it aligns with
+        idx -= top
         self.inserted.add(j)
         near = labels[max(idx - 1, 0) : idx + 2]  # only the gaps next to j changed
         if any(y - x < 2 for x, y in zip(near, near[1:])):
@@ -89,6 +92,16 @@ class _Staircase:
                 "staircase invariant violated at %d: consecutive peak labels"
                 " differ by < 2" % j
             )
+        R, T = self.right, self.top
+        T[j] = T[a] if top else ("h", [], [])
+        R[j] = R[b] if right else ("v", [], [])
+        self.walls += [w for w, old in ((T[j], top), (R[j], right)) if not old]
+        # j is right of R[a], above T[b], below T[j] and left of R[j];
+        # vertical sides are listed top-down, so they grow at the front
+        R[a][2].insert(0, j)
+        T[b][1].append(j)
+        T[j][2].append(j)
+        R[j][1].insert(0, j)
         return a, b, valley_index, n_valleys, top, right
 
 
@@ -100,18 +113,14 @@ def gamma_w(pi: Permutation) -> Rectangulation:
     """
     n = pi.n
     st = _Staircase(n)
-    corner = {0: (0, 0), n + 1: (n, n)}  # peak label -> top-right corner
-    boxes: dict[int, tuple[int, int, int, int]] = {}
+    geo = {0: (0, 0, 0, n), n + 1: (0, n, n, n)}  # the box's left and bottom walls
     for j in pi:
         a, b, _, _, top, right = st.insert(j)
-        xr_a, yt_a = corner[a]
-        xr_b, yt_b = corner[b]
-        x1, y2 = xr_a, yt_b  # valley = bottom-left corner
-        y1 = yt_a if top else j - 1
-        x2 = xr_b if right else j
-        corner[j] = (x2, y1)
-        boxes[j] = (x1, y1, x2, y2)
-    result = Rectangulation(Rect(j, *boxes[j]) for j in range(1, n + 1))
+        (_, ay1, ax2, _), (_, by1, bx2, _) = geo[a], geo[b]
+        # the valley (ax2, by1) is the bottom-left corner; a side that does
+        # not align snaps to the grid line j - 1 (top) or j (right)
+        geo[j] = (ax2, ay1 if top else j - 1, bx2 if right else j, by1)
+    result = Rectangulation._built([geo[j] for j in range(1, n + 1)], st.walls)
     if not is_diagonal(result):
         raise RectangulationError("weak insertion did not yield a diagonal drawing")
     return result
@@ -141,8 +150,7 @@ def gamma_s(pi: Permutation) -> Rectangulation:
         y1 = ay1 if top else _midpoint(ay1, min(ay2, by1))
         x2 = bx2 if right else _midpoint(max(bx1, ax2), bx2)
         geo[j] = (ax2, y1, x2, by1)
-    boxes = _compact([geo[j] for j in range(1, n + 1)])
-    return Rectangulation(Rect(j, *box) for j, box in enumerate(boxes, start=1))
+    return Rectangulation._built(_compact([geo[j] for j in range(1, n + 1)]), st.walls)
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,6 @@ def identity_permutation(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
 
 
-def reverse_permutation(n: int) -> Permutation:
-    return Permutation(range(n, 0, -1))
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All permutations of size ``n`` in lexicographic order."""
     for values in itertools.permutations(range(1, n + 1)):
@@ -211,15 +207,6 @@ WINDMILL_MESH_CW = MeshPattern(
 WINDMILL_MESH_CCW = MeshPattern(
     Permutation((4, 1, 3, 5, 2)),
     frozenset({(0, 1), (0, 2), (1, 2), (4, 3), (5, 3), (5, 4)}),
-)
-# An avoidance-equivalent enlargement of WINDMILL_MESH_CW with rectangular
-# shaded blocks; kept as a cross-check fixture.
-WINDMILL_MESH_CW_BLOCK = MeshPattern(
-    Permutation((2, 5, 3, 1, 4)),
-    frozenset(
-        {(i, j) for i in (0, 1) for j in (2, 3, 4)}
-        | {(i, j) for i in (4, 5) for j in (1, 2, 3)}
-    ),
 )
 
 

@@ -137,21 +137,16 @@ def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
 
 class Rectangulation:
-    """An immutable generic rectangulation with eagerly derived structure.
+    """An immutable generic rectangulation with derived segments and orders.
 
-    Construct via :func:`from_rects` (raw boxes, relabeled and normalized) or
-    :func:`from_json`; the constructor itself requires already-normalized,
-    NW-SE-labeled rectangles and revalidates every invariant.
+    Outside input goes through :func:`from_rects` (raw boxes, relabeled and
+    normalized), :func:`from_json` or the constructor itself, which requires
+    normalized, NW-SE-labeled rectangles and revalidates every invariant.
+    Drawings the library built itself come from :meth:`_built`.  The reach
+    masks are derived on first read.
     """
 
-    __slots__ = (
-        "rects",
-        "width",
-        "height",
-        "segments",
-        "_left_reach",
-        "_above_reach",
-    )
+    __slots__ = ("rects", "width", "height", "segments", "_left_reach", "_above_reach")
 
     def __init__(self, rects: Iterable[Rect], _check_labels: bool = True):
         rect_list = sorted(rects, key=lambda r: r.label)
@@ -166,27 +161,56 @@ class Rectangulation:
         height = max(r.y2 for r in rect_list)
         if min(r.x1 for r in rect_list) != 0 or min(r.y1 for r in rect_list) != 0:
             raise RectangulationError("coordinates must start at 0 (not normalized)")
-        object.__setattr__(self, "rects", tuple(rect_list))
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
+        self.rects, self.width, self.height = tuple(rect_list), width, height
         self._validate_tiling()
-        segments = self._derive_segments()
-        object.__setattr__(self, "segments", segments)
+        self.segments = segments = self._derive_segments()
         if len(segments) != n - 1:
             raise RectangulationError(
                 "expected %d segments, found %d" % (n - 1, len(segments))
             )
-        left, above = self._derive_orders()
-        object.__setattr__(self, "_left_reach", left)
-        object.__setattr__(self, "_above_reach", above)
         # NW-SE labels: label i + 1 precedes exactly the labels i + 2..n.
-        if _check_labels and any(
-            l | a != (1 << n) - (2 << i) for i, (l, a) in enumerate(zip(left, above))
-        ):
+        reach = enumerate(zip(self._left_reach, self._above_reach))
+        if _check_labels and any(l | a != (1 << n) - (2 << i) for i, (l, a) in reach):
             raise RectangulationError(
                 "labels are not the NW-SE labeling (expected order %r)"
                 % (nwse_labeling(self),)
             )
+
+    @classmethod
+    def _built(cls, boxes: Sequence[tuple[int, ...]], walls) -> Rectangulation:
+        """Trusted geometry: ``boxes[i]`` is the box of label ``i + 1`` and
+        each wall is ``(orientation, side_a, side_b)`` with sides in order
+        along it.  Checks only that both sides span the same interval."""
+        self = cls.__new__(cls)
+        self.rects = tuple(Rect(i, *box) for i, box in enumerate(boxes, 1))
+        self.width = max(box[2] for box in boxes)
+        self.height = max(box[3] for box in boxes)
+        segments = []
+        for orientation, side_a, side_b in walls:
+            k = 0 if orientation == "v" else 1  # box index of x1 / y1
+            # (line, lo, hi) per side: first box's edge on the wall, span to the last
+            first, last = boxes[side_a[0] - 1], boxes[side_a[-1] - 1]
+            span = (first[k + 2], first[1 - k], last[3 - k])
+            first, last = boxes[side_b[0] - 1], boxes[side_b[-1] - 1]
+            if (first[k], first[1 - k], last[3 - k]) != span:
+                raise RectangulationError(
+                    "segment sides %r and %r span different intervals" % (side_a, side_b)
+                )
+            segments.append(Segment(orientation, *span, tuple(side_a), tuple(side_b)))
+        segments.sort(key=lambda s: (s.orientation != "v", s.line, s.lo))
+        self.segments = tuple(segments)
+        return self
+
+    def __getattr__(self, name: str):
+        # Only reached for an unset slot: the reach masks, derived on first read.
+        if name not in ("_left_reach", "_above_reach"):
+            raise AttributeError(name)
+        edges: dict[str, list[tuple[int, int]]] = {"v": [], "h": []}
+        for s in self.segments:
+            edges[s.orientation].extend((i - 1, j - 1) for i in s.side_a for j in s.side_b)
+        self._left_reach = _closure_masks(self.n, edges["v"])
+        self._above_reach = _closure_masks(self.n, edges["h"])
+        return getattr(self, name)
 
     # -- invariant machinery -------------------------------------------------
 
@@ -271,22 +295,7 @@ class Rectangulation:
                     )
         return tuple(segments)
 
-    def _derive_orders(self) -> tuple[list[int], list[int]]:
-        edges: dict[str, list[tuple[int, int]]] = {"v": [], "h": []}
-        for s in self.segments:
-            edges[s.orientation].extend((i - 1, j - 1) for i in s.side_a for j in s.side_b)
-        n = len(self.rects)
-        return _closure_masks(n, edges["v"]), _closure_masks(n, edges["h"])
-
     # -- basic relations -----------------------------------------------------
-
-    def left_of(self, i: int, j: int) -> bool:
-        """Rectangle ``i`` left of ``j`` via a chain of shared vertical walls."""
-        return bool(self._left_reach[i - 1] >> (j - 1) & 1)
-
-    def above(self, i: int, j: int) -> bool:
-        """Rectangle ``i`` above ``j`` via a chain of shared horizontal walls."""
-        return bool(self._above_reach[i - 1] >> (j - 1) & 1)
 
     def rect(self, label: int) -> Rect:
         return self.rects[label - 1]
@@ -520,11 +529,6 @@ def multiplicity(r: Rectangulation) -> int:
     for a, b in segment_joint_counts(r):
         out *= math.comb(a + b, a)
     return out
-
-
-def count_two_sided_segments(r: Rectangulation) -> int:
-    """Segments with at least one perpendicular arrival on each side."""
-    return sum(1 for a, b in segment_joint_counts(r) if a > 0 and b > 0)
 
 
 def is_one_sided(r: Rectangulation) -> bool:

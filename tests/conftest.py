@@ -1,4 +1,4 @@
-"""Shared fixtures: the running example and exhaustive-sweep caches.
+"""Shared fixtures and test helpers: the running example and sweep caches.
 
 The 16-element permutation below is used throughout as a worked example; its
 weak image is a 16-rectangle diagonal rectangulation (called D1 here) and its
@@ -13,7 +13,13 @@ import pytest
 
 from rectlab.biject import gamma_s, gamma_w
 from rectlab.perm import Permutation, all_permutations
-from rectlab.rect import Rect, Rectangulation, strong_key, weak_key
+from rectlab.rect import (
+    Rect,
+    Rectangulation,
+    segment_joint_counts,
+    strong_key,
+    weak_key,
+)
 
 RUNNING_PERM = Permutation((7, 5, 14, 8, 1, 6, 15, 11, 4, 10, 16, 2, 9, 13, 3, 12))
 
@@ -83,6 +89,15 @@ PINWHEEL13_RECTS = (
     (12, 6, 0, 7, 6),  # outer right
     (13, 1, 6, 7, 7),  # outer bottom
 )
+
+
+def reverse_permutation(n: int) -> Permutation:
+    return Permutation(range(n, 0, -1))
+
+
+def count_two_sided_segments(r: Rectangulation) -> int:
+    """Segments with at least one perpendicular arrival on each side."""
+    return sum(1 for a, b in segment_joint_counts(r) if a > 0 and b > 0)
 
 
 @pytest.fixture(scope="session")

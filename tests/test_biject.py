@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reverse_permutation
 from rectlab import biject
 from rectlab.biject import (
     FlipGraph,
@@ -39,7 +40,6 @@ from rectlab.perm import (
     identity_permutation,
     inversion_set,
     parse_permutation,
-    reverse_permutation,
 )
 from rectlab.rect import (
     Rectangulation,
@@ -124,9 +124,8 @@ class TestInvariantChecks:
 
     def test_non_diagonal_weak_drawing(self, monkeypatch):
         # A compacted drawing of the right class is valid but not diagonal.
-        monkeypatch.setattr(
-            biject, "Rectangulation", lambda rects: from_rects(q.box for q in rects)
-        )
+        lean = staticmethod(lambda boxes, walls: from_rects(boxes))
+        monkeypatch.setattr(Rectangulation, "_built", lean)
         with pytest.raises(RectangulationError, match="diagonal"):
             gamma_w(identity_permutation(3))
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_two_sided_segments
 from rectlab import counting
 from rectlab.biject import gamma_w
 from rectlab.counting import (
@@ -30,7 +31,7 @@ from rectlab.counting import (
     z0_bound,
 )
 from rectlab.perm import all_permutations, classify
-from rectlab.rect import count_two_sided_segments, is_guillotine
+from rectlab.rect import is_guillotine
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "rectlab" / "data"
 

@@ -1,5 +1,6 @@
-"""Package layering: modules import each other at the top level only, and
-the package keeps its checks under ``python -O``."""
+"""Package layering: modules import each other at the top level only, the
+lean constructor stays behind the forward maps, and the package keeps its
+checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -44,6 +45,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_lean_constructor_only_in_forward_maps():
+    """Only ``gamma_s`` and ``gamma_w`` build from trusted geometry; outside
+    input (``from_json``, ``from_rects``, the CLI, walk text) validates."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk is BFS)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        found += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_built"
+        ]
+    assert sorted(found) == [("biject.py", "gamma_s"), ("biject.py", "gamma_w")]
 
 
 def test_verify_passes_under_optimize():

@@ -21,6 +21,11 @@ engines check it: the dense DP over every (x, y, color) cell with its own
 copy of the step rules, and the hand-derived first-point-removal
 recurrences for the leftright families U and O.
 
+The forward maps build their drawings with the lean constructor, taking
+the segments from the insertion and the reach masks on first read.  The
+validating constructor is the reference: rebuilt from the same boxes, it
+must give the same object field by field and the same JSON bytes.
+
 Walks decode through the permutation they encode, replayed over the NW-SE
 order of the steps.  The reference decoder replays the staircase
 geometrically with exact ``Fraction`` midpoints and never forms a
@@ -69,6 +74,7 @@ from rectlab.rect import (
     Segment,
     _closure_masks,
     _merge_runs,
+    from_json,
     from_rects,
     guillotine_tree,
     is_diagonal,
@@ -224,6 +230,16 @@ def ref_decode_strong(w):
     return from_rects(boxes)
 
 
+def left_of(r, i, j):
+    """Rectangle ``i`` left of ``j`` via a chain of shared vertical walls."""
+    return bool(r._left_reach[i - 1] >> (j - 1) & 1)
+
+
+def above(r, i, j):
+    """Rectangle ``i`` above ``j`` via a chain of shared horizontal walls."""
+    return bool(r._above_reach[i - 1] >> (j - 1) & 1)
+
+
 def ref_labeling(r, flip_above=False):
     """NW-SE (or, flipping above, SW-NE) labels by a comparison sort that
     asks ``left_of``/``above`` about each pair it compares."""
@@ -231,8 +247,8 @@ def ref_labeling(r, flip_above=False):
     def cmp(i, j):
         if i == j:
             return 0
-        li, lj = r.left_of(i, j), r.left_of(j, i)
-        ai, aj = r.above(i, j), r.above(j, i)
+        li, lj = left_of(r, i, j), left_of(r, j, i)
+        ai, aj = above(r, i, j), above(r, j, i)
         if flip_above:
             ai, aj = aj, ai
         before, after = li or ai, lj or aj
@@ -604,7 +620,17 @@ def check_decoders(w) -> None:
     assert to_json(decode(weak)) == to_json(diagonal_representative(ref))
 
 
+def check_lean_matches_validated(pi: Permutation) -> None:
+    for r in (gamma_s(pi), gamma_w(pi)):
+        v = Rectangulation(r.rects)
+        assert (r.rects, r.width, r.height) == (v.rects, v.width, v.height)
+        assert r.segments == v.segments
+        assert (r._left_reach, r._above_reach) == (v._left_reach, v._above_reach)
+        assert to_json(r) == to_json(v)
+
+
 def check_against_references(pi: Permutation) -> None:
+    check_lean_matches_validated(pi)
     rs = gamma_s(pi)
     assert to_json(rs) == to_json(ref_gamma_s(pi))
     w = encode_strong(pi)
@@ -691,6 +717,12 @@ def test_exhaustive_against_references(n):
         check_against_references(pi)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exhaustive_lean_matches_validated(n):
+    for pi in all_permutations(n):
+        check_lean_matches_validated(pi)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exhaustive_orders_against_references(n):
     for seed, pi in enumerate(all_permutations(n)):
@@ -710,19 +742,30 @@ def test_closed_excursions_decode_like_the_geometric_replay(n):
         check_decoders(w)
 
 
-def test_decoders_and_reflection_build_one_drawing(monkeypatch):
+def count_constructions(monkeypatch) -> list[str]:
+    """Record ``"validating"`` or ``"lean"`` for each drawing constructed."""
     built = []
-    real = Rectangulation.__init__
+    init, lean = Rectangulation.__init__, Rectangulation._built.__func__
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        built.append("validating")
+        init(self, *args, **kwargs)
 
+    def counted_lean(cls, *args):
+        built.append("lean")
+        return lean(cls, *args)
+
+    monkeypatch.setattr(Rectangulation, "__init__", counted_init)
+    monkeypatch.setattr(Rectangulation, "_built", classmethod(counted_lean))
+    return built
+
+
+def test_decoders_and_reflection_build_one_drawing(monkeypatch):
     for pi in all_permutations(4):
         strong, weak = encode_strong(pi), encode_weak(pi)
         r = gamma_s(pi)
         with monkeypatch.context() as m:
-            m.setattr(Rectangulation, "__init__", counted)
+            built = count_constructions(m)
             for name, build in (
                 ("decode_strong", lambda: decode_strong(strong)),
                 ("weak decode", lambda: decode(weak)),
@@ -731,6 +774,26 @@ def test_decoders_and_reflection_build_one_drawing(monkeypatch):
                 built.clear()
                 build()
                 assert len(built) == 1, (name, pi)
+
+
+def test_built_drawings_are_lean_and_outside_input_validates(monkeypatch):
+    for pi in all_permutations(4):
+        strong, weak = encode_strong(pi), encode_weak(pi)
+        r = gamma_s(pi)
+        text, boxes = to_json(r), [q.box for q in r.rects]
+        with monkeypatch.context() as m:
+            built = count_constructions(m)
+            for name, build, kind in (
+                ("gamma_s", lambda: gamma_s(pi), "lean"),
+                ("gamma_w", lambda: gamma_w(pi), "lean"),
+                ("decode_strong", lambda: decode_strong(strong), "lean"),
+                ("weak decode", lambda: decode(weak), "lean"),
+                ("from_json", lambda: from_json(text), "validating"),
+                ("from_rects", lambda: from_rects(boxes), "validating"),
+            ):
+                built.clear()
+                build()
+                assert built and set(built) == {kind}, (name, pi, built)
 
 
 @given(st.integers(1, 64).flatmap(perms))

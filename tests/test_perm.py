@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reverse_permutation
 from rectlab.perm import (
     CLASS_FLAGS,
     CO_TWO_CLUMPED_FORBIDDEN,
@@ -20,7 +21,6 @@ from rectlab.perm import (
     VINC_3_41_2,
     WINDMILL_MESH_CCW,
     WINDMILL_MESH_CW,
-    WINDMILL_MESH_CW_BLOCK,
     MeshPattern,
     Permutation,
     all_permutations,
@@ -35,11 +35,20 @@ from rectlab.perm import (
     inversion_set,
     occurrences,
     parse_permutation,
-    reverse_permutation,
     vincular_pattern,
 )
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(Permutation)
+
+# An avoidance-equivalent enlargement of WINDMILL_MESH_CW with rectangular
+# shaded blocks, kept as a cross-check fixture.
+WINDMILL_MESH_CW_BLOCK = MeshPattern(
+    Permutation((2, 5, 3, 1, 4)),
+    frozenset(
+        {(i, j) for i in (0, 1) for j in (2, 3, 4)}
+        | {(i, j) for i in (4, 5) for j in (1, 2, 3)}
+    ),
+)
 
 
 # ---------------------------------------------------------------------------

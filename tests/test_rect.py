@@ -10,13 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import D1_RECTS, PINWHEEL5_RECTS, build
+from conftest import (
+    D1_RECTS,
+    PINWHEEL5_RECTS,
+    build,
+    count_two_sided_segments,
+    reverse_permutation,
+)
 from rectlab.biject import fiber_w, gamma_s, gamma_w
 from rectlab.perm import (
     Permutation,
     all_permutations,
     identity_permutation,
-    reverse_permutation,
 )
 from rectlab.rect import (
     GapError,
@@ -27,7 +32,6 @@ from rectlab.rect import (
     Rectangulation,
     RectangulationError,
     _linear_order,
-    count_two_sided_segments,
     find_windmills,
     from_json,
     from_rects,
