@@ -198,7 +198,10 @@ def _poset_from_relations(
         for k in _bits(reach[i]):
             beyond |= reach[k]
         covers.extend((i + 1, j + 1) for j in _bits(reach[i] & ~beyond))
-    return Poset(n, frozenset(covers), kind)
+    poset = Poset(n, frozenset(covers), kind)
+    # the closure of a relation is the closure of its covers
+    poset.__dict__["_reach"] = tuple(reach)
+    return poset
 
 
 def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
@@ -430,14 +433,17 @@ class FlipGraph:
         return "\n".join(lines) + "\n"
 
 
-def _default_max_n() -> int:
-    raw = os.environ.get("RECTLAB_MAX_N", "6")
+def _env_bound(name: str, default: int) -> int:
+    """The integer size bound in environment variable ``name``."""
+    raw = os.environ.get(name, str(default))
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(
-            "RECTLAB_MAX_N must be an integer, got %r" % (raw,)
-        ) from None
+        raise ValueError("%s must be an integer, got %r" % (name, raw)) from None
+
+
+def _default_max_n() -> int:
+    return _env_bound("RECTLAB_MAX_N", 6)
 
 
 def quotient_cover_graph(n: int, max_n: int | None = None) -> FlipGraph:

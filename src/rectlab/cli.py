@@ -91,13 +91,25 @@ def _weighted_guillotine_count(n: int) -> int:
     return coeff.numerator
 
 
+def _strong_guillotine_count(n: int) -> int:
+    """The table count up to a size bound (default 32, the packaged rows):
+    a cold table's time grows steeply with n."""
+    bound = biject._env_bound("RECTLAB_MAX_GUILLOTINE_N", 32)
+    if n > bound:
+        raise ValueError(
+            "size %d exceeds the bound %d (raise RECTLAB_MAX_GUILLOTINE_N)"
+            % (n, bound)
+        )
+    return counting.strong_guillotine_count(n)
+
+
 _COUNTS: dict[str, Callable[[int], int]] = {
     "schroder": lambda n: counting.schroder_counts(n)[-1],
     "baxter": counting.baxter_number,
     "strong": walks.count_strong_rect,
     "u": walks.count_U,
     "o": walks.count_O,
-    "strong-guillotine": counting.strong_guillotine_count,
+    "strong-guillotine": _strong_guillotine_count,
     "weighted-guillotine": _weighted_guillotine_count,
 }
 
@@ -328,8 +340,9 @@ def _check_guillotine_table(max_n: int, data_dir: Path) -> tuple[bool, str]:
         return False, "table must list sizes 1..32"
     if any(rows[n] >= rows[n + 1] for n in range(1, 32)):
         return False, "table values must increase"
-    for n in range(1, 21):
-        if counting.strong_guillotine_count(n) != rows[n]:
+    table = counting.strong_guillotine_table(22)
+    for n in range(1, 23):
+        if table.total(n) != rows[n]:
             return False, "recurrence disagrees with table at n=%d" % n
     return True, ""
 

@@ -16,6 +16,7 @@ from typing import Callable
 from .biject import _default_max_n, gamma_w
 from .perm import all_permutations
 from .rect import is_guillotine, multiplicity
+from .walks import count_strong_rect
 
 # ---------------------------------------------------------------------------
 # Truncated power series over exact rationals
@@ -113,26 +114,17 @@ class Series:
 
 
 def schroder_series(N: int) -> Series:
-    """The guillotine-class generating function, solved by fixed point.
+    """The guillotine-class generating function G = x + (x + G) * G.
 
-    Iterates the system V = (x + H) * G, H = V, G = x + 2H until stable;
-    each pass fixes at least one further coefficient.
+    G has no constant term, so the system is solved one coefficient at a
+    time: g_n = [n = 1] + g_{n-1} + sum(g_i * g_{n-i} for 0 < i < n).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    x = Series.x(N)
-    H = Series.constant(0, N)
-    G = Series.constant(0, N)
-    for _ in range(N + 2):
-        V = (x + H) * G
-        H = V
-        G2 = x + H.scale(2)
-        if G2 == G:
-            return G
-        G = G2
-    raise ArithmeticError(
-        "Schroder series fixed point not reached in %d iterations at N=%d" % (N + 2, N)
-    )
+    g = [0] * (N + 1)
+    for n in range(1, N + 1):
+        g[n] = (n == 1) + g[n - 1] + sum(g[i] * g[n - i] for i in range(1, n))
+    return Series(tuple(map(Fraction, g)))
 
 
 def schroder_counts(N: int) -> list[int]:
@@ -181,23 +173,22 @@ class CountTable:
     of segment endpoints on the four sides of the bounding box.
 
     Only the vertical-cut table is stored; the horizontal one is its
-    transpose.  Every stored layer is checked against the left-right and
-    top-bottom reflection symmetries.
-
-    Layer n sums over the size n1 of the left factor at the leftmost cut.
-    The top and bottom counts of the two factors only add, so each split
-    is a convolution in (t, b): every (t, b) grid of counts is packed into
-    one integer (Kronecker substitution), one bigint product per (left,
-    cut-side, right) count triple does the convolution, and the packed
-    accumulators are unpacked once per layer.  Digit width and spacing are
-    derived from exact bounds on the data, so no digit carries into the
-    next.
+    transpose.  Layer n sums over the size n1 of the left factor at the
+    leftmost cut.  Top and bottom counts only add, so each split is a
+    convolution in (t, b), done by one bigint product per (left, cut-side,
+    right) count triple on packed grids (Kronecker substitution, see
+    ``_Packing``).  Each count is computed for left count <= right count
+    and written to both mirror profiles, so the left-right symmetry holds
+    by construction; its independent evidence is the direct-recurrence
+    oracle in the tests and the packaged totals.  The top-bottom symmetry
+    is checked on every stored layer.
     """
 
     def __init__(self) -> None:
         self._sv: dict[int, dict[tuple[int, int, int, int], int]] = {
             1: {(0, 0, 0, 0): 1}
         }
+        self._packing: _Packing | None = None
 
     @property
     def max_n(self) -> int:
@@ -234,35 +225,107 @@ class CountTable:
     def extend_to(self, n: int) -> None:
         if n < 1:
             raise ValueError("n must be >= 1")
-        for m in range(self.max_n + 1, n + 1):
-            layer = self._compute_layer(m)
-            _check_symmetries(m, layer)
-            self._sv[m] = layer
+        if n <= self.max_n:
+            return
+        self._packing = _Packing(n)
+        try:
+            for m in range(self.max_n + 1, n + 1):
+                layer = self._compute_layer(m)
+                _check_symmetries(m, layer)
+                self._sv[m] = layer
+        finally:
+            self._packing = None
 
     def _compute_layer(self, n: int) -> dict[tuple[int, int, int, int], int]:
-        # A vertical composite splits at its leftmost full-height cut: the
-        # left factor is horizontal-or-size-1, the right factor arbitrary,
-        # and the endpoints meeting the cut from the two sides interleave
-        # freely (binomial weight).  The cut itself adds one endpoint to the
-        # top and bottom sides.
-        #
-        # The top and bottom counts only add, so for each (l, lp, r) a split
-        # is a 2-D convolution in (t, b).  Each (t, b) grid is packed into
-        # one integer, digit (t, b) at position t * width + b, so that one
-        # bigint product does the convolution (Kronecker substitution).
-        # ``width`` keeps every t1 + t2 and b1 + b2 inside a digit, and a
-        # digit of ``nbytes`` bytes holds the largest possible coefficient:
-        # a split contributes at most (sum of all left weights) times (sum
-        # of all right counts) to any one profile.
-        splits = range(1, n)
-        # the largest endpoint count on any side, per layer
-        sides = [0] + [max(map(max, self._sv[m])) for m in splits]
-        width = 1 + max(sides[n1] + sides[n - n1] for n1 in splits)
-        bound = sum(self._left_weight(n1, n - n1) * self.total(n - n1) for n1 in splits)
-        nbytes = (bound.bit_length() + 7) // 8
+        """Layer ``n`` from the stored layers below it, in the layout of the
+        running ``extend_to`` call."""
+        packing = self._packing
+        for m in range(1, n):
+            if m not in packing.left:
+                packing.pack(m, self._sv[m])
+        acc = packing.products(n)
+        if n == packing.N:
+            # no later layer reads the store: free it before the layer's
+            # dict is built, which lowers the build's peak memory
+            packing.left = packing.right = {}
+        return packing.unpack(acc)
+
+
+class _Packing:
+    """The Kronecker layout of one ``CountTable.extend_to(N)`` call and the
+    layers packed in it.
+
+    A packed (t, b) grid is one integer whose ``nbytes``-byte little-endian
+    digit at position t * width + b is the count of (t, b).  One layout
+    serves every layer <= N, so no layer is packed twice:
+
+    - ``width = N - 1``: a class of size n has at most n - 1 endpoints on a
+      side and a cut adds one to t1 + t2 and to b1 + b2, so both stay below.
+    - ``nbytes`` holds ``count_strong_rect(N)``, which bounds every digit.
+      A packed digit counts classes of a layer below N.  A digit of an
+      accumulator, of a product, or of a left factor z (formed only for
+      cut-side counts some right factor has) counts composites of one
+      profile of a layer n <= N: strong rectangulations of size <= N.
+    """
+
+    def __init__(self, N: int) -> None:
+        self.N = N
+        self.width = N - 1
+        self.nbytes = (count_strong_rect(N).bit_length() + 7) // 8
+        # left factors of size m, horizontal or size 1: l -> [(r1, grid)]
+        self.left: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        # right factors of size m, any orientation: lp -> {r: grid}
+        self.right: dict[int, dict[int, dict[int, int]]] = {}
+        # one tuple per profile, shared by all layers and mirror images
+        self.keys: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
+
+    def pack(self, m: int, layer: dict[tuple[int, int, int, int], int]) -> None:
+        """Pack layer ``m`` once per orientation into ``left`` and ``right``."""
+        width, nbytes = self.width, self.nbytes
+        grids: list[dict[tuple[int, int], int]] = []
+        for transpose in (False, True):
+            bufs: dict[tuple[int, int], bytearray] = {}
+            for (a, b, c, d), v in layer.items():
+                # s_h(m, b, a, d, c) == s_v(m, a, b, c, d)
+                key, pos = ((b, d), a * width + c) if transpose else ((a, c), b * width + d)
+                buf = bufs.get(key)
+                if buf is None:
+                    buf = bufs[key] = bytearray(m * width * nbytes)
+                buf[pos * nbytes : (pos + 1) * nbytes] = v.to_bytes(nbytes, "little")
+            grids.append({key: int.from_bytes(buf, "little") for key, buf in bufs.items()})
+        vertical, horizontal = grids
+        left = self.left[m] = {}
+        for (l, r1), grid in horizontal.items():
+            left.setdefault(l, []).append((r1, grid))
+        right = self.right[m] = {}
+        # size 1 counts once, not as both a degenerate vertical and a
+        # degenerate horizontal
+        for (lp, r), grid in [*vertical.items(), *(horizontal.items() if m > 1 else ())]:
+            rights = right.setdefault(lp, {})
+            rights[r] = rights.get(r, 0) + grid
+
+    def products(self, n: int) -> dict[tuple[int, int], int]:
+        """Packed (t, b) grids of layer ``n``, one per (l, r) with l <= r.
+
+        A vertical composite splits at its leftmost full-height cut into a
+        horizontal-or-size-1 left factor and any right factor; the endpoints
+        meeting the cut from the two sides interleave freely."""
         acc: dict[tuple[int, int], int] = {}
-        for n1 in splits:
-            self._add_split(acc, n1, n - n1, sides, width, nbytes)
+        for n1 in range(1, n):
+            by_lp = self.right[n - n1]
+            for l, grids in self.left[n1].items():
+                for lp, rights in by_lp.items():
+                    z = sum(math.comb(r1 + lp, r1) * grid for r1, grid in grids)
+                    for r, grid in rights.items():
+                        if l <= r:
+                            acc[(l, r)] = acc.get((l, r), 0) + z * grid
+        return acc
+
+    def unpack(self, acc: dict[tuple[int, int], int]) -> dict[tuple[int, int, int, int], int]:
+        """The nonzero counts of the accumulators, each written to its
+        profile and to the left-right mirror.  The cut adds one endpoint to
+        the top and bottom sides."""
+        width, nbytes, keys = self.width, self.nbytes, self.keys
         out: dict[tuple[int, int, int, int], int] = {}
         for (l, r), packed in acc.items():
             ndigits = -(-packed.bit_length() // (8 * nbytes))
@@ -271,66 +334,9 @@ class CountTable:
                 v = int.from_bytes(buf[pos * nbytes : (pos + 1) * nbytes], "little")
                 if v:
                     t, b = divmod(pos, width)
-                    out[(l, t + 1, r, b + 1)] = v
+                    for key in ((l, t + 1, r, b + 1), (r, t + 1, l, b + 1)):
+                        out[keys.setdefault(key, key)] = v
         return out
-
-    def _left_weight(self, n1: int, n2: int) -> int:
-        """Sum of the interleaving weights of all left factors of size
-        ``n1`` over the cut counts 0..n2-1 of a right factor of size ``n2``.
-
-        By the hockey-stick identity, sum(C(r1 + lp, r1) for lp < n2)
-        equals C(r1 + n2, r1 + 1)."""
-        return sum(v * math.comb(r1 + n2, r1 + 1) for (*_, r1), v in self._sv[n1].items())
-
-    def _add_split(
-        self,
-        acc: dict[tuple[int, int], int],
-        n1: int,
-        n2: int,
-        sides: list[int],
-        width: int,
-        nbytes: int,
-    ) -> None:
-        """Add the composites whose leftmost cut leaves a left factor of size
-        ``n1`` into the packed accumulators ``acc[(l, r)]``."""
-        # left factors, horizontal or size 1, by transposing the vertical
-        # table: one (t1, b1) grid per left and cut-side count (l, r1)
-        by_l: dict[int, list[tuple[int, int]]] = {}
-        for (l, r1), grid in self._pack_layer(n1, True, sides[n1], width, nbytes).items():
-            by_l.setdefault(l, []).append((r1, grid))
-        # right factors, any orientation: one (t2, b2) grid per cut-side and
-        # right count (lp, r); size 1 counts once, not as both a degenerate
-        # vertical and a degenerate horizontal
-        right = self._pack_layer(n2, False, sides[n2], width, nbytes)
-        if n2 > 1:
-            for key, grid in self._pack_layer(n2, True, sides[n2], width, nbytes).items():
-                right[key] = right.get(key, 0) + grid
-        by_lp: dict[int, dict[int, int]] = {}
-        for (lp, r), grid in right.items():
-            by_lp.setdefault(lp, {})[r] = grid
-        for l, grids in by_l.items():
-            for lp, rights in by_lp.items():
-                # the r1 left and lp right cut endpoints interleave freely
-                z = sum(math.comb(r1 + lp, r1) * grid for r1, grid in grids)
-                for r, grid in rights.items():
-                    acc[(l, r)] = acc.get((l, r), 0) + z * grid
-
-    def _pack_layer(
-        self, m: int, transpose: bool, side: int, width: int, nbytes: int
-    ) -> dict[tuple[int, int], int]:
-        """Layer ``m`` (vertical, or horizontal when ``transpose``) as one
-        packed (t, b) grid per (l, r): the count of profile (l, t, r, b) is
-        the ``nbytes``-byte little-endian digit at position t * width + b.
-        ``side`` bounds every t."""
-        bufs: dict[tuple[int, int], bytearray] = {}
-        for (a, b, c, d), v in self._sv[m].items():
-            # s_h(m, b, a, d, c) == s_v(m, a, b, c, d)
-            key, pos = ((b, d), a * width + c) if transpose else ((a, c), b * width + d)
-            buf = bufs.get(key)
-            if buf is None:
-                buf = bufs[key] = bytearray((side + 1) * width * nbytes)
-            buf[pos * nbytes : (pos + 1) * nbytes] = v.to_bytes(nbytes, "little")
-        return {key: int.from_bytes(buf, "little") for key, buf in bufs.items()}
 
 
 def _check_symmetries(n: int, layer: dict[tuple[int, int, int, int], int]) -> None:
@@ -403,10 +409,10 @@ def strong_count_via_multiplicity(
 def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
     """Guillotine classes weighted by ``y`` per two-sided segment.
 
-    Solves, by fixed-point iteration, the system
-
-        V = x*G + H*(G0 + y*G1),   H = V,   G = x + 2V,
-        G0 = x*G + x,              G1 = (1 - x)*G - x.
+    Solves V = x*G + V*W, W = (1 - y)*(x*G + x) + y*G, G = x + 2V one
+    coefficient at a time.  V, W and G have no constant term, so
+    v_n = g_{n-1} + sum(v_i * w_{n-i} for 0 < i < n) reads only lower
+    coefficients, and g_n and w_n follow from v_n.
 
     At y=1 this reduces to the plain class-counting series; at y=2 the
     coefficient of x^n is the sum over weak guillotine classes of size n of
@@ -415,22 +421,12 @@ def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
     if N < 1:
         raise ValueError("N must be >= 1")
     y = Fraction(y_value)
-    x = Series.x(N)
-    one = Series.constant(1, N)
-    V = Series.constant(0, N)
-    G = Series.constant(0, N)
-    for _ in range(2 * N + 4):
-        G0 = x * G + x
-        G1 = (one - x) * G - x
-        V = x * G + V * (G0 + G1.scale(y))
-        G2 = x + V.scale(2)
-        if G2 == G:
-            return G
-        G = G2
-    raise ArithmeticError(
-        "weighted guillotine series fixed point (y=%s) not reached in %d iterations at N=%d"
-        % (y, 2 * N + 4, N)
-    )
+    v, w, g = ([0] * (N + 1) for _ in range(3))
+    for n in range(1, N + 1):
+        v[n] = g[n - 1] + sum(v[i] * w[n - i] for i in range(1, n))
+        g[n] = (n == 1) + 2 * v[n]
+        w[n] = (1 - y) * (g[n - 1] + (n == 1)) + y * g[n]
+    return Series(tuple(map(Fraction, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +539,8 @@ def z0_bound(k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    g = [strong_guillotine_count(i) for i in range(1, k + 1)]
+    table = strong_guillotine_table(k)
+    g = [table.total(i) for i in range(1, k + 1)]
 
     def arg(z: float) -> float:
         return -2 * sum(gi * z ** (i + 1) for i, gi in enumerate(g))

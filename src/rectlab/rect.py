@@ -93,12 +93,6 @@ class Segment:
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
 
-    @property
-    def endpoints(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        if self.orientation == "v":
-            return ((self.line, self.lo), (self.line, self.hi))
-        return ((self.lo, self.line), (self.hi, self.line))
-
 
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, lowest first."""

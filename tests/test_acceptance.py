@@ -38,6 +38,7 @@ from rectlab.counting import (
     schroder_counts,
     strong_count_via_multiplicity,
     strong_guillotine_count,
+    strong_guillotine_table,
     weighted_guillotine_series,
     z0_bound,
 )
@@ -515,9 +516,10 @@ class TestReferenceTable:
             if line and not line.startswith("#"):
                 n, v = line.split()
                 rows[int(n)] = int(v)
-        # rows 1..22 are recomputed exactly
-        for n in range(1, 23):
-            assert rows[n] == strong_guillotine_count(n)
+        # rows 1..24 are recomputed exactly, from one table extension
+        table = strong_guillotine_table(24)
+        for n in range(1, 25):
+            assert rows[n] == table.total(n)
         # the remaining rows are fixture data: present, increasing, and
         # growing by bounded log-ratios -- but never recomputed here
         assert sorted(rows) == list(range(1, 33))

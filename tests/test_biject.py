@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reverse_permutation
-from rectlab import biject
+from conftest import RUNNING_PERM, reverse_permutation
+from rectlab import biject, rect
 from rectlab.biject import (
     FlipGraph,
     Poset,
@@ -245,6 +246,25 @@ class TestLinearExtensions:
         ):
             with pytest.raises(ValueError, match="cyclic"):
                 extensions(p)
+
+    def test_key_closes_the_poset_once(self):
+        # the closure from the relations is the closure of the covers, so
+        # reading the extension's predecessors must not close them again
+        calls = []
+        real = rect._closure_masks
+
+        def spy(n, edges):
+            calls.append(n)
+            return real(n, edges)
+
+        pi = RUNNING_PERM
+        with mock.patch.object(biject, "_closure_masks", spy), mock.patch.object(
+            rect, "_closure_masks", spy
+        ):
+            strong_key(gamma_s(pi))
+        assert calls == [16]
+        p = strong_poset(gamma_s(pi))
+        assert p._reach == Poset(p.n, p.covers)._reach
 
     def test_extremal_extensions_of_antichain(self):
         p = Poset(3, frozenset())

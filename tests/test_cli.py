@@ -159,6 +159,29 @@ class TestCount:
         assert run(["count", "fibonacci", "5"]) == 2
         capsys.readouterr()
 
+    def test_strong_guillotine_size_is_bounded(self, capsys, monkeypatch):
+        assert run(["count", "strong-guillotine", "100000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: size 100000 exceeds the bound 32 "
+            "(raise RECTLAB_MAX_GUILLOTINE_N)\n"
+        )
+        monkeypatch.setenv("RECTLAB_MAX_GUILLOTINE_N", "4")
+        assert run(["count", "strong-guillotine", "5"]) == 1
+        assert "bound 4 " in capsys.readouterr().err
+        assert run(["count", "strong-guillotine", "4"]) == 0
+        assert out_of(capsys) == "24\n"
+
+    def test_non_integer_guillotine_bound_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RECTLAB_MAX_GUILLOTINE_N", "abc")
+        assert run(["count", "strong-guillotine", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == (
+            "error: RECTLAB_MAX_GUILLOTINE_N must be an integer, got 'abc'\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # fiber / key: JSON files and stdin

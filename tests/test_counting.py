@@ -231,6 +231,22 @@ class TestCountTable:
             profile,
         )
 
+    def test_one_extension_packs_each_layer_once(self, monkeypatch):
+        packed = []
+        real = counting._Packing.pack
+
+        def spy(packing, m, layer):
+            packed.append((packing.N, m))
+            return real(packing, m, layer)
+
+        monkeypatch.setattr(counting._Packing, "pack", spy)
+        t = CountTable()
+        t.extend_to(3)
+        t.extend_to(10)
+        # the top layer of a build is never packed, and no store outlives it
+        assert packed == [(3, 1), (3, 2)] + [(10, m) for m in range(1, 10)]
+        assert t._packing is None
+
     def test_corrupted_layer_is_not_stored(self, monkeypatch):
         t = CountTable()
         t.extend_to(3)

@@ -32,8 +32,13 @@ geometrically with exact ``Fraction`` midpoints and never forms a
 permutation.
 
 Guillotine layers come from packed-integer products (Kronecker
-substitution).  The reference is the direct recurrence: one dictionary
-update per pair of left and right profiles.
+substitution), computed for left count <= right count and mirrored.  The
+reference is the direct recurrence: one dictionary update per pair of left
+and right profiles, every profile computed on its own.
+
+The class series are solved one coefficient at a time.  The references
+are the Picard iterations they replaced: whole truncated-series passes of
+the same systems until nothing changes.
 """
 
 from __future__ import annotations
@@ -49,7 +54,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectlab import biject
-from rectlab.counting import CountTable
+from rectlab.counting import (
+    CountTable,
+    Series,
+    _Packing,
+    schroder_series,
+    weighted_guillotine_series,
+)
 from rectlab.biject import (
     _adjacency_pairs,
     _poset_from_relations,
@@ -608,6 +619,37 @@ def ref_guillotine_layer(sv, n):
     return out
 
 
+def ref_schroder_series(N):
+    """Picard iteration of V = (x + H) * G, H = V, G = x + 2H; each pass
+    fixes at least one further coefficient."""
+    x = Series.x(N)
+    H = G = Series.constant(0, N)
+    for _ in range(N + 2):
+        H = (x + H) * G
+        G2 = x + H.scale(2)
+        if G2 == G:
+            return G
+        G = G2
+    raise AssertionError("no fixed point in %d passes" % (N + 2))
+
+
+def ref_weighted_guillotine_series(y, N):
+    """Picard iteration of V = x*G + V*(G0 + y*G1), G = x + 2V, with
+    G0 = x*G + x and G1 = (1 - x)*G - x."""
+    x = Series.x(N)
+    one = Series.constant(1, N)
+    V = G = Series.constant(0, N)
+    for _ in range(2 * N + 4):
+        G0 = x * G + x
+        G1 = (one - x) * G - x
+        V = x * G + V * (G0 + G1.scale(y))
+        G2 = x + V.scale(2)
+        if G2 == G:
+            return G
+        G = G2
+    raise AssertionError("no fixed point in %d passes" % (2 * N + 4))
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -873,8 +915,29 @@ def ref_guillotine_layers():
 def test_guillotine_layer_matches_direct_recurrence(ref_guillotine_layers, n):
     # the packed layer is computed from the reference layers below it and
     # compared before the symmetry check could reject it
-    table = CountTable()
-    table._sv = {m: ref_guillotine_layers[m] for m in range(1, n)}
-    layer = table._compute_layer(n)
-    assert layer == ref_guillotine_layers[n]
-    assert 0 not in layer.values()
+    # in the layout of a one-layer extension (N = n) and in that of one
+    # extension over the whole oracle range
+    for N in (n, GUILLOTINE_ORACLE_N):
+        table = CountTable()
+        table._sv = {m: ref_guillotine_layers[m] for m in range(1, n)}
+        table._packing = _Packing(N)
+        layer = table._compute_layer(n)
+        assert layer == ref_guillotine_layers[n]
+        assert 0 not in layer.values()
+
+
+def test_schroder_series_matches_picard_iteration():
+    ref = ref_schroder_series(60)
+    for N in range(1, 61):
+        assert schroder_series(N) == Series(ref.coeffs[: N + 1])
+    for N in (1, 2, 7):
+        assert schroder_series(N) == ref_schroder_series(N)
+
+
+@pytest.mark.parametrize("y", [0, 1, 2, 3, -1, Fraction(1, 3)])
+def test_weighted_series_matches_picard_iteration(y):
+    ref = ref_weighted_guillotine_series(y, 30)
+    for N in range(1, 31):
+        assert weighted_guillotine_series(y, N) == Series(ref.coeffs[: N + 1])
+    for N in (1, 2, 7):
+        assert weighted_guillotine_series(y, N) == ref_weighted_guillotine_series(y, N)
