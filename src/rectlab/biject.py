@@ -37,7 +37,6 @@ from typing import Iterator
 
 from .perm import Permutation, all_permutations
 from .rect import (
-    Rect,
     Rectangulation,
     RectangulationError,
     _bits,
@@ -164,7 +163,6 @@ class Poset:
 
     n: int
     covers: frozenset[tuple[int, int]]
-    kind: str = "generic"
 
     @functools.cached_property
     def _reach(self) -> tuple[int, ...]:
@@ -186,9 +184,7 @@ class Poset:
         return tuple(pred)
 
 
-def _poset_from_relations(
-    n: int, pairs: set[tuple[int, int]], kind: str
-) -> Poset:
+def _poset_from_relations(n: int, pairs: set[tuple[int, int]]) -> Poset:
     reach = _closure_masks(n, [(i - 1, j - 1) for i, j in pairs])
     covers = []
     for i in range(n):
@@ -198,7 +194,7 @@ def _poset_from_relations(
         for k in _bits(reach[i]):
             beyond |= reach[k]
         covers.extend((i + 1, j + 1) for j in _bits(reach[i] & ~beyond))
-    poset = Poset(n, frozenset(covers), kind)
+    poset = Poset(n, frozenset(covers))
     # the closure of a relation is the closure of its covers
     poset.__dict__["_reach"] = tuple(reach)
     return poset
@@ -225,7 +221,7 @@ def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
 
 def adjacency_poset(r: Rectangulation) -> Poset:
     """Transitive closure of the blocking relation (left-of / below contact)."""
-    return _poset_from_relations(r.n, _adjacency_pairs(r), "adjacency")
+    return _poset_from_relations(r.n, _adjacency_pairs(r))
 
 
 def diagonal_representative(r: Rectangulation) -> Rectangulation:
@@ -237,8 +233,7 @@ def diagonal_representative(r: Rectangulation) -> Rectangulation:
 
 def weak_poset(r: Rectangulation) -> Poset:
     """Adjacency poset of the diagonal representative of ``r``'s weak class."""
-    d = diagonal_representative(r)
-    return _poset_from_relations(d.n, _adjacency_pairs(d), "weak")
+    return adjacency_poset(diagonal_representative(r))
 
 
 def strong_poset(r: Rectangulation) -> Poset:
@@ -258,7 +253,7 @@ def strong_poset(r: Rectangulation) -> Poset:
             for b in s.side_b:
                 if end < box[b - 1][k]:  # b starts past a's end
                     pairs.add((b, a) if k else (a, b))
-    return _poset_from_relations(r.n, pairs, "strong")
+    return _poset_from_relations(r.n, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +346,14 @@ def baxter_representative(r: Rectangulation) -> Permutation:
 
 def reflect_swne(r: Rectangulation) -> Rectangulation:
     """Reflect across the SW-NE diagonal (an involution on strong classes).
-    Left-of becomes below and above becomes right-of: labels reverse."""
+    Left-of becomes below and above becomes right-of: labels reverse, and
+    each wall turns, swaps its sides and reverses their order."""
     w, h, n = r.width, r.height, r.n
-    reflected = [(h - q.y2, w - q.x2, h - q.y1, w - q.x1) for q in r.rects]
-    return Rectangulation(Rect(n - i, *box) for i, box in enumerate(_compact(reflected)))
+    reflected = [(h - q.y2, w - q.x2, h - q.y1, w - q.x1) for q in reversed(r.rects)]
+    flip = lambda side: [n + 1 - q for q in reversed(side)]
+    turn = {"v": "h", "h": "v"}
+    walls = [(turn[s.orientation], flip(s.side_b), flip(s.side_a)) for s in r.segments]
+    return Rectangulation._built(_compact(reflected), walls)
 
 
 # ---------------------------------------------------------------------------

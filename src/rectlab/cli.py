@@ -229,17 +229,20 @@ def _check_running_fixture(max_n: int) -> tuple[bool, str]:
 
 
 def _check_json_round_trip(max_n: int) -> tuple[bool, str]:
-    """Revalidate built drawings: each image, read back through the
-    validating ``from_json``, has the same boxes, segments and labelings."""
+    """Revalidate built drawings: each image and its ``reflect_swne``, read
+    back through the validating ``from_json``, has the same boxes, segments
+    and labelings."""
     labelings = (rect.nwse_labeling, rect.swne_labeling)
     for pi in perm.all_permutations(min(max_n, 4)):
         for gamma in (biject.gamma_s, biject.gamma_w):
-            r = gamma(pi)
-            back = rect.from_json(rect.to_json(r))
-            if (back.rects, back.segments) != (r.rects, r.segments) or any(
-                f(back) != f(r) for f in labelings
-            ):
-                return False, "%s(%s) differs from its JSON copy" % (gamma.__name__, pi)
+            image, name = gamma(pi), "%s(%s)" % (gamma.__name__, pi)
+            reflected = ("reflect_swne(%s)" % name, biject.reflect_swne(image))
+            for what, r in ((name, image), reflected):
+                back = rect.from_json(rect.to_json(r))
+                if (back.rects, back.segments) != (r.rects, r.segments) or any(
+                    f(back) != f(r) for f in labelings
+                ):
+                    return False, "%s differs from its JSON copy" % what
     return True, ""
 
 

@@ -19,6 +19,8 @@ Conventions
   left of or above rectangle ``j`` (in the transitive wall-sharing sense).
 - A *segment* is a maximal straight interval of internal walls.  A valid
   rectangulation of size ``n`` has exactly ``n - 1`` segments.
+- A drawing is its boxes plus its walls (one per segment, sides in order
+  along it); :func:`_tile_walls` validates outside input and yields them.
 """
 
 from __future__ import annotations
@@ -133,16 +135,15 @@ def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 class Rectangulation:
     """An immutable generic rectangulation with derived segments and orders.
 
-    Outside input goes through :func:`from_rects` (raw boxes, relabeled and
-    normalized), :func:`from_json` or the constructor itself, which requires
-    normalized, NW-SE-labeled rectangles and revalidates every invariant.
-    Drawings the library built itself come from :meth:`_built`.  The reach
-    masks are derived on first read.
+    Outside input comes through :func:`from_rects`, :func:`from_json` or the
+    constructor (normalized, NW-SE-labeled rectangles), each validating once
+    in :func:`_tile_walls`; built drawings come from :meth:`_built`.  Both
+    assemble the segments alike; the reach masks are derived on first read.
     """
 
     __slots__ = ("rects", "width", "height", "segments", "_left_reach", "_above_reach")
 
-    def __init__(self, rects: Iterable[Rect], _check_labels: bool = True):
+    def __init__(self, rects: Iterable[Rect]):
         rect_list = sorted(rects, key=lambda r: r.label)
         if not rect_list:
             raise RectangulationError("a rectangulation has at least one rectangle")
@@ -151,20 +152,12 @@ class Rectangulation:
             raise RectangulationError(
                 "labels must be exactly 1..%d, got %r" % (n, [r.label for r in rect_list])
             )
-        width = max(r.x2 for r in rect_list)
-        height = max(r.y2 for r in rect_list)
         if min(r.x1 for r in rect_list) != 0 or min(r.y1 for r in rect_list) != 0:
             raise RectangulationError("coordinates must start at 0 (not normalized)")
-        self.rects, self.width, self.height = tuple(rect_list), width, height
-        self._validate_tiling()
-        self.segments = segments = self._derive_segments()
-        if len(segments) != n - 1:
-            raise RectangulationError(
-                "expected %d segments, found %d" % (n - 1, len(segments))
-            )
+        self._assemble(tuple(rect_list), _tile_walls(rect_list))
         # NW-SE labels: label i + 1 precedes exactly the labels i + 2..n.
         reach = enumerate(zip(self._left_reach, self._above_reach))
-        if _check_labels and any(l | a != (1 << n) - (2 << i) for i, (l, a) in reach):
+        if any(l | a != (1 << n) - (2 << i) for i, (l, a) in reach):
             raise RectangulationError(
                 "labels are not the NW-SE labeling (expected order %r)"
                 % (nwse_labeling(self),)
@@ -172,28 +165,33 @@ class Rectangulation:
 
     @classmethod
     def _built(cls, boxes: Sequence[tuple[int, ...]], walls) -> Rectangulation:
-        """Trusted geometry: ``boxes[i]`` is the box of label ``i + 1`` and
-        each wall is ``(orientation, side_a, side_b)`` with sides in order
-        along it.  Checks only that both sides span the same interval."""
+        """Trusted geometry: ``boxes[i]`` is the box of label ``i + 1``."""
         self = cls.__new__(cls)
-        self.rects = tuple(Rect(i, *box) for i, box in enumerate(boxes, 1))
-        self.width = max(box[2] for box in boxes)
-        self.height = max(box[3] for box in boxes)
+        self._assemble(tuple(Rect(i, *box) for i, box in enumerate(boxes, 1)), walls)
+        return self
+
+    def _assemble(self, rects: tuple[Rect, ...], walls) -> None:
+        """Fields from ``rects`` (in label order) and ``walls``; checks only
+        that both sides of each wall span the same interval."""
+        self.rects = rects
+        self.width = max(r.x2 for r in rects)
+        self.height = max(r.y2 for r in rects)
         segments = []
         for orientation, side_a, side_b in walls:
-            k = 0 if orientation == "v" else 1  # box index of x1 / y1
             # (line, lo, hi) per side: first box's edge on the wall, span to the last
-            first, last = boxes[side_a[0] - 1], boxes[side_a[-1] - 1]
-            span = (first[k + 2], first[1 - k], last[3 - k])
-            first, last = boxes[side_b[0] - 1], boxes[side_b[-1] - 1]
-            if (first[k], first[1 - k], last[3 - k]) != span:
+            a, a_end = rects[side_a[0] - 1], rects[side_a[-1] - 1]
+            b, b_end = rects[side_b[0] - 1], rects[side_b[-1] - 1]
+            if orientation == "v":
+                span, other = (a.x2, a.y1, a_end.y2), (b.x1, b.y1, b_end.y2)
+            else:
+                span, other = (a.y2, a.x1, a_end.x2), (b.y1, b.x1, b_end.x2)
+            if span != other:
                 raise RectangulationError(
                     "segment sides %r and %r span different intervals" % (side_a, side_b)
                 )
             segments.append(Segment(orientation, *span, tuple(side_a), tuple(side_b)))
         segments.sort(key=lambda s: (s.orientation != "v", s.line, s.lo))
         self.segments = tuple(segments)
-        return self
 
     def __getattr__(self, name: str):
         # Only reached for an unset slot: the reach masks, derived on first read.
@@ -205,89 +203,6 @@ class Rectangulation:
         self._left_reach = _closure_masks(self.n, edges["v"])
         self._above_reach = _closure_masks(self.n, edges["h"])
         return getattr(self, name)
-
-    # -- invariant machinery -------------------------------------------------
-
-    def _validate_tiling(self) -> None:
-        # Validate coverage on the compacted image: ordering of coordinates is
-        # all that matters, and it keeps the cell grid at most (2n)^2.
-        xs = sorted({v for r in self.rects for v in (r.x1, r.x2)})
-        ys = sorted({v for r in self.rects for v in (r.y1, r.y2)})
-        xi = {v: i for i, v in enumerate(xs)}
-        yi = {v: i for i, v in enumerate(ys)}
-        cw, ch = len(xs) - 1, len(ys) - 1
-        cover = [[0] * cw for _ in range(ch)]
-        for r in self.rects:
-            for y in range(yi[r.y1], yi[r.y2]):
-                row = cover[y]
-                for x in range(xi[r.x1], xi[r.x2]):
-                    row[x] += 1
-        over = [(x, y) for y in range(ch) for x in range(cw) if cover[y][x] > 1]
-        if over:
-            x, y = over[0]
-            raise OverlapError(
-                "rectangle interiors overlap near (%d, %d)" % (xs[x], ys[y])
-            )
-        missing = {(x, y) for y in range(ch) for x in range(cw) if cover[y][x] == 0}
-        if missing:
-            boundary = any(
-                x == 0 or y == 0 or x == cw - 1 or y == ch - 1 for x, y in missing
-            )
-            x, y = sorted(missing)[0]
-            if boundary:
-                raise NonRectangularUnionError(
-                    "union of rectangles is not a box (uncovered near (%d, %d))"
-                    % (xs[x], ys[y])
-                )
-            raise GapError("hole inside the tiling near (%d, %d)" % (xs[x], ys[y]))
-        corner_count: dict[tuple[int, int], int] = {}
-        for r in self.rects:
-            for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)):
-                corner_count[p] = corner_count.get(p, 0) + 1
-        for (x, y), c in corner_count.items():
-            if 0 < x < self.width and 0 < y < self.height and c != 2:
-                if c == 4:
-                    raise NonGenericError(
-                        "four rectangles meet at %r (non-generic crossing)" % ((x, y),)
-                    )
-                raise RectangulationError(
-                    "malformed joint at %r (%d rectangle corners)" % ((x, y), c)
-                )
-
-    def _derive_segments(self) -> tuple[Segment, ...]:
-        segments: list[Segment] = []
-        for orientation, axis, size, key in (
-            ("v", "x", self.width, lambda r: (r.x2, r.x1, r.y1, r.y2)),
-            ("h", "y", self.height, lambda r: (r.y2, r.y1, r.x1, r.x2)),
-        ):
-            # Per internal line: (lo, hi, label) of the rectangles ending on
-            # it (side a: left/above) and starting on it (side b: right/below).
-            ends: dict[int, list[tuple[int, int, int]]] = {}
-            starts: dict[int, list[tuple[int, int, int]]] = {}
-            for r in self.rects:
-                end, start, lo, hi = key(r)
-                if end < size:
-                    ends.setdefault(end, []).append((lo, hi, r.label))
-                if start > 0:
-                    starts.setdefault(start, []).append((lo, hi, r.label))
-            for line in sorted(ends.keys() | starts.keys()):
-                side_a = sorted(ends.get(line, ()))
-                side_b = sorted(starts.get(line, ()))
-                runs = _merge_runs((lo, hi) for lo, hi, _ in side_a)
-                if runs != _merge_runs((lo, hi) for lo, hi, _ in side_b):
-                    raise RectangulationError(
-                        "wall mismatch on %s line %s=%d"
-                        % ("vertical" if orientation == "v" else "horizontal", axis, line)
-                    )
-                for lo, hi in runs:
-                    segments.append(
-                        Segment(
-                            orientation, line, lo, hi,
-                            tuple(q for u, v, q in side_a if lo <= u and v <= hi),
-                            tuple(q for u, v, q in side_b if lo <= u and v <= hi),
-                        )
-                    )
-        return tuple(segments)
 
     # -- basic relations -----------------------------------------------------
 
@@ -312,20 +227,103 @@ class Rectangulation:
         return "Rectangulation(n=%d, %dx%d)" % (self.n, self.width, self.height)
 
 
-def _merge_runs(intervals: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Merge abutting/overlapping intervals into maximal runs."""
-    out: list[list[int]] = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return tuple((a, b) for a, b in out)
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+
+
+def _tile_walls(rects: Sequence[Rect]) -> list[tuple[str, list[int], list[int]]]:
+    """Validate a tiling; return its walls in :meth:`Rectangulation._built`'s
+    format, ``(orientation, side_a, side_b)``, vertical lines first.
+
+    Raises a specific :class:`RectangulationError` subclass for overlapping
+    boxes, a hole, a union that is not a box, four boxes meeting at a point,
+    or a line whose two sides do not form the same segments.
+    """
+    # Validate coverage on the compacted image: ordering of coordinates is
+    # all that matters, and it keeps the cell grid at most (2n)^2.
+    xs = sorted({v for r in rects for v in (r.x1, r.x2)})
+    ys = sorted({v for r in rects for v in (r.y1, r.y2)})
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    cw, ch = len(xs) - 1, len(ys) - 1
+    cover = [[0] * cw for _ in range(ch)]
+    for r in rects:
+        for y in range(yi[r.y1], yi[r.y2]):
+            row = cover[y]
+            for x in range(xi[r.x1], xi[r.x2]):
+                row[x] += 1
+    over = [(x, y) for y in range(ch) for x in range(cw) if cover[y][x] > 1]
+    if over:
+        x, y = over[0]
+        raise OverlapError(
+            "rectangle interiors overlap near (%d, %d)" % (xs[x], ys[y])
+        )
+    missing = {(x, y) for y in range(ch) for x in range(cw) if cover[y][x] == 0}
+    if missing:
+        boundary = any(
+            x == 0 or y == 0 or x == cw - 1 or y == ch - 1 for x, y in missing
+        )
+        x, y = sorted(missing)[0]
+        if boundary:
+            raise NonRectangularUnionError(
+                "union of rectangles is not a box (uncovered near (%d, %d))"
+                % (xs[x], ys[y])
+            )
+        raise GapError("hole inside the tiling near (%d, %d)" % (xs[x], ys[y]))
+    corner_count: dict[tuple[int, int], int] = {}
+    for r in rects:
+        for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)):
+            corner_count[p] = corner_count.get(p, 0) + 1
+    for (x, y), c in corner_count.items():
+        if xs[0] < x < xs[-1] and ys[0] < y < ys[-1] and c != 2:
+            if c == 4:
+                raise NonGenericError(
+                    "four rectangles meet at %r (non-generic crossing)" % ((x, y),)
+                )
+            raise RectangulationError(
+                "malformed joint at %r (%d rectangle corners)" % ((x, y), c)
+            )
+    walls = []
+    for orientation, axis, size, key in (
+        ("v", "x", xs[-1], lambda r: (r.x2, r.x1, r.y1, r.y2)),
+        ("h", "y", ys[-1], lambda r: (r.y2, r.y1, r.x1, r.x2)),
+    ):
+        # Per internal line: (lo, hi, label) of the rectangles ending on
+        # it (side a: left/above) and of those starting on it (side b).
+        sides: dict[int, tuple[list, list]] = {}
+        for r in rects:
+            end, start, lo, hi = key(r)
+            if end < size:
+                sides.setdefault(end, ([], []))[0].append((lo, hi, r.label))
+            if start > 0:
+                sides.setdefault(start, ([], []))[1].append((lo, hi, r.label))
+        for line in sorted(sides):
+            side_a, side_b = map(_runs, sides[line])
+            if [run[:2] for run in side_a] != [run[:2] for run in side_b]:
+                raise RectangulationError(
+                    "wall mismatch on %s line %s=%d"
+                    % ("vertical" if orientation == "v" else "horizontal", axis, line)
+                )
+            walls += [(orientation, a[2], b[2]) for a, b in zip(side_a, side_b)]
+    if len(walls) != len(rects) - 1:
+        raise RectangulationError(
+            "expected %d segments, found %d" % (len(rects) - 1, len(walls))
+        )
+    return walls
+
+
+def _runs(side: list[tuple[int, int, int]]) -> list[list]:
+    """Maximal runs of abutting ``(lo, hi, label)`` intervals on one side of
+    a line, in order along it: ``[lo, hi, labels]`` each."""
+    runs: list[list] = []
+    for lo, hi, q in sorted(side):
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = hi
+            runs[-1][2].append(q)
+        else:
+            runs.append([lo, hi, [q]])
+    return runs
 
 
 def from_rects(boxes: Iterable[Sequence[int | Fraction]]) -> Rectangulation:
@@ -336,7 +334,7 @@ def from_rects(boxes: Iterable[Sequence[int | Fraction]]) -> Rectangulation:
     labels (if any) are ignored: coordinates are compacted to 0-based
     integers, and labels are assigned by the NW-SE order.  Raises a specific
     :class:`RectangulationError` subclass when the input does not tile a box
-    generically.
+    generically.  The tiling is validated once; relabeling moves the walls.
     """
     raw = []
     for b in boxes:
@@ -351,15 +349,14 @@ def from_rects(boxes: Iterable[Sequence[int | Fraction]]) -> Rectangulation:
         raw.append(vals)
     if not raw:
         raise RectangulationError("a rectangulation has at least one rectangle")
-    provisional = Rectangulation(
-        (Rect(i + 1, *b) for i, b in enumerate(sorted(_compact(raw)))),
-        _check_labels=False,
+    rects = [Rect(i, *b) for i, b in enumerate(sorted(_compact(raw)), 1)]
+    walls = _tile_walls(rects)
+    order = nwse_labeling(Rectangulation._built([q.box for q in rects], walls))
+    rank = {q: i for i, q in enumerate(order, 1)}  # provisional label -> NW-SE label
+    return Rectangulation._built(
+        [rects[q - 1].box for q in order],
+        [(o, [rank[q] for q in a], [rank[q] for q in b]) for o, a, b in walls],
     )
-    order = nwse_labeling(provisional)
-    rects = [
-        Rect(rank + 1, *provisional.rect(lbl).box) for rank, lbl in enumerate(order)
-    ]
-    return Rectangulation(rects)
 
 
 def _compact(boxes: Sequence[Sequence]) -> list[tuple[int, int, int, int]]:

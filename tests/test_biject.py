@@ -45,7 +45,7 @@ from rectlab.perm import (
 from rectlab.rect import (
     Rectangulation,
     RectangulationError,
-    from_rects,
+    _compact,
     is_diagonal,
     strong_key,
     weak_key,
@@ -125,7 +125,8 @@ class TestInvariantChecks:
 
     def test_non_diagonal_weak_drawing(self, monkeypatch):
         # A compacted drawing of the right class is valid but not diagonal.
-        lean = staticmethod(lambda boxes, walls: from_rects(boxes))
+        built = Rectangulation._built
+        lean = staticmethod(lambda boxes, walls: built(_compact(boxes), walls))
         monkeypatch.setattr(Rectangulation, "_built", lean)
         with pytest.raises(RectangulationError, match="diagonal"):
             gamma_w(identity_permutation(3))
@@ -182,7 +183,7 @@ class TestPosets:
         from rectlab.biject import _poset_from_relations
 
         with pytest.raises(ValueError):
-            _poset_from_relations(3, {(1, 2), (2, 1)}, "generic")
+            _poset_from_relations(3, {(1, 2), (2, 1)})
 
     def test_strong_poset_two_dimensional(self, sweeps):
         # the order is exactly the intersection of its extreme extensions

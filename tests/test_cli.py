@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rectlab import cli, counting
+from rectlab import biject, cli, counting
 from rectlab.cli import run, verify_fixtures
 from rectlab.perm import parse_permutation
 from rectlab.rect import from_json, strong_key, to_json
@@ -444,6 +444,23 @@ class TestVerifyFixtures:
         failed = [r for r in report if not r.passed]
         assert [(r.name, r.detail) for r in failed] == [
             ("walks/u-o-strong-sequences", "one_sided mismatch at n=6")
+        ]
+
+    def test_round_trip_reads_reflections_back(self, monkeypatch):
+        reflect = biject.reflect_swne
+
+        def missing_segment(r):
+            out = reflect(r)
+            out.segments = out.segments[:-1]
+            return out
+
+        monkeypatch.setattr(biject, "reflect_swne", missing_segment)
+        report = verify_fixtures(max_n=4, suites=("rect",))
+        assert [(r.name, r.detail) for r in report if not r.passed] == [
+            (
+                "rect/json-round-trip",
+                "reflect_swne(gamma_s(Permutation((1, 2, 3, 4)))) differs from its JSON copy",
+            )
         ]
 
     def test_data_check_is_declared_in_the_registry_alone(self, tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""Package layering: modules import each other at the top level only, the
-lean constructor stays behind the forward maps, and the package keeps its
-checks under ``python -O``."""
+"""Package layering: modules import each other at the top level only, only
+outside input validates a tiling, the lean constructor stays behind the
+library's own drawings, and the package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -47,9 +47,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_lean_constructor_only_in_forward_maps():
-    """Only ``gamma_s`` and ``gamma_w`` build from trusted geometry; outside
-    input (``from_json``, ``from_rects``, the CLI, walk text) validates."""
+def _calls(name: str):
+    """(module file, innermost enclosing function) of every reference to
+    ``name``, as a plain name or as an attribute."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -60,9 +60,24 @@ def test_lean_constructor_only_in_forward_maps():
         found += [
             (path.name, owner.get(node))
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "_built"
+            if isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name
         ]
-    assert sorted(found) == [("biject.py", "gamma_s"), ("biject.py", "gamma_w")]
+    return sorted(found)
+
+
+def test_lean_constructor_only_in_forward_maps():
+    """Only the constructor and ``from_rects`` validate a tiling, and only
+    the drawings the library builds itself (``gamma_s``, ``gamma_w``,
+    ``reflect_swne``) reach the lean constructor from outside ``rect``."""
+    assert _calls("_tile_walls") == [("rect.py", "__init__"), ("rect.py", "from_rects")]
+    assert _calls("_built") == [
+        ("biject.py", "gamma_s"),
+        ("biject.py", "gamma_w"),
+        ("biject.py", "reflect_swne"),
+        ("rect.py", "from_rects"),
+        ("rect.py", "from_rects"),
+    ]
 
 
 def test_verify_passes_under_optimize():

@@ -53,7 +53,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectlab import biject
+from rectlab import biject, rect
 from rectlab.counting import (
     CountTable,
     Series,
@@ -84,7 +84,7 @@ from rectlab.rect import (
     RectangulationError,
     Segment,
     _closure_masks,
-    _merge_runs,
+    _tile_walls,
     from_json,
     from_rects,
     guillotine_tree,
@@ -164,6 +164,17 @@ def ref_adjacency_pairs(r):
             if p.y1 == q.y2 and max(p.x1, q.x1) < min(p.x2, q.x2):
                 pairs.add((p.label, q.label))
     return pairs
+
+
+def _merge_runs(intervals):
+    """Merge abutting/overlapping intervals into maximal runs."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return tuple((a, b) for a, b in out)
 
 
 def ref_segments(r):
@@ -393,10 +404,17 @@ def ref_from_rects(boxes):
     compact = sorted(
         (xs.index(b[0]), ys.index(b[1]), xs.index(b[2]), ys.index(b[3])) for b in boxes
     )
-    r = Rectangulation((Rect(i, *b) for i, b in enumerate(compact, 1)), _check_labels=False)
+    r = unchecked_labels(Rect(i, *b) for i, b in enumerate(compact, 1))
     return Rectangulation(
         Rect(rank, *r.rect(lbl).box) for rank, lbl in enumerate(ref_labeling(r), 1)
     )
+
+
+def unchecked_labels(rects):
+    """The drawing of ``rects`` under their own labels, NW-SE or not: the
+    tiling is validated, the labeling is not."""
+    rects = sorted(rects, key=lambda q: q.label)
+    return Rectangulation._built([q.box for q in rects], _tile_walls(rects))
 
 
 def ref_guillotine_tree(r):
@@ -663,10 +681,15 @@ def check_decoders(w) -> None:
 
 
 def check_lean_matches_validated(pi: Permutation) -> None:
-    for r in (gamma_s(pi), gamma_w(pi)):
+    """Every lean producer against the validating constructor and against
+    the per-line segment scan, which shares no code with either."""
+    rs, rw = gamma_s(pi), gamma_w(pi)
+    boxes = [q.box for q in rw.rects]
+    random.Random(pi.one_line()).shuffle(boxes)
+    for r in (rs, rw, reflect_swne(rs), reflect_swne(rw), from_rects(boxes)):
         v = Rectangulation(r.rects)
         assert (r.rects, r.width, r.height) == (v.rects, v.width, v.height)
-        assert r.segments == v.segments
+        assert r.segments == v.segments == ref_segments(r)
         assert (r._left_reach, r._above_reach) == (v._left_reach, v._above_reach)
         assert to_json(r) == to_json(v)
 
@@ -681,20 +704,17 @@ def check_against_references(pi: Permutation) -> None:
     seen = []
     real = biject._poset_from_relations
 
-    def spy(n, pairs, kind):
-        poset = real(n, pairs, kind)
+    def spy(n, pairs):
+        poset = real(n, pairs)
         seen.append((n, set(pairs), poset))
         return poset
 
     for r in (rs, gamma_w(pi)):
-        assert r.segments == ref_segments(r)
         assert _adjacency_pairs(r) == ref_adjacency_pairs(r)
         with mock.patch.object(biject, "_poset_from_relations", spy):
-            adjacency_poset(r)
-            strong_poset(r)
-            weak_poset(r)
-    kinds = {poset.kind for _, _, poset in seen}
-    assert kinds == {"adjacency", "strong", "weak"}
+            for make in (adjacency_poset, strong_poset, weak_poset):
+                calls = len(seen)
+                assert make(r) is seen[-1][2] and len(seen) > calls, make.__name__
     for n, pairs, poset in seen:
         assert poset.covers == ref_covers(n, pairs)
         edges = [(i - 1, j - 1) for i, j in pairs]
@@ -719,7 +739,7 @@ def check_orders_against_references(pi: Permutation, seed: int) -> None:
         d = diagonal_representative(r)
         assert to_json(d) == to_json(ref_diagonal(r))
         assert strong_poset(r).covers == ref_covers(r.n, ref_strong_pairs(r))
-        weak = _poset_from_relations(d.n, ref_adjacency_pairs(d), "weak")
+        weak = _poset_from_relations(d.n, ref_adjacency_pairs(d))
         assert weak_poset(r).covers == weak.covers
         assert strong_key(r) == ref_leftmost(strong_poset(r))
         assert weak_key(r) == ref_leftmost(weak)
@@ -736,10 +756,7 @@ def check_orders_against_references(pi: Permutation, seed: int) -> None:
     # the validating constructor accepts exactly the NW-SE labels.
     labels = list(range(1, pi.n + 1))
     rng.shuffle(labels)
-    r = Rectangulation(
-        (Rect(lbl, *q.box) for lbl, q in zip(labels, gamma_s(pi).rects)),
-        _check_labels=False,
-    )
+    r = unchecked_labels(Rect(lbl, *q.box) for lbl, q in zip(labels, gamma_s(pi).rects))
     want = ref_labeling(r)
     assert nwse_labeling(r) == want
     assert swne_labeling(r) == ref_labeling(r, flip_above=True)
@@ -819,23 +836,28 @@ def test_decoders_and_reflection_build_one_drawing(monkeypatch):
 
 
 def test_built_drawings_are_lean_and_outside_input_validates(monkeypatch):
+    """Outside input validates its tiling exactly once; drawings the
+    library built do not validate it at all."""
+    calls = []
+    tile_walls = rect._tile_walls
+    monkeypatch.setattr(rect, "_tile_walls", lambda rects: calls.append(1) or tile_walls(rects))
     for pi in all_permutations(4):
         strong, weak = encode_strong(pi), encode_weak(pi)
         r = gamma_s(pi)
         text, boxes = to_json(r), [q.box for q in r.rects]
-        with monkeypatch.context() as m:
-            built = count_constructions(m)
-            for name, build, kind in (
-                ("gamma_s", lambda: gamma_s(pi), "lean"),
-                ("gamma_w", lambda: gamma_w(pi), "lean"),
-                ("decode_strong", lambda: decode_strong(strong), "lean"),
-                ("weak decode", lambda: decode(weak), "lean"),
-                ("from_json", lambda: from_json(text), "validating"),
-                ("from_rects", lambda: from_rects(boxes), "validating"),
-            ):
-                built.clear()
-                build()
-                assert built and set(built) == {kind}, (name, pi, built)
+        for name, build, validations in (
+            ("gamma_s", lambda: gamma_s(pi), 0),
+            ("gamma_w", lambda: gamma_w(pi), 0),
+            ("decode_strong", lambda: decode_strong(strong), 0),
+            ("weak decode", lambda: decode(weak), 0),
+            ("reflect_swne", lambda: reflect_swne(r), 0),
+            ("from_json", lambda: from_json(text), 1),
+            ("from_rects", lambda: from_rects(boxes), 1),
+            ("Rectangulation", lambda: Rectangulation(r.rects), 1),
+        ):
+            calls.clear()
+            build()
+            assert len(calls) == validations, (name, pi, len(calls))
 
 
 @given(st.integers(1, 64).flatmap(perms))
