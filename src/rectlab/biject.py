@@ -33,14 +33,12 @@ import bisect
 import functools
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .perm import Permutation, all_permutations
 from .rect import (
     Rectangulation,
     RectangulationError,
-    _bits,
-    _closure_masks,
     _compact,
     is_diagonal,
     strong_key,
@@ -155,6 +153,42 @@ def gamma_s(pi: Permutation) -> Rectangulation:
 # ---------------------------------------------------------------------------
 # Posets
 # ---------------------------------------------------------------------------
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        b = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        yield b
+
+
+def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Transitive closure as bitmasks: bit ``j`` of ``reach[i]`` iff i -> j.
+
+    One Kahn pass orders the vertices topologically; walking that order
+    backwards, each vertex ORs in the finished masks of its successors.
+    Raises ``ValueError`` when the relation has a cycle.
+    """
+    succ = [0] * n
+    for i, j in edges:
+        succ[i] |= 1 << j
+    indeg = [0] * n
+    for m in succ:
+        for j in _bits(m):
+            indeg[j] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:  # grows while iterated: a FIFO queue
+        for j in _bits(succ[i]):
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) != n:
+        raise ValueError("relation is cyclic; not a partial order")
+    for i in reversed(order):  # successors first; _bits reads succ[i] once
+        for j in _bits(succ[i]):
+            succ[i] |= succ[j]
+    return succ
 
 
 @dataclass(frozen=True)

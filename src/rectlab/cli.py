@@ -195,12 +195,10 @@ def _data_dir() -> Path:
 
 def _check_perm_counts(max_n: int) -> tuple[bool, str]:
     for n in range(1, min(max_n, 6) + 1):
-        perms = list(perm.all_permutations(n))
-        baxter = sum(1 for p in perms if "baxter" in perm.classify(p))
-        if baxter != counting.baxter_number(n):
+        flags = [perm.classify(p) for p in perm.all_permutations(n)]
+        if sum("baxter" in f for f in flags) != counting.baxter_number(n):
             return False, "baxter class count mismatch at n=%d" % n
-        separable = sum(1 for p in perms if "separable" in perm.classify(p))
-        if separable != counting.schroder_counts(n)[-1]:
+        if sum("separable" in f for f in flags) != counting.schroder_counts(n)[-1]:
             return False, "separable class count mismatch at n=%d" % n
     return True, ""
 

@@ -188,7 +188,6 @@ class CountTable:
         self._sv: dict[int, dict[tuple[int, int, int, int], int]] = {
             1: {(0, 0, 0, 0): 1}
         }
-        self._packing: _Packing | None = None
 
     @property
     def max_n(self) -> int:
@@ -227,19 +226,17 @@ class CountTable:
             raise ValueError("n must be >= 1")
         if n <= self.max_n:
             return
-        self._packing = _Packing(n)
-        try:
-            for m in range(self.max_n + 1, n + 1):
-                layer = self._compute_layer(m)
-                _check_symmetries(m, layer)
-                self._sv[m] = layer
-        finally:
-            self._packing = None
+        packing = _Packing(n)
+        for m in range(self.max_n + 1, n + 1):
+            layer = self._compute_layer(m, packing)
+            _check_symmetries(m, layer)
+            self._sv[m] = layer
 
-    def _compute_layer(self, n: int) -> dict[tuple[int, int, int, int], int]:
-        """Layer ``n`` from the stored layers below it, in the layout of the
-        running ``extend_to`` call."""
-        packing = self._packing
+    def _compute_layer(
+        self, n: int, packing: _Packing
+    ) -> dict[tuple[int, int, int, int], int]:
+        """Layer ``n`` from the stored layers below it, in the layout of
+        ``packing`` (that of the running ``extend_to`` call)."""
         for m in range(1, n):
             if m not in packing.left:
                 packing.pack(m, self._sv[m])

@@ -257,32 +257,20 @@ def occurrences(pi: Permutation, m: MeshPattern) -> Iterator[tuple[int, ...]]:
             if shading_ok():
                 yield tuple(p + 1 for p in chosen)
             return
-        if i == 0:
-            if 0 in forced:  # occurrence must start at the first position
-                candidates: Iterable[int] = (0,)
-            else:
-                candidates = range(0, n - (k - 1))
+        prev = chosen[-1] if chosen else -1  # s_0 = 0 is position -1
+        if i in forced:
+            # column i fully shaded: s_{i+1} must be s_i + 1
+            candidates: Iterable[int] = (prev + 1,) if prev + 1 <= n - (k - i) else ()
         else:
-            prev = chosen[-1]
-            if i in forced:
-                # column i fully shaded: s_{i+1} must be s_i + 1
-                candidates = (prev + 1,) if prev + 1 <= n - (k - i) else ()
-            else:
-                candidates = range(prev + 1, n - (k - 1 - i))
+            candidates = range(prev + 1, n - (k - 1 - i))
         for pos in candidates:
             if value_order_ok(pos):
                 chosen.append(pos)
                 yield from extend()
                 chosen.pop()
 
-    # Column k fully shaded forces the last point at the last position; handled
-    # by filtering completed occurrences (rare case, clarity over speed).
-    if k in forced:
-        for occ in extend():
-            if occ[-1] == n:
-                yield occ
-    else:
-        yield from extend()
+    # A fully shaded column k leaves no entry after s_k: shading_ok checks it.
+    yield from extend()
 
 
 def contains_pattern(pi: Permutation, m: MeshPattern) -> bool:

@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class RectangulationError(ValueError):
@@ -96,52 +96,16 @@ class Segment:
     side_b: tuple[int, ...]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        b = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        yield b
-
-
-def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Transitive closure as bitmasks: bit ``j`` of ``reach[i]`` iff i -> j.
-
-    One Kahn pass orders the vertices topologically; walking that order
-    backwards, each vertex ORs in the finished masks of its successors.
-    Raises ``ValueError`` when the relation has a cycle.
-    """
-    succ = [0] * n
-    for i, j in edges:
-        succ[i] |= 1 << j
-    indeg = [0] * n
-    for m in succ:
-        for j in _bits(m):
-            indeg[j] += 1
-    order = [i for i in range(n) if not indeg[i]]
-    for i in order:  # grows while iterated: a FIFO queue
-        for j in _bits(succ[i]):
-            indeg[j] -= 1
-            if not indeg[j]:
-                order.append(j)
-    if len(order) != n:
-        raise ValueError("relation is cyclic; not a partial order")
-    for i in reversed(order):  # successors first; _bits reads succ[i] once
-        for j in _bits(succ[i]):
-            succ[i] |= succ[j]
-    return succ
-
-
 class Rectangulation:
-    """An immutable generic rectangulation with derived segments and orders.
+    """An immutable generic rectangulation: its boxes and its segments.
 
     Outside input comes through :func:`from_rects`, :func:`from_json` or the
     constructor (normalized, NW-SE-labeled rectangles), each validating once
     in :func:`_tile_walls`; built drawings come from :meth:`_built`.  Both
-    assemble the segments alike; the reach masks are derived on first read.
+    assemble the segments alike; the labelings are read off the segments.
     """
 
-    __slots__ = ("rects", "width", "height", "segments", "_left_reach", "_above_reach")
+    __slots__ = ("rects", "width", "height", "segments")
 
     def __init__(self, rects: Iterable[Rect]):
         rect_list = sorted(rects, key=lambda r: r.label)
@@ -155,12 +119,10 @@ class Rectangulation:
         if min(r.x1 for r in rect_list) != 0 or min(r.y1 for r in rect_list) != 0:
             raise RectangulationError("coordinates must start at 0 (not normalized)")
         self._assemble(tuple(rect_list), _tile_walls(rect_list))
-        # NW-SE labels: label i + 1 precedes exactly the labels i + 2..n.
-        reach = enumerate(zip(self._left_reach, self._above_reach))
-        if any(l | a != (1 << n) - (2 << i) for i, (l, a) in reach):
+        order = nwse_labeling(self)
+        if order != tuple(range(1, n + 1)):
             raise RectangulationError(
-                "labels are not the NW-SE labeling (expected order %r)"
-                % (nwse_labeling(self),)
+                "labels are not the NW-SE labeling (expected order %r)" % (order,)
             )
 
     @classmethod
@@ -192,17 +154,6 @@ class Rectangulation:
             segments.append(Segment(orientation, *span, tuple(side_a), tuple(side_b)))
         segments.sort(key=lambda s: (s.orientation != "v", s.line, s.lo))
         self.segments = tuple(segments)
-
-    def __getattr__(self, name: str):
-        # Only reached for an unset slot: the reach masks, derived on first read.
-        if name not in ("_left_reach", "_above_reach"):
-            raise AttributeError(name)
-        edges: dict[str, list[tuple[int, int]]] = {"v": [], "h": []}
-        for s in self.segments:
-            edges[s.orientation].extend((i - 1, j - 1) for i in s.side_a for j in s.side_b)
-        self._left_reach = _closure_masks(self.n, edges["v"])
-        self._above_reach = _closure_masks(self.n, edges["h"])
-        return getattr(self, name)
 
     # -- basic relations -----------------------------------------------------
 
@@ -351,7 +302,7 @@ def from_rects(boxes: Iterable[Sequence[int | Fraction]]) -> Rectangulation:
         raise RectangulationError("a rectangulation has at least one rectangle")
     rects = [Rect(i, *b) for i, b in enumerate(sorted(_compact(raw)), 1)]
     walls = _tile_walls(rects)
-    order = nwse_labeling(Rectangulation._built([q.box for q in rects], walls))
+    order = _linear_order(len(rects), walls)
     rank = {q: i for i, q in enumerate(order, 1)}  # provisional label -> NW-SE label
     return Rectangulation._built(
         [rects[q - 1].box for q in order],
@@ -369,43 +320,51 @@ def _compact(boxes: Sequence[Sequence]) -> list[tuple[int, int, int, int]]:
     return [(xi[b[0]], yi[b[1]], xi[b[2]], yi[b[3]]) for b in boxes]
 
 
-def _transpose(masks: Sequence[int]) -> list[int]:
-    """Bit ``i`` of ``out[j]`` iff bit ``j`` of ``masks[i]``."""
-    out = [0] * len(masks)
-    for i, m in enumerate(masks):
-        for j in _bits(m):
-            out[j] |= 1 << i
-    return out
+def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
+    """Labels ``1..n`` in NW-SE order (SW-NE with ``swne``): each side a of a
+    wall precedes its side b, except that SW-NE puts below before above.
 
-
-def _linear_order(rows: Sequence[int]) -> tuple[int, ...]:
-    """Labels ``1..n`` in the strict total order given by ``rows``: bit ``j``
-    of ``rows[i]`` is set when label ``i + 1`` comes before label ``j + 1``.
-
-    In a total order the k-th label has ``n - 1 - k`` labels after it, so
-    sorting by bit count and checking each row against the suffix after it
-    checks every pair.  Raises :class:`RectangulationError` naming a pair
-    when the rows are not a total order.
+    Consecutive labels of either order share a wall, so the order is the
+    unique topological order of the pairs across the walls: one Kahn (1962)
+    pass that must find exactly one label ready at every step.  Raises
+    :class:`RectangulationError` naming two labels that are not comparable
+    or that lie on a cycle.
     """
-    n = len(rows)
-    order = sorted(range(n), key=lambda i: -rows[i].bit_count())
-    after = 0
-    for i in reversed(order):
-        if rows[i] != after:
-            pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
-            for a, b in pairs:
-                if not (rows[a] >> b ^ rows[b] >> a) & 1:
-                    raise RectangulationError(
-                        "rectangles %d and %d are not comparable by exactly one"
-                        " relation" % (a + 1, b + 1)
-                    )
-            # Every pair is ordered one way, so the misplaced pair is on a cycle.
-            j = next(_bits(rows[i] ^ after))
-            raise RectangulationError(
-                "rectangles %d and %d lie on a cycle of the order" % (i + 1, j + 1)
-            )
-        after |= 1 << i
-    return tuple(i + 1 for i in order)
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    indeg = [0] * (n + 1)
+    for orientation, side_a, side_b in walls:
+        if swne and orientation == "h":
+            side_a, side_b = side_b, side_a
+        for j in side_b:
+            indeg[j] += len(side_a)
+        for i in side_a:
+            succ[i] += side_b
+    ready = [i for i in range(1, n + 1) if not indeg[i]]
+    order = []
+    while len(ready) == 1:
+        i = ready.pop()
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    if ready:
+        raise RectangulationError(
+            "rectangles %d and %d are not comparable" % tuple(sorted(ready)[:2])
+        )
+    if len(order) < n:
+        # every label left has a predecessor left: walk back until one repeats
+        left = set(range(1, n + 1)).difference(order)
+        pred = {j: i for i in left for j in succ[i] if j in left}
+        seen = set()
+        j = min(left)
+        while j not in seen:
+            seen.add(j)
+            j = pred[j]
+        raise RectangulationError(
+            "rectangles %d and %d lie on a cycle of the order" % (pred[j], j)
+        )
+    return tuple(order)
 
 
 def nwse_labeling(r: Rectangulation) -> tuple[int, ...]:
@@ -414,7 +373,8 @@ def nwse_labeling(r: Rectangulation) -> tuple[int, ...]:
     For a valid rectangulation this is ``(1, 2, .., n)`` by the labeling
     invariant.
     """
-    return _linear_order([l | a for l, a in zip(r._left_reach, r._above_reach)])
+    walls = ((s.orientation, s.side_a, s.side_b) for s in r.segments)
+    return _linear_order(r.n, walls)
 
 
 def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
@@ -422,8 +382,8 @@ def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
 
     ``i`` before ``j`` iff ``i`` left of ``j`` or ``j`` above ``i``.
     """
-    below = _transpose(r._above_reach)
-    return _linear_order([l | b for l, b in zip(r._left_reach, below)])
+    walls = ((s.orientation, s.side_a, s.side_b) for s in r.segments)
+    return _linear_order(r.n, walls, swne=True)
 
 
 def from_json(text: str) -> Rectangulation:

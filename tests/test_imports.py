@@ -1,6 +1,7 @@
 """Package layering: modules import each other at the top level only, only
 outside input validates a tiling, the lean constructor stays behind the
-library's own drawings, and the package keeps its checks under ``python -O``."""
+library's own drawings, every transitive closure is a poset's in ``biject``,
+and the package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -69,24 +70,32 @@ def _calls(name: str):
 def test_lean_constructor_only_in_forward_maps():
     """Only the constructor and ``from_rects`` validate a tiling, and only
     the drawings the library builds itself (``gamma_s``, ``gamma_w``,
-    ``reflect_swne``) reach the lean constructor from outside ``rect``."""
+    ``reflect_swne``) reach the lean constructor from outside ``rect``;
+    ``from_rects`` reaches it once, for the drawing it returns."""
     assert _calls("_tile_walls") == [("rect.py", "__init__"), ("rect.py", "from_rects")]
     assert _calls("_built") == [
         ("biject.py", "gamma_s"),
         ("biject.py", "gamma_w"),
         ("biject.py", "reflect_swne"),
         ("rect.py", "from_rects"),
-        ("rect.py", "from_rects"),
     ]
 
 
+def test_closures_only_in_biject():
+    """``rect`` reads its labelings off the walls; every transitive closure
+    is a poset's, in ``biject``."""
+    assert {path for path, _ in _calls("_closure_masks")} == {"biject.py"}
+
+
 def test_verify_passes_under_optimize():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "rectlab.cli", "verify", "walks", "--max-n", "4"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.rstrip().endswith(" 0 failed")
+    # rect goes through the constructor's label check and both labelings
+    for group in ("walks", "rect"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "rectlab.cli", "verify", group, "--max-n", "4"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, (group, proc.stderr)
+        assert proc.stdout.rstrip().endswith(" 0 failed"), group

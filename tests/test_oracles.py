@@ -8,13 +8,13 @@ comprehension, all-pairs scans and exact ``Fraction`` midpoints) must agree
 with them exactly: same covers, same segments, same JSON bytes.
 
 Orders and joint counts are read from what a rectangulation already holds:
-labelings sort the reach-mask rows by bit count, joint counts are side
-lengths minus one, extensions read cover predecessors.  The comparison
-sort, the all-pairs joint scan, the closure transpose, the separate
-greedy loops and the per-orientation copies they replaced are the
-references here, and so are the recursive extension enumerator and the
-memoized recursive count that the explicit stack and the layered downset
-count replaced.
+labelings are one topological pass over the pairs across its walls, joint
+counts are side lengths minus one, extensions read cover predecessors.
+The comparison sort over the fixpoint left-of and above closures, the
+all-pairs joint scan, the separate greedy loops and the per-orientation
+copies they replaced are the references here, and so are the recursive
+extension enumerator and the memoized recursive count that the explicit
+stack and the layered downset count replaced.
 
 Walk counts come from one interval-window frontier DP.  Two independent
 engines check it: the dense DP over every (x, y, color) cell with its own
@@ -22,9 +22,11 @@ copy of the step rules, and the hand-derived first-point-removal
 recurrences for the leftright families U and O.
 
 The forward maps build their drawings with the lean constructor, taking
-the segments from the insertion and the reach masks on first read.  The
-validating constructor is the reference: rebuilt from the same boxes, it
-must give the same object field by field and the same JSON bytes.
+the segments from the insertion.  The validating constructor is the
+reference: rebuilt from the same boxes, it must give the same object
+field by field and the same JSON bytes.  Outside JSON, fuzzed from both
+images by one mutation each, must be accepted exactly when its tiling
+validates and the comparison sort reads its labels as NW-SE.
 
 Walks decode through the permutation they encode, replayed over the NW-SE
 order of the steps.  The reference decoder replays the staircase
@@ -44,6 +46,7 @@ the same systems until nothing changes.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -54,6 +57,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectlab import biject, rect
+from rectlab.cli import run
 from rectlab.counting import (
     CountTable,
     Series,
@@ -63,6 +67,7 @@ from rectlab.counting import (
 )
 from rectlab.biject import (
     _adjacency_pairs,
+    _closure_masks,
     _poset_from_relations,
     _Staircase,
     adjacency_poset,
@@ -83,7 +88,6 @@ from rectlab.rect import (
     Rectangulation,
     RectangulationError,
     Segment,
-    _closure_masks,
     _tile_walls,
     from_json,
     from_rects,
@@ -252,25 +256,27 @@ def ref_decode_strong(w):
     return from_rects(boxes)
 
 
-def left_of(r, i, j):
-    """Rectangle ``i`` left of ``j`` via a chain of shared vertical walls."""
-    return bool(r._left_reach[i - 1] >> (j - 1) & 1)
+def left_of(reach, i, j):
+    """Rectangle ``i`` left of ``j`` via a chain of shared vertical walls,
+    read off ``reach = ref_reach(r)``."""
+    return bool(reach[0][i - 1] >> (j - 1) & 1)
 
 
-def above(r, i, j):
+def above(reach, i, j):
     """Rectangle ``i`` above ``j`` via a chain of shared horizontal walls."""
-    return bool(r._above_reach[i - 1] >> (j - 1) & 1)
+    return bool(reach[1][i - 1] >> (j - 1) & 1)
 
 
 def ref_labeling(r, flip_above=False):
     """NW-SE (or, flipping above, SW-NE) labels by a comparison sort that
     asks ``left_of``/``above`` about each pair it compares."""
+    reach = ref_reach(r)
 
     def cmp(i, j):
         if i == j:
             return 0
-        li, lj = left_of(r, i, j), left_of(r, j, i)
-        ai, aj = above(r, i, j), above(r, j, i)
+        li, lj = left_of(reach, i, j), left_of(reach, j, i)
+        ai, aj = above(reach, i, j), above(reach, j, i)
         if flip_above:
             ai, aj = aj, ai
         before, after = li or ai, lj or aj
@@ -690,7 +696,6 @@ def check_lean_matches_validated(pi: Permutation) -> None:
         v = Rectangulation(r.rects)
         assert (r.rects, r.width, r.height) == (v.rects, v.width, v.height)
         assert r.segments == v.segments == ref_segments(r)
-        assert (r._left_reach, r._above_reach) == (v._left_reach, v._above_reach)
         assert to_json(r) == to_json(v)
 
 
@@ -728,7 +733,6 @@ def check_orders_against_references(pi: Permutation, seed: int) -> None:
     shuffled = from_rects(boxes)
     assert to_json(shuffled) == to_json(ref_from_rects(boxes))
     for r in (gamma_s(pi), gamma_w(pi), shuffled):
-        assert (r._left_reach, r._above_reach) == ref_reach(r)
         assert nwse_labeling(r) == ref_labeling(r) == tuple(range(1, r.n + 1))
         assert swne_labeling(r) == ref_labeling(r, flip_above=True)
         assert segment_joint_counts(r) == ref_joint_counts(r)
@@ -872,6 +876,82 @@ def test_random_orders_against_references(pi, seed):
     check_orders_against_references(pi, seed)
 
 
+MUTATIONS = ("none", "swap", "shift", "drop", "duplicate")
+
+
+def mutated_rows(pi, weak, mutation, rng):
+    """``(label, x1, y1, x2, y2)`` rows of an image of ``pi`` under one
+    mutation: two labels swapped, one coordinate moved by one, one
+    rectangle dropped or one duplicated."""
+    rows = [[q.label, *q.box] for q in (gamma_w if weak else gamma_s)(pi).rects]
+    if mutation == "swap" and len(rows) > 1:
+        a, b = rng.sample(range(len(rows)), 2)
+        rows[a][0], rows[b][0] = rows[b][0], rows[a][0]
+    elif mutation == "shift":
+        rows[rng.randrange(len(rows))][rng.randrange(1, 5)] += rng.choice((-1, 1))
+    elif mutation == "drop":
+        del rows[rng.randrange(len(rows))]
+    elif mutation == "duplicate":
+        rows.append(list(rng.choice(rows)))
+    return rows
+
+
+def rows_json(rows):
+    fields = ("label", "x1", "y1", "x2", "y2")
+    return json.dumps({"n": len(rows), "rects": [dict(zip(fields, row)) for row in rows]})
+
+
+def accepts(rows):
+    """Whether a document of ``rows`` is a drawing: labels ``1..n``, boxes
+    from 0 that tile, and ``ref_labeling`` (over ``ref_reach``) ``1..n``."""
+    try:
+        rects = [Rect(*row) for row in rows]
+    except RectangulationError:
+        return False
+    n = len(rects)
+    if not rects or sorted(q.label for q in rects) != list(range(1, n + 1)):
+        return False
+    if min(q.x1 for q in rects) or min(q.y1 for q in rects):
+        return False
+    try:
+        r = unchecked_labels(rects)
+    except RectangulationError:
+        return False
+    return ref_labeling(r) == tuple(range(1, n + 1))
+
+
+@given(
+    st.integers(1, 12).flatmap(perms),
+    st.booleans(),
+    st.sampled_from(MUTATIONS),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_from_json_accepts_exactly_the_drawings(pi, weak, mutation, seed):
+    rows = mutated_rows(pi, weak, mutation, random.Random(seed))
+    try:
+        r = from_json(rows_json(rows))
+    except RectangulationError:  # any other exception fails the test
+        assert not accepts(rows)
+    else:
+        assert accepts(rows)
+        assert sorted([q.label, *q.box] for q in r.rects) == sorted(rows)
+
+
+def test_key_cli_on_mutated_documents(tmp_path, capsys):
+    rng = random.Random(1962)
+    path = tmp_path / "doc.json"
+    for k in range(30):
+        n = rng.randint(1, 12)
+        pi = Permutation(rng.sample(range(1, n + 1), n))
+        rows = mutated_rows(pi, k % 2, MUTATIONS[k % 5], rng)
+        path.write_text(rows_json(rows))
+        code = run(["key", "--strong", str(path)])
+        err = capsys.readouterr().err
+        assert code == (0 if accepts(rows) else 1), (rows, err)
+        assert "Traceback" not in err
+
+
 @given(
     st.integers(1, 12).flatmap(
         lambda n: st.tuples(
@@ -942,8 +1022,7 @@ def test_guillotine_layer_matches_direct_recurrence(ref_guillotine_layers, n):
     for N in (n, GUILLOTINE_ORACLE_N):
         table = CountTable()
         table._sv = {m: ref_guillotine_layers[m] for m in range(1, n)}
-        table._packing = _Packing(N)
-        layer = table._compute_layer(n)
+        layer = table._compute_layer(n, _Packing(N))
         assert layer == ref_guillotine_layers[n]
         assert 0 not in layer.values()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -227,7 +228,50 @@ def naive_vincular_contains(
     return extend([])
 
 
+def ref_occurrences(pi: Permutation, m: MeshPattern) -> list[tuple[int, ...]]:
+    """Every k-subset of positions, checked by the module docstring's
+    definition: order-isomorphic to ``tau`` and no entry of ``pi`` inside a
+    shaded cell, with sentinels ``s_0 = t_0 = 0`` and ``s_{k+1} = t_{k+1} = n+1``."""
+    n, k = len(pi), m.k
+    out = []
+    for s in combinations(range(1, n + 1), k):
+        vals = [pi[p - 1] for p in s]
+        pairs = combinations(range(k), 2)
+        if any((vals[a] < vals[b]) != (m.tau[a] < m.tau[b]) for a, b in pairs):
+            continue
+        cols, t = (0, *s, n + 1), (0, *sorted(vals), n + 1)
+        if not any(
+            t[j] < pi[ell - 1] < t[j + 1]
+            for i, j in m.shaded
+            for ell in range(cols[i] + 1, cols[i + 1])
+        ):
+            out.append(s)
+    return out
+
+
+def shaded_patterns(seed: int) -> list[MeshPattern]:
+    """Every pattern of size <= 3 under random shadings: two as drawn, and
+    one each with its first column, its last column and both fully shaded."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(1, 4):
+        cells = [(i, j) for i in range(k + 1) for j in range(k + 1)]
+        for tau in all_permutations(k):
+            for full in ((), (), (0,), (k,), (0, k)):
+                shaded = {c for c in cells if rng.random() < 0.25}
+                shaded |= {(c, j) for c in full for j in range(k + 1)}
+                out.append(MeshPattern(tau, frozenset(shaded)))
+    return out
+
+
 class TestContainmentOracles:
+    def test_occurrences_match_every_subset_check(self):
+        patterns = shaded_patterns(10) + [WINDMILL_MESH_CW, WINDMILL_MESH_CCW]
+        for n in range(1, 7):
+            for pi in all_permutations(n):
+                for m in patterns:
+                    assert list(occurrences(pi, m)) == ref_occurrences(pi, m), (pi, m)
+
     def test_classical_matches_naive_s6_x_s3(self):
         patterns = [classical_pattern(t) for t in all_permutations(3)]
         for pi in all_permutations(6):

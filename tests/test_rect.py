@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from rectlab.rect import (
     Rect,
     Rectangulation,
     RectangulationError,
+    Segment,
     _linear_order,
     find_windmills,
     from_json,
@@ -247,21 +250,101 @@ class TestLabelings:
                         assert leftof[i][j] or above[i][j]  # i < j points NW
 
     @pytest.mark.parametrize("labeling", [nwse_labeling, swne_labeling])
-    def test_corrupt_reach_names_a_pair(self, labeling):
-        # Built drawings are never corrupt; tamper with one past validation,
-        # so that rectangles side by side are no longer related at all.
+    def test_dropped_wall_names_an_incomparable_pair(self, labeling):
+        # Built drawings are never corrupt; tamper with one past validation.
+        # Consecutive labels share a wall, so no wall can go missing.
         r = build(D1_RECTS)
-        object.__setattr__(r, "_left_reach", [0] * r.n)
-        with pytest.raises(
-            RectangulationError, match=r"rectangles \d+ and \d+ are not comparable"
-        ):
-            labeling(r)
+        segments = r.segments
+        for k in range(len(segments)):
+            r.segments = segments[:k] + segments[k + 1 :]
+            i, j = named_pair(labeling, r, "are not comparable")
+            after = labels_after(r.segments, r.n, labeling is swne_labeling)
+            assert j not in after[i] and i not in after[j]
 
-    def test_cyclic_rows_name_a_pair(self):
-        # every pair ordered one way, but 1 < 2 < 3 < 1
+    @pytest.mark.parametrize("labeling", [nwse_labeling, swne_labeling])
+    def test_wall_both_ways_names_a_cycle(self, labeling):
+        # The two sides of a wall are related only across it, so reversing
+        # a wall alone closes no cycle: add the reversed copy instead.
+        r = build(D1_RECTS)
+        segments = r.segments
+        for s in segments:
+            r.segments = segments + (replace(s, side_a=s.side_b, side_b=s.side_a),)
+            i, j = named_pair(labeling, r, "lie on a cycle of the order")
+            after = labels_after(r.segments, r.n, labeling is swne_labeling)
+            assert j in after[i] and i in after[j]
+
+    def test_linear_order_reads_walls(self):
+        walls = [("v", (2,), (3,)), ("h", (3,), (1,))]
+        assert _linear_order(3, walls) == (2, 3, 1)
+        # SW-NE: 1 (below 3) and 2 (left of 3) both come first
+        with pytest.raises(RectangulationError, match="1 and 2 are not comparable"):
+            _linear_order(3, walls, swne=True)
         with pytest.raises(RectangulationError, match="on a cycle"):
-            _linear_order([0b010, 0b100, 0b001])
-        assert _linear_order([0b000, 0b101, 0b001]) == (2, 3, 1)
+            _linear_order(3, walls + [("v", (1,), (2,))])
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from("vh"),
+                        st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True),
+                        st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True),
+                    ),
+                    max_size=2 * n,
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_linear_order_matches_reachability(self, case, swne):
+        n, walls = case
+        walls = [(o, a, [q for q in b if q not in a]) for o, a, b in walls]
+        segments = [Segment(o, 0, 0, 0, tuple(a), tuple(b)) for o, a, b in walls]
+        after = labels_after(segments, n, swne)
+        total = all(q not in after[q] for q in after) and all(
+            (j in after[i]) != (i in after[j]) for i in after for j in after if i < j
+        )
+        try:
+            order = _linear_order(n, walls, swne)
+        except RectangulationError as exc:
+            assert not total
+            i, j = map(int, re.findall(r"\d+", str(exc))[:2])
+            cyclic = "on a cycle" in str(exc)
+            assert (j in after[i], i in after[j]) == (cyclic, cyclic)
+        else:
+            # each label precedes exactly the labels after it
+            assert total
+            assert all(after[q] == set(order[k + 1 :]) for k, q in enumerate(order))
+
+
+def labels_after(segments, n, swne=False):
+    """Label -> the labels that a chain of pairs across ``segments`` leads
+    to (side a before side b; SW-NE reverses the horizontal sides)."""
+    labels = range(1, n + 1)
+    succ = {q: set() for q in labels}
+    for s in segments:
+        flip = swne and s.orientation == "h"
+        for i in s.side_b if flip else s.side_a:
+            succ[i].update(s.side_a if flip else s.side_b)
+    after = {}
+    for start in labels:
+        seen, stack = set(), [start]
+        while stack:
+            for j in succ[stack.pop()] - seen:
+                seen.add(j)
+                stack.append(j)
+        after[start] = seen
+    return after
+
+
+def named_pair(labeling, r, what):
+    """The two labels that ``labeling(r)``'s error names as ``what``."""
+    with pytest.raises(RectangulationError, match=r"rectangles \d+ and \d+ " + what) as exc:
+        labeling(r)
+    return tuple(map(int, re.findall(r"\d+", str(exc.value))[:2]))
 
 
 # ---------------------------------------------------------------------------
