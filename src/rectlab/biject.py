@@ -29,7 +29,6 @@ Conventions
 
 from __future__ import annotations
 
-import bisect
 import functools
 import os
 from dataclasses import dataclass
@@ -40,66 +39,12 @@ from .rect import (
     Rectangulation,
     RectangulationError,
     _compact,
+    _Staircase,
     is_diagonal,
     strong_key,
     swne_labeling,
     weak_key,
 )
-
-
-class _Staircase:
-    """Peak bookkeeping shared by the forward algorithms and walk encoding,
-    and the walls it builds: ``(orientation, side_a, side_b)``, sides in
-    order.  Both maps keep every rectangle-segment adjacency, so these are
-    the segments of both."""
-
-    __slots__ = ("labels", "inserted", "right", "top", "walls")
-
-    def __init__(self, n: int):
-        self.labels = [0, n + 1]
-        self.inserted = {0, n + 1}
-        # the walls right of / above each label; the sentinels' sides lie on
-        # the box boundary, which takes appends like a wall but is no segment
-        edge = ("", [], [])
-        self.right, self.top = [edge] * (n + 2), [edge] * (n + 2)
-        self.walls: list[tuple[str, list[int], list[int]]] = []
-
-    def insert(self, j: int) -> tuple[int, int, int, int, bool, bool]:
-        """Insert label ``j``; returns (a, b, valley_index, n_valleys,
-        top_aligned, right_aligned) describing the state *before* insertion.
-        """
-        labels = self.labels
-        idx = bisect.bisect_left(labels, j)
-        if not 0 < idx < len(labels) or labels[idx] == j:
-            raise RectangulationError(
-                "staircase invariant violated at %d: no valley strictly between"
-                " two peaks holds it" % j
-            )
-        a, b = labels[idx - 1], labels[idx]
-        valley_index = idx - 1
-        n_valleys = len(labels) - 1
-        top = self.inserted.issuperset(range(a + 1, j))
-        right = self.inserted.issuperset(range(j + 1, b))
-        labels[idx - top : idx + right] = [j]  # j replaces the peaks it aligns with
-        idx -= top
-        self.inserted.add(j)
-        near = labels[max(idx - 1, 0) : idx + 2]  # only the gaps next to j changed
-        if any(y - x < 2 for x, y in zip(near, near[1:])):
-            raise RectangulationError(
-                "staircase invariant violated at %d: consecutive peak labels"
-                " differ by < 2" % j
-            )
-        R, T = self.right, self.top
-        T[j] = T[a] if top else ("h", [], [])
-        R[j] = R[b] if right else ("v", [], [])
-        self.walls += [w for w, old in ((T[j], top), (R[j], right)) if not old]
-        # j is right of R[a], above T[b], below T[j] and left of R[j];
-        # vertical sides are listed top-down, so they grow at the front
-        R[a][2].insert(0, j)
-        T[b][1].append(j)
-        T[j][2].append(j)
-        R[j][1].insert(0, j)
-        return a, b, valley_index, n_valleys, top, right
 
 
 def gamma_w(pi: Permutation) -> Rectangulation:

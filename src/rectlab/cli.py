@@ -554,11 +554,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of this process, built by the first :func:`run`.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Parse and execute; returns the process exit code."""
-    parser = build_parser()
+    """Parse and execute; returns the process exit code.
+
+    Every call in a process shares one parser: parsing leaves it unchanged,
+    and rebuilding its dozen subparsers would cost more than most requests.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         code = exc.code
         return code if isinstance(code, int) else 2

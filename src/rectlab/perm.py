@@ -18,6 +18,10 @@ Conventions
   column ``c`` is fully shaded, which forces ``s_{c+1} = s_c + 1``.
 - The *weak Bruhat order* compares permutations by inclusion of inversion
   sets; covers differ by one adjacent transposition creating one inversion.
+- Class flags are pattern avoidance.  The windmill flag is decided without
+  the matcher: by the source paper's theorem it holds exactly when the
+  staircase insertion's walls, from :mod:`rectlab.rect` (the one package
+  module imported here), hold no windmill.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .rect import _Staircase, _windmills
 
 
 class Permutation(tuple):
@@ -306,7 +312,9 @@ def classify(pi: Permutation) -> frozenset[str]:
     ``co_twisted_baxter``/``semi_baxter`` avoid vincular pairs (or the single
     vincular pattern for ``semi_baxter``); ``two_clumped``/``co_two_clumped``
     avoid their four vincular patterns; ``windmill_mesh_avoiding`` avoids both
-    windmill mesh patterns.
+    windmill mesh patterns.  The first seven run the mesh matcher; the
+    windmill flag is read off the staircase insertion's walls instead (see
+    :func:`_windmill_free`), where the matcher would cost far more.
     """
     flags = set()
     if avoids_all(pi, (VINC_2_41_3, VINC_3_14_2)):
@@ -323,9 +331,24 @@ def classify(pi: Permutation) -> frozenset[str]:
         flags.add("co_two_clumped")
     if not contains_pattern(pi, VINC_2_41_3):
         flags.add("semi_baxter")
-    if avoids_all(pi, (WINDMILL_MESH_CW, WINDMILL_MESH_CCW)):
+    if _windmill_free(pi):
         flags.add("windmill_mesh_avoiding")
     return frozenset(flags)
+
+
+def _windmill_free(pi: Permutation) -> bool:
+    """Whether ``pi`` avoids both windmill mesh patterns.
+
+    By the source paper's theorem these are exactly the permutations whose
+    images are guillotine, that is windmill-free.  So the flag inserts
+    ``pi`` into a staircase and walks its walls (the segments of both
+    ``gamma_w(pi)`` and ``gamma_s(pi)``) for a windmill in O(n), building
+    no drawing.  The mesh matcher is the reference in the tests.
+    """
+    st = _Staircase(pi.n)
+    for j in pi:
+        st.insert(j)
+    return next(_windmills(pi.n, st.walls), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,25 @@ Conventions
 - A *segment* is a maximal straight interval of internal walls.  A valid
   rectangulation of size ``n`` has exactly ``n - 1`` segments.
 - A drawing is its boxes plus its walls (one per segment, sides in order
-  along it); :func:`_tile_walls` validates outside input and yields them.
+  along it); :func:`_tile_walls` validates outside input and yields them,
+  and the :class:`_Staircase` of an insertion builds them for the forward
+  maps.
+- Each end of a segment lies on the frame or strictly inside one
+  perpendicular segment, its *hook*, which the walls alone name.  A
+  windmill is a 4-cycle of hooks, and a drawing is guillotine exactly when
+  it has none: :func:`find_windmills`, :func:`is_guillotine` and the
+  windmill flag of :func:`rectlab.perm.classify` are one O(n) walk over
+  the walls (:func:`_windmills`).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class RectangulationError(ValueError):
@@ -320,6 +329,62 @@ def _compact(boxes: Sequence[Sequence]) -> list[tuple[int, int, int, int]]:
     return [(xi[b[0]], yi[b[1]], xi[b[2]], yi[b[3]]) for b in boxes]
 
 
+class _Staircase:
+    """The staircase of an insertion (see :mod:`rectlab.biject`): peak
+    bookkeeping shared by the forward maps, the walk encoding and the
+    windmill flag of :func:`rectlab.perm.classify`, and the walls it builds:
+    ``(orientation, side_a, side_b)``, sides in order.  Both maps keep every
+    rectangle-segment adjacency, so these are the segments of both."""
+
+    __slots__ = ("labels", "inserted", "right", "top", "walls")
+
+    def __init__(self, n: int):
+        self.labels = [0, n + 1]
+        self.inserted = {0, n + 1}
+        # the walls right of / above each label; the sentinels' sides lie on
+        # the box boundary, which takes appends like a wall but is no segment
+        edge = ("", [], [])
+        self.right, self.top = [edge] * (n + 2), [edge] * (n + 2)
+        self.walls: list[tuple[str, list[int], list[int]]] = []
+
+    def insert(self, j: int) -> tuple[int, int, int, int, bool, bool]:
+        """Insert label ``j``; returns (a, b, valley_index, n_valleys,
+        top_aligned, right_aligned) describing the state *before* insertion.
+        """
+        labels = self.labels
+        idx = bisect.bisect_left(labels, j)
+        if not 0 < idx < len(labels) or labels[idx] == j:
+            raise RectangulationError(
+                "staircase invariant violated at %d: no valley strictly between"
+                " two peaks holds it" % j
+            )
+        a, b = labels[idx - 1], labels[idx]
+        valley_index = idx - 1
+        n_valleys = len(labels) - 1
+        top = self.inserted.issuperset(range(a + 1, j))
+        right = self.inserted.issuperset(range(j + 1, b))
+        labels[idx - top : idx + right] = [j]  # j replaces the peaks it aligns with
+        idx -= top
+        self.inserted.add(j)
+        near = labels[max(idx - 1, 0) : idx + 2]  # only the gaps next to j changed
+        if any(y - x < 2 for x, y in zip(near, near[1:])):
+            raise RectangulationError(
+                "staircase invariant violated at %d: consecutive peak labels"
+                " differ by < 2" % j
+            )
+        R, T = self.right, self.top
+        T[j] = T[a] if top else ("h", [], [])
+        R[j] = R[b] if right else ("v", [], [])
+        self.walls += [w for w, old in ((T[j], top), (R[j], right)) if not old]
+        # j is right of R[a], above T[b], below T[j] and left of R[j];
+        # vertical sides are listed top-down, so they grow at the front
+        R[a][2].insert(0, j)
+        T[b][1].append(j)
+        T[j][2].append(j)
+        R[j][1].insert(0, j)
+        return a, b, valley_index, n_valleys, top, right
+
+
 def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
     """Labels ``1..n`` in NW-SE order (SW-NE with ``swne``): each side a of a
     wall precedes its side b, except that SW-NE puts below before above.
@@ -367,14 +432,18 @@ def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _walls(r: Rectangulation):
+    """The walls of ``r`` as ``(orientation, side_a, side_b)``, in segment order."""
+    return [(s.orientation, s.side_a, s.side_b) for s in r.segments]
+
+
 def nwse_labeling(r: Rectangulation) -> tuple[int, ...]:
     """Labels in NW-SE reading order: ``i`` before ``j`` iff left-of or above.
 
     For a valid rectangulation this is ``(1, 2, .., n)`` by the labeling
     invariant.
     """
-    walls = ((s.orientation, s.side_a, s.side_b) for s in r.segments)
-    return _linear_order(r.n, walls)
+    return _linear_order(r.n, _walls(r))
 
 
 def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
@@ -382,8 +451,7 @@ def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
 
     ``i`` before ``j`` iff ``i`` left of ``j`` or ``j`` above ``i``.
     """
-    walls = ((s.orientation, s.side_a, s.side_b) for s in r.segments)
-    return _linear_order(r.n, walls, swne=True)
+    return _linear_order(r.n, _walls(r), swne=True)
 
 
 def from_json(text: str) -> Rectangulation:
@@ -518,28 +586,53 @@ def guillotine_tree(r: Rectangulation):
     chosen at each node is the leftmost vertical full cut, else the topmost
     horizontal one (any full cut of a guillotine rectangulation works, the
     choice just fixes a deterministic tree).
+
+    A full cut of a part is a segment spanning it: genericity stops the
+    segment at the cuts (or the frame) that bound the part.  So each part
+    looks its cut up by one bisection among the lines of the segments with
+    its span, and the parts wait on an explicit queue; O(n log n) overall.
     """
-
-    box = {q.label: q.box for q in r.rects}
-
-    def solve(labels: tuple[int, ...]):
-        if len(labels) == 1:
-            return ("leaf", labels[0])
-        for orientation, k in (("v", 0), ("h", 1)):  # k: box index of x1 / y1
-            # every far side but the outermost one may carry a full cut
-            for c in sorted({box[i][k + 2] for i in labels})[:-1]:
-                if all(not box[i][k] < c < box[i][k + 2] for i in labels):
-                    a = solve(tuple(i for i in labels if box[i][k + 2] <= c))
-                    b = solve(tuple(i for i in labels if box[i][k] >= c)) if a else None
-                    return (orientation, c, a, b) if b else None
-        return None
-
-    return solve(tuple(range(1, r.n + 1)))
+    leaf = {q.box: q.label for q in r.rects}
+    lines: dict[tuple[str, int, int], list[int]] = {}
+    for s in r.segments:  # sorted by line
+        lines.setdefault((s.orientation, s.lo, s.hi), []).append(s.line)
+    parts = [(0, 0, r.width, r.height)]
+    cuts = []  # per part: its leaf, or (orientation, line, first child's index)
+    for x1, y1, x2, y2 in parts:  # grows while iterated: parents before children
+        if (x1, y1, x2, y2) in leaf:
+            cuts.append(("leaf", leaf[x1, y1, x2, y2]))
+            continue
+        for orientation, span, lo, hi in (("v", (y1, y2), x1, x2), ("h", (x1, x2), y1, y2)):
+            found = lines.get((orientation, *span), ())
+            i = bisect.bisect_right(found, lo)
+            if i < len(found) and found[i] < hi:
+                c = found[i]
+                cuts.append((orientation, c, len(parts)))
+                if orientation == "v":
+                    parts += [(x1, y1, c, y2), (c, y1, x2, y2)]
+                else:
+                    parts += [(x1, y1, x2, c), (x1, c, x2, y2)]
+                break
+        else:
+            return None
+    trees: list = [None] * len(parts)
+    for i in reversed(range(len(parts))):  # children before parents
+        cut = cuts[i]
+        if cut[0] != "leaf":
+            orientation, c, k = cut
+            cut = (orientation, c, trees[k], trees[k + 1])
+        trees[i] = cut
+    return trees[0]
 
 
 def is_guillotine(r: Rectangulation) -> bool:
-    """True iff the rectangulation can be fully decomposed by straight cuts."""
-    return guillotine_tree(r) is not None
+    """True iff the rectangulation can be fully decomposed by straight cuts.
+
+    A generic rectangulation is guillotine exactly when it has no windmill,
+    so this is one hook walk over the walls, O(n); :func:`guillotine_tree`
+    builds the cuts themselves.
+    """
+    return next(_windmills(r.n, _walls(r)), None) is None
 
 
 @dataclass(frozen=True)
@@ -559,43 +652,55 @@ class Windmill:
 
 
 def find_windmills(r: Rectangulation) -> list[Windmill]:
-    """All windmills, each reported once with a fixed role assignment."""
-    horizontals = [s for s in r.segments if s.orientation == "h"]
-    verticals = [s for s in r.segments if s.orientation == "v"]
+    """All windmills, each reported once with a fixed role assignment: by
+    top wall in segment order, the ``ccw`` one before the ``cw`` one."""
+    s = r.segments
+    return [
+        Windmill(chirality, s[top], s[right], s[bottom], s[left])
+        for chirality, top, right, bottom, left in _windmills(r.n, _walls(r))
+    ]
 
-    def inside(coord: int, seg: Segment) -> bool:
-        return seg.lo < coord < seg.hi
 
-    out = []
-    for h1 in horizontals:
-        for v1 in verticals:
-            # cw: h1's right end inside v1 / ccw: h1's left end inside v1
-            cw_hook = v1.line == h1.hi and inside(h1.line, v1)
-            ccw_hook = v1.line == h1.lo and inside(h1.line, v1)
-            if not (cw_hook or ccw_hook):
-                continue
-            for h2 in horizontals:
-                if h2.line != v1.hi or not inside(v1.line, h2):
-                    continue  # v1's bottom end must be inside h2
-                for v2 in verticals:
-                    if cw_hook:
-                        if v2.line != h2.lo or not inside(h2.line, v2):
-                            continue  # h2's left end inside v2
-                    else:
-                        if v2.line != h2.hi or not inside(h2.line, v2):
-                            continue  # h2's right end inside v2
-                    if h1.line != v2.lo or not inside(v2.line, h1):
-                        continue  # v2's top end must be inside h1
-                    out.append(
-                        Windmill(
-                            "cw" if cw_hook else "ccw",
-                            top=h1,
-                            right=v1 if cw_hook else v2,
-                            bottom=h2,
-                            left=v2 if cw_hook else v1,
-                        )
-                    )
-    return out
+def _windmills(n: int, walls) -> Iterator[tuple[str, int, int, int, int]]:
+    """Every windmill among the walls ``(orientation, side_a, side_b)`` of a
+    drawing of size ``n``, as ``(chirality, top, right, bottom, left)`` wall
+    indices, in the order of :func:`find_windmills`.
+
+    In a generic drawing each end of a segment lies on the frame or strictly
+    inside exactly one perpendicular segment, its *hook*, and the walls
+    alone name it: a horizontal wall's right (left) end hooks into the wall
+    right of its last (left of its first) side-a rectangle, a vertical
+    wall's bottom (top) end into the wall below its last (above its first)
+    side-a rectangle.  A windmill is a 4-cycle of hooks: ``cw`` runs from
+    the top wall's right end through a bottom end, a left end and a top end
+    back to it; ``ccw`` is its mirror image.  One pass: O(n).
+    """
+    ends = []  # per wall: orientation, first and last side-a label
+    # the wall right of / left of / below / above each label; -1: the frame
+    right, left, below, above = ([-1] * (n + 1) for _ in range(4))
+    for w, (orientation, side_a, side_b) in enumerate(walls):
+        before, after = (right, left) if orientation == "v" else (below, above)
+        for q in side_a:
+            before[q] = w
+        for q in side_b:
+            after[q] = w
+        ends.append((orientation, side_a[0], side_a[-1]))
+    for top, (orientation, first, last) in enumerate(ends):
+        if orientation != "h":
+            continue
+        # ccw: the top wall's left end, then the bottom wall's right end; cw:
+        # the top wall's right end, then the bottom wall's left end
+        for chirality, v1, turn, k in (
+            ("ccw", left[first], right, 2),
+            ("cw", right[last], left, 1),
+        ):
+            bottom = below[ends[v1][2]] if v1 >= 0 else -1
+            v2 = turn[ends[bottom][k]] if bottom >= 0 else -1
+            if v2 >= 0 and above[ends[v2][1]] == top:
+                if chirality == "cw":
+                    yield chirality, top, v1, bottom, v2
+                else:
+                    yield chirality, top, v2, bottom, v1
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Iterator
 
-from .biject import _Staircase, gamma_s, gamma_w
+from .biject import gamma_s, gamma_w
 from .perm import Permutation, _numeral
-from .rect import Rectangulation
+from .rect import Rectangulation, _Staircase
 
 COLORS = ("black", "red", "green", "white")
 _LEVEL_STEP = {"black": 1, "red": 0, "green": 0, "white": -1}

@@ -54,6 +54,7 @@ from rectlab.perm import (
     WINDMILL_MESH_CCW,
     WINDMILL_MESH_CW,
     Permutation,
+    _windmill_free,
     all_permutations,
     avoids_all,
     contains_pattern,
@@ -231,6 +232,15 @@ class TestGuillotineCharacterization:
             assert len(scan8.guillotine_image[n]) == avoiding
             assert not (scan8.guillotine_image[n] & mesh_containing)
         assert scan8.seconds + time.perf_counter() - start < 600
+
+    def test_windmill_flag_iff_mesh_avoidance(self, scan8):
+        """``classify``'s flag, read off the staircase walls, agrees with the
+        mesh matcher on all of S_1..S_8."""
+        for n in range(1, 9):
+            containing = scan8.contains[n]["mesh_cw"] | scan8.contains[n]["mesh_ccw"]
+            free = frozenset(pi for pi in all_permutations(n) if _windmill_free(pi))
+            assert len(free) == scan8.counts[n] - len(containing)
+            assert not free & containing
 
 
 # ---------------------------------------------------------------------------

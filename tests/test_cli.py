@@ -72,6 +72,44 @@ class TestExitCodes:
 
 
 # ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+
+class TestSharedParser:
+    def test_one_build_across_requests(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def spy():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert run(["count", "baxter", "4"]) == 0
+        assert run(["classify", "2 4 1 3"]) == 0
+        assert run(["no-such-command"]) == 2
+        assert run(["map", "--weak", "1 2"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_usage_error_and_help_leave_the_next_request_unchanged(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_parser", None)
+        request = ["map", "--strong", "--ascii", "2 4 1 3"]
+        assert run(request) == 0
+        first = capsys.readouterr().out
+        assert run(["map", "--weak", "--strong", "1 2"]) == 2
+        assert run(["--help"]) == 0
+        assert run(["walk", "decode", "--help"]) == 0
+        capsys.readouterr()
+        assert run(request) == 0
+        assert capsys.readouterr().out == first
+
+
+# ---------------------------------------------------------------------------
 # map
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""Package layering: modules import each other at the top level only, only
-outside input validates a tiling, the lean constructor stays behind the
+"""Package layering: modules import each other at the top level only and
+without a cycle, only outside input validates a tiling, the lean constructor stays behind the
 library's own drawings, every transitive closure is a poset's in ``biject``,
 and the package keeps its checks under ``python -O``."""
 
@@ -35,6 +35,33 @@ def test_no_imports_inside_functions():
         for name, line in _function_imports(ast.parse(path.read_text()))
     }
     assert {(f, name) for f, name, _ in found} == LAZY, sorted(found)
+
+
+def _package_imports(tree: ast.Module):
+    """Package modules imported at module level (``from .x import ..`` and
+    ``from . import x, y``)."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_top_level_imports_form_a_dag():
+    """Load-time imports never close a cycle (``perm`` reads windmills off
+    ``rect``'s staircase walls, so ``rect`` must stay below it)."""
+    graph = {
+        path.stem: set(_package_imports(ast.parse(path.read_text())))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert "rect" in graph["perm"]
+    left = dict(graph)
+    while left:
+        ready = [m for m, deps in left.items() if not deps & left.keys()]
+        assert ready, "import cycle among %s" % sorted(left)
+        for m in ready:
+            del left[m]
 
 
 def test_no_assert_statements():

@@ -41,6 +41,13 @@ and right profiles, every profile computed on its own.
 The class series are solved one coefficient at a time.  The references
 are the Picard iterations they replaced: whole truncated-series passes of
 the same systems until nothing changes.
+
+Windmills are 4-cycles of one hook walk over the walls, and a drawing is
+guillotine when it has none.  The four nested loops over the segments are
+the reference for the list; the cut tree, whose own reference tracks each
+part's box, is the reference for guillotine status; and the mesh matcher
+is the reference for the windmill flag of ``classify``, which walks the
+staircase insertion's walls.
 """
 
 from __future__ import annotations
@@ -82,17 +89,27 @@ from rectlab.biject import (
     strong_poset,
     weak_poset,
 )
-from rectlab.perm import Permutation, all_permutations
+from rectlab.perm import (
+    WINDMILL_MESH_CCW,
+    WINDMILL_MESH_CW,
+    Permutation,
+    _windmill_free,
+    all_permutations,
+    avoids_all,
+)
 from rectlab.rect import (
     Rect,
     Rectangulation,
     RectangulationError,
     Segment,
+    Windmill,
     _tile_walls,
+    find_windmills,
     from_json,
     from_rects,
     guillotine_tree,
     is_diagonal,
+    is_guillotine,
     multiplicity,
     nwse_labeling,
     segment_joint_counts,
@@ -421,6 +438,48 @@ def unchecked_labels(rects):
     tiling is validated, the labeling is not."""
     rects = sorted(rects, key=lambda q: q.label)
     return Rectangulation._built([q.box for q in rects], _tile_walls(rects))
+
+
+def ref_find_windmills(r):
+    """Windmills by four nested loops over the segments, each hook tested by
+    coordinates: the end's line is the perpendicular segment's line, and the
+    end lies strictly inside its span."""
+    horizontals = [s for s in r.segments if s.orientation == "h"]
+    verticals = [s for s in r.segments if s.orientation == "v"]
+
+    def inside(coord, seg):
+        return seg.lo < coord < seg.hi
+
+    out = []
+    for h1 in horizontals:
+        for v1 in verticals:
+            # cw: h1's right end inside v1 / ccw: h1's left end inside v1
+            cw_hook = v1.line == h1.hi and inside(h1.line, v1)
+            ccw_hook = v1.line == h1.lo and inside(h1.line, v1)
+            if not (cw_hook or ccw_hook):
+                continue
+            for h2 in horizontals:
+                if h2.line != v1.hi or not inside(v1.line, h2):
+                    continue  # v1's bottom end must be inside h2
+                for v2 in verticals:
+                    if cw_hook:
+                        if v2.line != h2.lo or not inside(h2.line, v2):
+                            continue  # h2's left end inside v2
+                    else:
+                        if v2.line != h2.hi or not inside(h2.line, v2):
+                            continue  # h2's right end inside v2
+                    if h1.line != v2.lo or not inside(v2.line, h1):
+                        continue  # v2's top end must be inside h1
+                    out.append(
+                        Windmill(
+                            "cw" if cw_hook else "ccw",
+                            top=h1,
+                            right=v1 if cw_hook else v2,
+                            bottom=h2,
+                            left=v2 if cw_hook else v1,
+                        )
+                    )
+    return out
 
 
 def ref_guillotine_tree(r):
@@ -774,6 +833,19 @@ def check_orders_against_references(pi: Permutation, seed: int) -> None:
         )
 
 
+def check_windmills_against_references(pi: Permutation) -> None:
+    """The hook walk against the four-loop search (the same list, in the
+    same order) on both images, guillotine status against the cut tree, and
+    the windmill flag of ``classify`` against the mesh matcher."""
+    for r in (gamma_s(pi), gamma_w(pi)):
+        windmills = find_windmills(r)
+        assert windmills == ref_find_windmills(r)
+        tree = guillotine_tree(r)
+        assert tree == ref_guillotine_tree(r)
+        assert is_guillotine(r) == (not windmills) == (tree is not None)
+    assert _windmill_free(pi) == avoids_all(pi, (WINDMILL_MESH_CW, WINDMILL_MESH_CCW))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exhaustive_against_references(n):
     for pi in all_permutations(n):
@@ -790,6 +862,12 @@ def test_exhaustive_lean_matches_validated(n):
 def test_exhaustive_orders_against_references(n):
     for seed, pi in enumerate(all_permutations(n)):
         check_orders_against_references(pi, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exhaustive_windmills_against_references(n):
+    for pi in all_permutations(n):
+        check_windmills_against_references(pi)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -868,6 +946,12 @@ def test_built_drawings_are_lean_and_outside_input_validates(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_random_against_references(pi):
     check_against_references(pi)
+
+
+@given(st.integers(1, 64).flatmap(perms))
+@settings(max_examples=60, deadline=None)
+def test_random_windmills_against_references(pi):
+    check_windmills_against_references(pi)
 
 
 @given(st.integers(1, 64).flatmap(perms), st.integers(0, 2**32))

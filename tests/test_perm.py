@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reverse_permutation
+from rectlab.rect import Rectangulation
 from rectlab.perm import (
     CLASS_FLAGS,
     CO_TWO_CLUMPED_FORBIDDEN,
@@ -349,6 +350,19 @@ class TestClassify:
             for f in classify(p):
                 got[f] += 1
         assert got == want
+
+    def test_windmill_flag_builds_no_drawing(self, monkeypatch):
+        """The flag walks the staircase insertion's walls; no drawing, lean
+        or validated, is built on the way."""
+
+        def refuse(*args):
+            raise AssertionError("classify built a rectangulation")
+
+        monkeypatch.setattr(Rectangulation, "__init__", refuse)
+        monkeypatch.setattr(Rectangulation, "_built", refuse)
+        assert "windmill_mesh_avoiding" not in classify(parse_permutation("2 5 3 1 4"))
+        assert "windmill_mesh_avoiding" not in classify(parse_permutation("4 1 3 5 2"))
+        assert "windmill_mesh_avoiding" in classify(parse_permutation("2 4 1 3"))
 
     def test_2413_is_not_separable(self):
         assert "separable" not in classify(parse_permutation("2 4 1 3"))

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -440,6 +443,55 @@ class TestWindmills:
             tree = guillotine_tree(r)
             if tree is not None:
                 assert sorted(leaves(tree)) == list(range(1, 6))
+
+
+def random_separable(n: int, rng: random.Random) -> Permutation:
+    """Merge random neighbouring blocks by direct or skew sums until one is left."""
+    blocks = [[1] for _ in range(n)]
+    while len(blocks) > 1:
+        i = rng.randrange(len(blocks) - 1)
+        a, b = blocks[i], blocks.pop(i + 1)
+        if rng.random() < 0.5:
+            blocks[i] = a + [v + len(a) for v in b]
+        else:
+            blocks[i] = [v + len(b) for v in a] + b
+    return Permutation(blocks[0])
+
+
+class TestGuillotineAtScale:
+    def test_ten_thousand_rectangles_without_recursion(self):
+        """Both the hook walk and the cut tree run in well under a second at
+        n=10^4, on a chain of cuts (the identity's strips), a random
+        guillotine drawing and a random non-guillotine one, and neither
+        touches the recursion limit (1000 by default, far below n)."""
+        n, rng = 10**4, random.Random(11)
+        shuffled = list(range(1, n + 1))
+        rng.shuffle(shuffled)
+        limit = sys.getrecursionlimit()
+        for pi, guillotine in (
+            (identity_permutation(n), True),
+            (random_separable(n, rng), True),
+            (Permutation(shuffled), False),
+        ):
+            r = gamma_w(pi)
+            for fn in (is_guillotine, guillotine_tree):
+                start = time.perf_counter()
+                got = fn(r)
+                assert time.perf_counter() - start < 1.0, fn.__name__
+                assert (got if fn is is_guillotine else got is not None) == guillotine
+        assert sys.getrecursionlimit() == limit
+
+    def test_windmills_at_two_thousand(self):
+        """One linear walk: the four-loop search took 0.27 s here."""
+        pi = list(range(1, 2001))
+        random.Random(12).shuffle(pi)
+        r = gamma_w(Permutation(pi))
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            windmills = find_windmills(r)
+            best = min(best, time.perf_counter() - start)
+        assert windmills and best < 0.025
 
 
 # ---------------------------------------------------------------------------
