@@ -30,6 +30,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import heapq
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -207,7 +208,7 @@ def diagonal_representative(r: Rectangulation) -> Rectangulation:
     """The diagonal drawing of the weak class of ``r`` on the n x n grid."""
     if is_diagonal(r):
         return r
-    return gamma_w(leftmost_extension(adjacency_poset(r)))
+    return gamma_w(_least_order(r.n, _adjacency_pairs(r)))
 
 
 def weak_poset(r: Rectangulation) -> Poset:
@@ -215,8 +216,8 @@ def weak_poset(r: Rectangulation) -> Poset:
     return adjacency_poset(diagonal_representative(r))
 
 
-def strong_poset(r: Rectangulation) -> Poset:
-    """Blocking relations plus the two non-touching same-segment relations.
+def _strong_pairs(r: Rectangulation) -> set[tuple[int, int]]:
+    """Blocking pairs plus the two non-touching same-segment relations.
 
     On a vertical segment, a right-side rectangle precedes every left-side
     rectangle ending strictly above it; on a horizontal segment, an
@@ -232,7 +233,12 @@ def strong_poset(r: Rectangulation) -> Poset:
             for b in s.side_b:
                 if end < box[b - 1][k]:  # b starts past a's end
                     pairs.add((b, a) if k else (a, b))
-    return _poset_from_relations(r.n, pairs)
+    return pairs
+
+
+def strong_poset(r: Rectangulation) -> Poset:
+    """The order generated by :func:`_strong_pairs`."""
+    return _poset_from_relations(r.n, _strong_pairs(r))
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +285,46 @@ def count_linear_extensions(p: Poset) -> int:
     return layer[full]
 
 
-def _greedy_extension(p: Poset, candidates: range) -> Permutation:
-    """Extension placing, at each step, the first available label in the
-    scan order ``candidates`` (0-based)."""
-    pred = p._pred_masks
-    placed = 0
-    out = []
-    for _ in range(p.n):
-        j = next(j for j in candidates if not placed >> j & 1 and not pred[j] & ~placed)
-        out.append(j + 1)
-        placed |= 1 << j
-    return Permutation(tuple(out))
+def _least_order(n: int, pairs: Iterable[tuple[int, int]], reverse: bool = False) -> Permutation:
+    """The least topological order of the relation ``pairs`` on labels 1..n
+    (the greatest with ``reverse``).
+
+    A topological order of any relation is a linear extension of the poset
+    it generates, and the smallest-ready-first choice is that poset's
+    leftmost extension, so no closure or cover reduction is needed: one Kahn
+    (1962) pass whose ready labels wait in a heap.  Raises ``ValueError``
+    when labels are left over, on a cycle.
+    """
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    indeg = [0] * (n + 1)
+    for i, j in pairs:
+        succ[i].append(j)
+        indeg[j] += 1
+    sign = -1 if reverse else 1
+    ready = [sign * j for j in range(1, n + 1) if not indeg[j]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = sign * heapq.heappop(ready)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heapq.heappush(ready, sign * j)
+    if len(order) < n:
+        raise ValueError("relation is cyclic; not a partial order")
+    return Permutation(tuple(order))
 
 
 def leftmost_extension(p: Poset) -> Permutation:
-    """Greedy smallest-available extension: the unique Bruhat-minimal one."""
-    return _greedy_extension(p, range(p.n))
+    """Smallest-available extension: the unique Bruhat-minimal one, read off
+    the covers by :func:`_least_order`."""
+    return _least_order(p.n, p.covers)
 
 
 def rightmost_extension(p: Poset) -> Permutation:
-    """Greedy largest-available extension: the unique Bruhat-maximal one."""
-    return _greedy_extension(p, range(p.n - 1, -1, -1))
+    """Largest-available extension: the unique Bruhat-maximal one."""
+    return _least_order(p.n, p.covers, reverse=True)
 
 
 # ---------------------------------------------------------------------------

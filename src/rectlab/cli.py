@@ -91,26 +91,37 @@ def _weighted_guillotine_count(n: int) -> int:
     return coeff.numerator
 
 
-def _strong_guillotine_count(n: int) -> int:
-    """The table count up to a size bound (default 32, the packaged rows):
-    a cold table's time grows steeply with n."""
-    bound = biject._env_bound("RECTLAB_MAX_GUILLOTINE_N", 32)
-    if n > bound:
-        raise ValueError(
-            "size %d exceeds the bound %d (raise RECTLAB_MAX_GUILLOTINE_N)"
-            % (n, bound)
-        )
-    return counting.strong_guillotine_count(n)
+def _bounded(count: Callable[[int], int], variable: str, default: int) -> Callable[[int], int]:
+    """``count`` refusing any size above the bound in environment variable
+    ``variable`` (else ``default``), before any work is done."""
+
+    def bounded(n: int) -> int:
+        bound = biject._env_bound(variable, default)
+        if n > bound:
+            raise ValueError(
+                "size %d exceeds the bound %d (raise %s)" % (n, bound, variable)
+            )
+        return count(n)
+
+    return bounded
 
 
+# Each default admits about a second of work, except the strong-guillotine
+# table's: its 32 packaged rows take about a minute cold.
 _COUNTS: dict[str, Callable[[int], int]] = {
-    "schroder": lambda n: counting.schroder_counts(n)[-1],
-    "baxter": counting.baxter_number,
-    "strong": walks.count_strong_rect,
-    "u": walks.count_U,
-    "o": walks.count_O,
-    "strong-guillotine": _strong_guillotine_count,
-    "weighted-guillotine": _weighted_guillotine_count,
+    "schroder": _bounded(
+        lambda n: counting.schroder_counts(n)[-1], "RECTLAB_MAX_SCHRODER_N", 1000
+    ),
+    "baxter": _bounded(counting.baxter_number, "RECTLAB_MAX_BAXTER_N", 2500),
+    "strong": _bounded(walks.count_strong_rect, "RECTLAB_MAX_STRONG_N", 150),
+    "u": _bounded(walks.count_U, "RECTLAB_MAX_U_N", 150),
+    "o": _bounded(walks.count_O, "RECTLAB_MAX_O_N", 150),
+    "strong-guillotine": _bounded(
+        counting.strong_guillotine_count, "RECTLAB_MAX_GUILLOTINE_N", 32
+    ),
+    "weighted-guillotine": _bounded(
+        _weighted_guillotine_count, "RECTLAB_MAX_WEIGHTED_GUILLOTINE_N", 700
+    ),
 }
 
 

@@ -709,19 +709,24 @@ def _windmills(n: int, walls) -> Iterator[tuple[str, int, int, int, int]]:
 
 
 def weak_key(r: Rectangulation):
-    """The canonical permutation of the weak class (leftmost extension of the
-    weak poset); two rectangulations are weakly equivalent iff keys agree."""
+    """The canonical permutation of the weak class: the leftmost extension
+    of the weak poset, read as the least topological order of the adjacency
+    pairs of the diagonal representative.  Two rectangulations are weakly
+    equivalent iff their keys agree."""
     from . import biject
 
-    return biject.leftmost_extension(biject.weak_poset(r))
+    d = biject.diagonal_representative(r)
+    return biject._least_order(d.n, biject._adjacency_pairs(d))
 
 
 def strong_key(r: Rectangulation):
-    """The canonical permutation of the strong class (leftmost extension of
-    the strong poset); strong equivalence iff keys agree."""
+    """The canonical permutation of the strong class: the leftmost extension
+    of the strong poset, read as the least topological order of its
+    generating pairs (no closure is built).  Strong equivalence iff keys
+    agree."""
     from . import biject
 
-    return biject.leftmost_extension(biject.strong_poset(r))
+    return biject._least_order(r.n, biject._strong_pairs(r))
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,24 @@ and the packaged verification sweeps."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import shutil
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectlab import biject, cli, counting
 from rectlab.cli import run, verify_fixtures
-from rectlab.perm import parse_permutation
+from rectlab.perm import Permutation, parse_permutation
 from rectlab.rect import from_json, strong_key, to_json
+from rectlab.walks import encode_strong, walk_from_text, walk_to_text
 
 DATA_DIR = Path(cli.__file__).parent / "data"
 
@@ -210,6 +216,34 @@ class TestCount:
         assert "bound 4 " in capsys.readouterr().err
         assert run(["count", "strong-guillotine", "4"]) == 0
         assert out_of(capsys) == "24\n"
+
+    @pytest.mark.parametrize(
+        "family,variable,default",
+        [
+            ("schroder", "RECTLAB_MAX_SCHRODER_N", 1000),
+            ("baxter", "RECTLAB_MAX_BAXTER_N", 2500),
+            ("strong", "RECTLAB_MAX_STRONG_N", 150),
+            ("u", "RECTLAB_MAX_U_N", 150),
+            ("o", "RECTLAB_MAX_O_N", 150),
+            ("weighted-guillotine", "RECTLAB_MAX_WEIGHTED_GUILLOTINE_N", 700),
+        ],
+    )
+    def test_every_family_is_bounded(self, capsys, monkeypatch, family, variable, default):
+        # the bound is checked before any work, so a huge n fails at once
+        monkeypatch.setenv(variable, "3")
+        assert run(["count", family, "4"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: size 4 exceeds the bound 3 (raise %s)\n" % variable,
+        )
+        assert run(["count", family, "3"]) == 0
+        capsys.readouterr()
+        monkeypatch.delenv(variable)
+        assert run(["count", family, "100000"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: size 100000 exceeds the bound %d (raise %s)\n" % (default, variable),
+        )
 
     def test_non_integer_guillotine_bound_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setenv("RECTLAB_MAX_GUILLOTINE_N", "abc")
@@ -531,3 +565,92 @@ class TestVerifyFixtures:
         assert run(["verify", "perm", "--max-n", "4"]) == 1
         text = out_of(capsys)
         assert "FAIL" in text and "synthetic failure" in text
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary text: parse exactly, or fail with a named error and exit 1
+# ---------------------------------------------------------------------------
+
+
+def _drop_line(text, i):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:i] + lines[i + 1 :]) if i >= 0 else text
+
+
+# Near misses of both formats: numerals in the forms ``int()`` accepts but
+# the parsers must not, colors, separators and line breaks.
+_PIECES = st.sampled_from([
+    "0", "1", "2", "3", "10", "01", "-1", "+1", "1_0", "0x1", "1.0", "1e3",
+    "\u0663", "\u00b2", "white", "black", "green", "red", "blue", "WHITE",
+    " ", "  ", "\t", "\n", "\r\n", "\x00", "\u2028", "\x0b",
+])
+_TEXT = st.one_of(
+    st.text(),
+    st.lists(_PIECES, max_size=40).map("".join),
+    # walk-shaped lines: small points in any color, closed or not
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.sampled_from(["white", "black", "green", "red", "blue"]),
+        ),
+        max_size=8,
+    ).map(lambda pts: "".join("%d %d %s\n" % p for p in pts)),
+    # the walks of small permutations, whole or with one line dropped
+    st.tuples(
+        st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.integers(-1, 5),
+    ).map(lambda case: _drop_line(walk_to_text(encode_strong(Permutation(case[0]))), case[1])),
+)
+
+
+def _run_text(argv, stdin=""):
+    """``run(argv)`` with ``stdin`` as standard input: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(code, out, err):
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+@given(_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_permutation_text_parses_exactly_or_names_the_error(text):
+    try:
+        pi = parse_permutation(text)
+    except ValueError:
+        return
+    assert list(pi) == [int(t) for t in text.split()]
+    assert all(t.isascii() and t.isdigit() for t in text.split())
+
+
+@given(_TEXT, st.sampled_from(["strong", "weak"]))
+@settings(max_examples=300, deadline=None)
+def test_walk_text_parses_exactly_or_names_the_error(text, variant):
+    try:
+        w = walk_from_text(text, variant)
+    except ValueError:
+        return
+    lines = [line.split() for line in text.splitlines() if line.strip()]
+    assert walk_to_text(w) == "".join("%s %s %s\n" % (int(x), int(y), c) for x, y, c in lines)
+
+
+@given(_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_classify_on_arbitrary_text(text):
+    # "--": the text is the permutation even where it looks like an option
+    _check_outcome(*_run_text(["classify", "--", text]))
+
+
+@given(_TEXT, st.sampled_from(["--strong", "--weak"]))
+@settings(max_examples=200, deadline=None)
+def test_walk_decode_on_arbitrary_text(text, variant):
+    _check_outcome(*_run_text(["walk", "decode", variant, "-"], stdin=text))

@@ -1,7 +1,7 @@
 """Package layering: modules import each other at the top level only and
 without a cycle, only outside input validates a tiling, the lean constructor stays behind the
-library's own drawings, every transitive closure is a poset's in ``biject``,
-and the package keeps its checks under ``python -O``."""
+library's own drawings, every transitive closure is a poset's in ``biject``
+(keys build none), and the package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -110,8 +110,17 @@ def test_lean_constructor_only_in_forward_maps():
 
 def test_closures_only_in_biject():
     """``rect`` reads its labelings off the walls; every transitive closure
-    is a poset's, in ``biject``."""
-    assert {path for path, _ in _calls("_closure_masks")} == {"biject.py"}
+    is a poset's, in ``biject``: a poset built from relations, or the reach
+    of a poset given by its covers.  Extremal extensions and keys are one
+    least-first Kahn pass, with no greedy rescan left."""
+    assert _calls("_closure_masks") == [
+        ("biject.py", "_poset_from_relations"),
+        ("biject.py", "_reach"),
+    ]
+    assert [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "_greedy_extension" in path.read_text()
+    ] == []
 
 
 def test_verify_passes_under_optimize():
