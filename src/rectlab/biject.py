@@ -19,8 +19,9 @@ Conventions
   ``j`` are already inserted (consuming peak ``a``); symmetrically its right
   edge aligns with the right edge of ``b`` when all labels between ``j`` and
   ``b`` are inserted (consuming peak ``b``).
-- The weak algorithm works on the n x n grid (non-aligned edges snap to the
-  grid lines ``j-1`` / ``j``), producing the diagonal representative.  The
+- The weak algorithm keeps only the insertion's walls and draws the diagonal
+  representative on the n x n grid: every segment of a diagonal drawing
+  meets the diagonal, so its line is the last label of its side a.  The
   strong algorithm places non-aligned edges strictly inside the neighbouring
   rectangle's side (midpoint coordinates, normalized to compact integers at
   the end).  Every midpoint is a dyadic rational of depth at most n, so the
@@ -33,14 +34,16 @@ import functools
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .perm import Permutation, all_permutations
 from .rect import (
     Rectangulation,
     RectangulationError,
     _compact,
+    _diagonal_boxes,
     _Staircase,
+    _walls,
     is_diagonal,
     strong_key,
     swne_labeling,
@@ -49,21 +52,16 @@ from .rect import (
 
 
 def gamma_w(pi: Permutation) -> Rectangulation:
-    """Weak forward insertion: the diagonal representative on the n x n grid.
+    """Weak forward insertion: the diagonal representative on the n x n grid,
+    its boxes read off the insertion's walls.
 
     >>> [q.box for q in gamma_w(Permutation((1, 2, 3))).rects]
     [(0, 0, 1, 3), (1, 0, 2, 3), (2, 0, 3, 3)]
     """
-    n = pi.n
-    st = _Staircase(n)
-    geo = {0: (0, 0, 0, n), n + 1: (0, n, n, n)}  # the box's left and bottom walls
+    st = _Staircase(pi.n)
     for j in pi:
-        a, b, _, _, top, right = st.insert(j)
-        (_, ay1, ax2, _), (_, by1, bx2, _) = geo[a], geo[b]
-        # the valley (ax2, by1) is the bottom-left corner; a side that does
-        # not align snaps to the grid line j - 1 (top) or j (right)
-        geo[j] = (ax2, ay1 if top else j - 1, bx2 if right else j, by1)
-    result = Rectangulation._built([geo[j] for j in range(1, n + 1)], st.walls)
+        st.insert(j)
+    result = Rectangulation._built(_diagonal_boxes(pi.n, st.walls), st.walls)
     if not is_diagonal(result):
         raise RectangulationError("weak insertion did not yield a diagonal drawing")
     return result
@@ -109,46 +107,50 @@ def _bits(mask: int) -> Iterator[int]:
         yield b
 
 
-def _closure_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Transitive closure as bitmasks: bit ``j`` of ``reach[i]`` iff i -> j.
+def _closure_masks(n: int, pairs: Collection[tuple[int, int]]) -> list[int]:
+    """Transitive closure of 1-based ``pairs`` as bitmasks: bit ``j - 1`` of
+    ``reach[i - 1]`` iff i -> j.
 
-    One Kahn pass orders the vertices topologically; walking that order
-    backwards, each vertex ORs in the finished masks of its successors.
-    Raises ``ValueError`` when the relation has a cycle.
+    Walking :func:`_least_order`'s order backwards, each label ORs in the
+    finished masks of its successors.  Raises ``ValueError`` when the
+    relation has a cycle.
     """
     succ = [0] * n
-    for i, j in edges:
-        succ[i] |= 1 << j
-    indeg = [0] * n
-    for m in succ:
-        for j in _bits(m):
-            indeg[j] += 1
-    order = [i for i in range(n) if not indeg[i]]
-    for i in order:  # grows while iterated: a FIFO queue
-        for j in _bits(succ[i]):
-            indeg[j] -= 1
-            if not indeg[j]:
-                order.append(j)
-    if len(order) != n:
-        raise ValueError("relation is cyclic; not a partial order")
-    for i in reversed(order):  # successors first; _bits reads succ[i] once
-        for j in _bits(succ[i]):
-            succ[i] |= succ[j]
+    for i, j in pairs:
+        succ[i - 1] |= 1 << (j - 1)
+    for i in reversed(_least_order(n, pairs)):  # successors first
+        for j in _bits(succ[i - 1]):  # _bits reads succ[i - 1] once
+            succ[i - 1] |= succ[j]
     return succ
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Poset:
-    """A partial order on labels 1..n, stored as an irredundant cover set."""
+    """The partial order on labels 1..n that ``pairs`` generates (its covers
+    or any relation with this transitive closure).  Linear extensions are
+    the topological orders of ``pairs`` (Kahn 1962), so they need no closure;
+    the closure and the covers are built once, when first asked for."""
 
     n: int
-    covers: frozenset[tuple[int, int]]
+    pairs: frozenset[tuple[int, int]]
 
     @functools.cached_property
     def _reach(self) -> tuple[int, ...]:
-        return tuple(
-            _closure_masks(self.n, [(i - 1, j - 1) for i, j in self.covers])
-        )
+        return tuple(_closure_masks(self.n, self.pairs))
+
+    @functools.cached_property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The irredundant pairs: i < j with no k between them."""
+        reach = self._reach
+        covers = []
+        for i in range(self.n):
+            # i < j is a cover unless some k with i < k already has k < j
+            # (bitmask transitive reduction, Aho-Garey-Ullman 1972).
+            beyond = 0
+            for k in _bits(reach[i]):
+                beyond |= reach[k]
+            covers.extend((i + 1, j + 1) for j in _bits(reach[i] & ~beyond))
+        return frozenset(covers)
 
     def less(self, i: int, j: int) -> bool:
         """Strictly below: ``i < j`` in the partial order."""
@@ -156,28 +158,21 @@ class Poset:
 
     @functools.cached_property
     def _pred_masks(self) -> tuple[int, ...]:
-        """Cover predecessors: an extension places ``j`` once these are placed."""
-        self._reach  # rejects a cyclic cover set
+        """Predecessors among the pairs: an extension places ``j`` after them."""
+        _least_order(self.n, self.pairs)  # rejects a cyclic relation
         pred = [0] * self.n
-        for i, j in self.covers:
+        for i, j in self.pairs:
             pred[j - 1] |= 1 << (i - 1)
         return tuple(pred)
 
+    def __eq__(self, other: object) -> bool:
+        """The same order: the same ``n`` and the same covers."""
+        if not isinstance(other, Poset):
+            return NotImplemented
+        return (self.n, self.covers) == (other.n, other.covers)
 
-def _poset_from_relations(n: int, pairs: set[tuple[int, int]]) -> Poset:
-    reach = _closure_masks(n, [(i - 1, j - 1) for i, j in pairs])
-    covers = []
-    for i in range(n):
-        # i < j is a cover unless some k with i < k already has k < j
-        # (bitmask transitive reduction, Aho-Garey-Ullman 1972).
-        beyond = 0
-        for k in _bits(reach[i]):
-            beyond |= reach[k]
-        covers.extend((i + 1, j + 1) for j in _bits(reach[i] & ~beyond))
-    poset = Poset(n, frozenset(covers))
-    # the closure of a relation is the closure of its covers
-    poset.__dict__["_reach"] = tuple(reach)
-    return poset
+    def __hash__(self) -> int:
+        return hash((self.n, self.covers))
 
 
 def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
@@ -200,15 +195,17 @@ def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
 
 
 def adjacency_poset(r: Rectangulation) -> Poset:
-    """Transitive closure of the blocking relation (left-of / below contact)."""
-    return _poset_from_relations(r.n, _adjacency_pairs(r))
+    """The order generated by the blocking relation (left-of / below contact)."""
+    return Poset(r.n, frozenset(_adjacency_pairs(r)))
 
 
 def diagonal_representative(r: Rectangulation) -> Rectangulation:
-    """The diagonal drawing of the weak class of ``r`` on the n x n grid."""
+    """The diagonal drawing of the weak class of ``r`` on the n x n grid: the
+    class shares ``r``'s walls, and they place every box."""
     if is_diagonal(r):
         return r
-    return gamma_w(_least_order(r.n, _adjacency_pairs(r)))
+    walls = _walls(r)
+    return Rectangulation._built(_diagonal_boxes(r.n, walls), walls)
 
 
 def weak_poset(r: Rectangulation) -> Poset:
@@ -238,7 +235,7 @@ def _strong_pairs(r: Rectangulation) -> set[tuple[int, int]]:
 
 def strong_poset(r: Rectangulation) -> Poset:
     """The order generated by :func:`_strong_pairs`."""
-    return _poset_from_relations(r.n, _strong_pairs(r))
+    return Poset(r.n, frozenset(_strong_pairs(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +315,13 @@ def _least_order(n: int, pairs: Iterable[tuple[int, int]], reverse: bool = False
 
 def leftmost_extension(p: Poset) -> Permutation:
     """Smallest-available extension: the unique Bruhat-minimal one, read off
-    the covers by :func:`_least_order`."""
-    return _least_order(p.n, p.covers)
+    the pairs by :func:`_least_order`."""
+    return _least_order(p.n, p.pairs)
 
 
 def rightmost_extension(p: Poset) -> Permutation:
     """Largest-available extension: the unique Bruhat-maximal one."""
-    return _least_order(p.n, p.covers, reverse=True)
+    return _least_order(p.n, p.pairs, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +340,9 @@ def fiber_s(r: Rectangulation) -> list[Permutation]:
 
 
 def baxter_representative(r: Rectangulation) -> Permutation:
-    """The unique Baxter permutation in the weak fiber: read the diagonal
-    representative's labels in SW-NE order."""
-    return Permutation(swne_labeling(diagonal_representative(r)))
+    """The unique Baxter permutation in the weak fiber: the labels in SW-NE
+    order, read off the walls the weak class shares."""
+    return Permutation(swne_labeling(r))
 
 
 def reflect_swne(r: Rectangulation) -> Rectangulation:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .biject import _default_max_n, gamma_w
-from .perm import all_permutations
-from .rect import is_guillotine, multiplicity
 from .walks import count_strong_rect
 
 # ---------------------------------------------------------------------------
@@ -367,35 +364,6 @@ def strong_guillotine_count(n: int) -> int:
     [1, 2, 6, 24, 114, 606, 3494, 21434]
     """
     return strong_guillotine_table(n).total(n)
-
-
-# ---------------------------------------------------------------------------
-# Multiplicity-based oracle
-# ---------------------------------------------------------------------------
-
-
-def strong_count_via_multiplicity(
-    n: int, guillotine_only: bool = False, max_n: int | None = None
-) -> int:
-    """Sum of multiplicities over weak classes (exhaustive sweep).
-
-    Counts strong classes without ever constructing them: each weak class
-    contributes the product of its per-segment interleaving binomials.
-    ``guillotine_only`` restricts the sweep to guillotine classes.  Guarded
-    by the same exhaustive-size bound as the other sweeps.
-    """
-    bound = _default_max_n() if max_n is None else max_n
-    if n > bound:
-        raise ValueError(
-            "exhaustive sweep of size %d exceeds the bound %d" % (n, bound)
-        )
-    classes = {gamma_w(pi) for pi in all_permutations(n)}
-    total = 0
-    for r in classes:
-        if guillotine_only and not is_guillotine(r):
-            continue
-        total += multiplicity(r)
-    return total
 
 
 # ---------------------------------------------------------------------------

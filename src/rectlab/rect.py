@@ -329,6 +329,20 @@ def _compact(boxes: Sequence[Sequence]) -> list[tuple[int, int, int, int]]:
     return [(xi[b[0]], yi[b[1]], xi[b[2]], yi[b[3]]) for b in boxes]
 
 
+def _diagonal_boxes(n: int, walls) -> list[tuple[int, int, int, int]]:
+    """The boxes of the diagonal drawing with these walls, ``boxes[i]`` for
+    label ``i + 1``: every segment of a diagonal drawing meets the diagonal,
+    so its line is the last label of its side a."""
+    x1, y1, x2, y2 = [0] * (n + 1), [0] * (n + 1), [n] * (n + 1), [n] * (n + 1)
+    for orientation, side_a, side_b in walls:
+        near, far = (x1, x2) if orientation == "v" else (y1, y2)
+        for j in side_a:
+            far[j] = side_a[-1]
+        for j in side_b:
+            near[j] = side_a[-1]
+    return list(zip(x1, y1, x2, y2))[1:]
+
+
 class _Staircase:
     """The staircase of an insertion (see :mod:`rectlab.biject`): peak
     bookkeeping shared by the forward maps, the walk encoding and the

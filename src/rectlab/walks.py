@@ -379,27 +379,33 @@ def nit_count(n: int) -> int:
 
 
 def closed_excursions(n: int, variant: str = "strong") -> Iterator[HistoryQuadrantWalk]:
-    """All closed excursions with ``n`` points (level rules only)."""
-    pts: list[WalkPoint] = []
+    """All closed excursions with ``n`` points (level rules only), depth
+    first without recursion: ``stack[d]`` yields the choices not yet tried
+    for point ``d``."""
 
-    def rec(h: int, remaining: int) -> Iterator[HistoryQuadrantWalk]:
-        if remaining == 1:
-            if h == 0:
-                pts.append(WalkPoint(0, 0, "white"))
-                yield HistoryQuadrantWalk(tuple(pts), variant)
-                pts.pop()
+    def choices(h: int, remaining: int) -> Iterator[tuple[WalkPoint, int]]:
+        """(point, next level) for a point at level ``h``, with ``remaining``
+        points to place, this one included."""
+        if remaining == 1:  # the level bound below leaves h == 0 here
+            yield WalkPoint(0, 0, "white"), 0
             return
         for c in COLORS:
             h2 = h + _LEVEL_STEP[c]
             # the remaining points must be able to come back to level 0
-            if h2 < 0 or h2 > remaining - 2:
-                continue
-            for x in range(h + 1):
-                pts.append(WalkPoint(x, h - x, c))
-                yield from rec(h2, remaining - 1)
-                pts.pop()
+            if 0 <= h2 <= remaining - 2:
+                for x in range(h + 1):
+                    yield WalkPoint(x, h - x, c), h2
 
-    if n == 1:
-        yield HistoryQuadrantWalk((WalkPoint(0, 0, "white"),), variant)
-        return
-    yield from rec(0, n)
+    pts: list[WalkPoint] = []
+    stack = [choices(0, n)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        del pts[len(stack) - 1 :]
+        pts.append(step[0])
+        if len(pts) == n:
+            yield HistoryQuadrantWalk(tuple(pts), variant)
+        else:
+            stack.append(choices(step[1], n - len(pts)))

@@ -16,6 +16,8 @@ from rectlab.perm import Permutation, all_permutations
 from rectlab.rect import (
     Rect,
     Rectangulation,
+    is_guillotine,
+    multiplicity,
     segment_joint_counts,
     strong_key,
     weak_key,
@@ -93,6 +95,14 @@ PINWHEEL13_RECTS = (
 
 def reverse_permutation(n: int) -> Permutation:
     return Permutation(range(n, 0, -1))
+
+
+def strong_count_via_multiplicity(n: int, guillotine_only: bool = False) -> int:
+    """Strong classes of size ``n`` counted without constructing them: the
+    sum of ``multiplicity`` over the weak classes (the distinct ``gamma_w``
+    images of S_n), over the guillotine ones with ``guillotine_only``."""
+    classes = {gamma_w(pi) for pi in all_permutations(n)}
+    return sum(multiplicity(r) for r in classes if not guillotine_only or is_guillotine(r))
 
 
 def count_two_sided_segments(r: Rectangulation) -> int:

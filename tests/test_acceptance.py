@@ -18,6 +18,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import strong_count_via_multiplicity
 from rectlab.biject import (
     baxter_representative,
     fiber_s,
@@ -36,7 +37,6 @@ from rectlab.counting import (
     growth_constants,
     rho,
     schroder_counts,
-    strong_count_via_multiplicity,
     strong_guillotine_count,
     strong_guillotine_table,
     weighted_guillotine_series,
@@ -182,7 +182,7 @@ class TestGuillotineCounts:
         start = time.perf_counter()
         for n in range(1, 9):
             assert (
-                strong_count_via_multiplicity(n, guillotine_only=True, max_n=8)
+                strong_count_via_multiplicity(n, guillotine_only=True)
                 == STRONG_GUILLOTINE[n - 1]
             )
         assert scan8.seconds + time.perf_counter() - start < 600

@@ -179,11 +179,8 @@ class TestPosets:
                     )
 
     def test_cyclic_relation_rejected(self):
-        r = gamma_w(identity_permutation(3))
-        from rectlab.biject import _poset_from_relations
-
-        with pytest.raises(ValueError):
-            _poset_from_relations(3, {(1, 2), (2, 1)})
+        with pytest.raises(ValueError, match="cyclic"):
+            Poset(3, frozenset({(1, 2), (2, 1)})).covers
 
     def test_strong_poset_two_dimensional(self, sweeps):
         # the order is exactly the intersection of its extreme extensions
@@ -249,25 +246,39 @@ class TestLinearExtensions:
                 extensions(p)
 
     def test_keys_close_nothing(self):
-        # a key is the least topological order of the generating pairs, so
-        # only a poset asked for by name builds a closure, and only once
+        # keys, posets, fibers, counts and extremal extensions are read off
+        # the generating pairs, so only .covers and .less build a closure,
+        # once per poset
         calls = []
         real = biject._closure_masks
 
-        def spy(n, edges):
+        def spy(n, pairs):
             calls.append(n)
-            return real(n, edges)
+            return real(n, pairs)
 
-        pi = RUNNING_PERM
-        r = gamma_s(pi)
+        r = gamma_s(RUNNING_PERM)
         with mock.patch.object(biject, "_closure_masks", spy):
             strong_key(r)
             weak_key(r)
+            posets = [make(r) for make in (adjacency_poset, strong_poset, weak_poset)]
+            fiber_s(r)
+            fiber_w(r)
+            for p in posets:
+                count_linear_extensions(p)
+                leftmost_extension(p)
+                rightmost_extension(p)
             assert calls == []
-            strong_poset(r)
-        assert calls == [16]
+            for p in posets:
+                p.covers
+                p.less(1, 2)
+                p.covers
+            assert calls == [16, 16, 16]
+        # a poset given by its covers is the same order as one given by
+        # the pairs that generate it
         p = strong_poset(r)
-        assert p._reach == Poset(p.n, p.covers)._reach
+        q = Poset(p.n, p.covers)
+        assert p.pairs != q.pairs and p._reach == q._reach
+        assert p == q and hash(p) == hash(q)
 
     def test_extremal_extensions_of_antichain(self):
         p = Poset(3, frozenset())

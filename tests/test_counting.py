@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_two_sided_segments
+from conftest import count_two_sided_segments, strong_count_via_multiplicity
 from rectlab import counting
 from rectlab.biject import gamma_w
 from rectlab.counting import (
@@ -24,7 +24,6 @@ from rectlab.counting import (
     rho,
     schroder_counts,
     schroder_series,
-    strong_count_via_multiplicity,
     strong_guillotine_count,
     strong_guillotine_table,
     weighted_guillotine_series,
@@ -263,11 +262,6 @@ class TestMultiplicityOracle:
     def test_guillotine_restriction(self):
         assert strong_count_via_multiplicity(5, guillotine_only=True) == 114
         assert strong_count_via_multiplicity(6, guillotine_only=True) == 606
-
-    def test_bound_guard(self):
-        with pytest.raises(ValueError):
-            strong_count_via_multiplicity(9)
-        assert strong_count_via_multiplicity(3, max_n=3) == 6
 
 
 # ---------------------------------------------------------------------------

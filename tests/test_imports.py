@@ -1,7 +1,7 @@
 """Package layering: modules import each other at the top level only and
 without a cycle, only outside input validates a tiling, the lean constructor stays behind the
-library's own drawings, every transitive closure is a poset's in ``biject``
-(keys build none), and the package keeps its checks under ``python -O``."""
+library's own drawings, the one transitive closure is a poset's reach in
+``biject`` (keys build none), and the package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -50,12 +50,14 @@ def _package_imports(tree: ast.Module):
 
 def test_top_level_imports_form_a_dag():
     """Load-time imports never close a cycle (``perm`` reads windmills off
-    ``rect``'s staircase walls, so ``rect`` must stay below it)."""
+    ``rect``'s staircase walls, so ``rect`` must stay below it), and
+    ``counting`` builds no drawing: it needs only the walk counts."""
     graph = {
         path.stem: set(_package_imports(ast.parse(path.read_text())))
         for path in sorted(SRC.glob("*.py"))
     }
     assert "rect" in graph["perm"]
+    assert graph["counting"] == {"walks"}
     left = dict(graph)
     while left:
         ready = [m for m, deps in left.items() if not deps & left.keys()]
@@ -97,10 +99,12 @@ def _calls(name: str):
 def test_lean_constructor_only_in_forward_maps():
     """Only the constructor and ``from_rects`` validate a tiling, and only
     the drawings the library builds itself (``gamma_s``, ``gamma_w``,
-    ``reflect_swne``) reach the lean constructor from outside ``rect``;
-    ``from_rects`` reaches it once, for the drawing it returns."""
+    ``reflect_swne``, and ``diagonal_representative``, which places boxes
+    on a drawing's own walls) reach the lean constructor from outside
+    ``rect``; ``from_rects`` reaches it once, for the drawing it returns."""
     assert _calls("_tile_walls") == [("rect.py", "__init__"), ("rect.py", "from_rects")]
     assert _calls("_built") == [
+        ("biject.py", "diagonal_representative"),
         ("biject.py", "gamma_s"),
         ("biject.py", "gamma_w"),
         ("biject.py", "reflect_swne"),
@@ -109,14 +113,11 @@ def test_lean_constructor_only_in_forward_maps():
 
 
 def test_closures_only_in_biject():
-    """``rect`` reads its labelings off the walls; every transitive closure
-    is a poset's, in ``biject``: a poset built from relations, or the reach
-    of a poset given by its covers.  Extremal extensions and keys are one
-    least-first Kahn pass, with no greedy rescan left."""
-    assert _calls("_closure_masks") == [
-        ("biject.py", "_poset_from_relations"),
-        ("biject.py", "_reach"),
-    ]
+    """``rect`` reads its labelings off the walls; the one transitive
+    closure is a poset's reach, in ``biject``, built when asked for.
+    Extremal extensions and keys are one least-first Kahn pass, with no
+    greedy rescan left."""
+    assert _calls("_closure_masks") == [("biject.py", "_reach")]
     assert [
         path.name for path in sorted(SRC.glob("*.py"))
         if "_greedy_extension" in path.read_text()

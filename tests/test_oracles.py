@@ -60,7 +60,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -76,9 +75,9 @@ from rectlab.counting import (
     weighted_guillotine_series,
 )
 from rectlab.biject import (
+    Poset,
     _adjacency_pairs,
     _closure_masks,
-    _poset_from_relations,
     _Staircase,
     adjacency_poset,
     count_linear_extensions,
@@ -124,6 +123,7 @@ from rectlab.rect import (
 from rectlab.walks import (
     COLORS,
     HistoryQuadrantWalk,
+    WalkPoint,
     _excursion_count,
     _permutation,
     closed_excursions,
@@ -419,8 +419,22 @@ def ref_count_linear_extensions(p):
     return rec(0)
 
 
+def ref_gamma_w(pi):
+    """Weak insertion that snaps each side not aligned with a neighbour to
+    the grid line ``j - 1`` (top) or ``j`` (right), validated as outside
+    input."""
+    n = pi.n
+    stair = _Staircase(n)
+    geo = {0: (0, 0, 0, n), n + 1: (0, n, n, n)}  # the box's left and bottom walls
+    for j in pi:
+        a, b, _, _, top, right = stair.insert(j)
+        (_, ay1, ax2, _), (_, by1, bx2, _) = geo[a], geo[b]
+        geo[j] = (ax2, ay1 if top else j - 1, bx2 if right else j, by1)
+    return Rectangulation(Rect(j, *geo[j]) for j in range(1, n + 1))
+
+
 def ref_diagonal(r):
-    return r if is_diagonal(r) else gamma_w(ref_leftmost(adjacency_poset(r)))
+    return r if is_diagonal(r) else ref_gamma_w(ref_leftmost(adjacency_poset(r)))
 
 
 def ref_from_rects(boxes):
@@ -768,24 +782,19 @@ def check_against_references(pi: Permutation) -> None:
     w = encode_strong(pi)
     check_decoders(w)
 
-    seen = []
-    real = biject._poset_from_relations
-
-    def spy(n, pairs):
-        poset = real(n, pairs)
-        seen.append((n, set(pairs), poset))
-        return poset
-
-    for r in (rs, gamma_w(pi)):
+    rw = gamma_w(pi)
+    assert to_json(rw) == to_json(ref_gamma_w(pi))
+    for r in (rs, rw):
         assert _adjacency_pairs(r) == ref_adjacency_pairs(r)
-        with mock.patch.object(biject, "_poset_from_relations", spy):
-            for make in (adjacency_poset, strong_poset, weak_poset):
-                calls = len(seen)
-                assert make(r) is seen[-1][2] and len(seen) > calls, make.__name__
-    for n, pairs, poset in seen:
-        assert poset.covers == ref_covers(n, pairs)
-        edges = [(i - 1, j - 1) for i, j in pairs]
-        assert _closure_masks(n, edges) == ref_closure_masks(n, edges)
+        for p, pairs in (
+            (adjacency_poset(r), ref_adjacency_pairs(r)),
+            (strong_poset(r), ref_strong_pairs(r)),
+            (weak_poset(r), ref_adjacency_pairs(ref_diagonal(r))),
+        ):
+            assert p.pairs == pairs
+            assert p.covers == ref_covers(p.n, pairs)
+            edges = [(i - 1, j - 1) for i, j in pairs]
+            assert list(p._reach) == ref_closure_masks(p.n, edges)
 
 
 def check_orders_against_references(pi: Permutation, seed: int) -> None:
@@ -806,7 +815,7 @@ def check_orders_against_references(pi: Permutation, seed: int) -> None:
         assert to_json(d) == to_json(ref_diagonal(r))
         assert biject._strong_pairs(r) == ref_strong_pairs(r)
         assert strong_poset(r).covers == ref_covers(r.n, ref_strong_pairs(r))
-        weak = _poset_from_relations(d.n, ref_adjacency_pairs(d))
+        weak = Poset(d.n, frozenset(ref_adjacency_pairs(d)))
         assert weak_poset(r).covers == weak.covers
         assert strong_key(r) == ref_leftmost(strong_poset(r))
         assert weak_key(r) == ref_leftmost(weak)
@@ -878,6 +887,41 @@ def test_exhaustive_windmills_against_references(n):
 def test_permutation_inverts_encoding(n):
     for pi in all_permutations(n):
         assert _permutation(encode_strong(pi)) == pi
+
+
+def ref_closed_excursions(n, variant):
+    """All closed excursions, by recursion once per point."""
+    pts = []
+
+    def rec(h, remaining):
+        if remaining == 1:
+            if h == 0:
+                pts.append(WalkPoint(0, 0, "white"))
+                yield HistoryQuadrantWalk(tuple(pts), variant)
+                pts.pop()
+            return
+        for c in COLORS:
+            h2 = h + _LEVEL_STEP[c]
+            if h2 < 0 or h2 > remaining - 2:
+                continue
+            for x in range(h + 1):
+                pts.append(WalkPoint(x, h - x, c))
+                yield from rec(h2, remaining - 1)
+                pts.pop()
+
+    return list(rec(0, n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_excursions_match_the_recursion(n):
+    for variant in ("strong", "weak"):
+        assert list(closed_excursions(n, variant)) == ref_closed_excursions(n, variant)
+
+
+def test_closed_excursions_need_no_recursion():
+    w = next(closed_excursions(1500))
+    assert len(w.points) == 1500
+    assert w.points[-1] == WalkPoint(0, 0, "white")
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -977,9 +1021,9 @@ def test_keys_at_scale_match_the_closed_posets(n):
     reference diagonal drawing) must still read the same permutations."""
     pi = _random_permutation(n, n)
     for r in (gamma_s(pi), gamma_w(pi)):
-        strong = _poset_from_relations(n, ref_strong_pairs(r))
+        strong = Poset(n, frozenset(ref_strong_pairs(r)))
         assert strong_key(r) == ref_leftmost(strong) == ref_leftmost(strong_poset(r))
-        weak = _poset_from_relations(n, ref_adjacency_pairs(ref_diagonal(r)))
+        weak = Poset(n, frozenset(ref_adjacency_pairs(ref_diagonal(r))))
         assert weak_key(r) == ref_leftmost(weak)
 
 
@@ -1086,11 +1130,12 @@ def test_key_cli_on_mutated_documents(tmp_path, capsys):
 def test_closure_matches_fixpoint_or_rejects_cycles(case):
     n, edges = case
     ref = ref_closure_masks(n, edges)
+    pairs = [(i + 1, j + 1) for i, j in edges]
     if any(ref[i] >> i & 1 for i in range(n)):
         with pytest.raises(ValueError, match="cyclic"):
-            _closure_masks(n, edges)
+            _closure_masks(n, pairs)
     else:
-        assert _closure_masks(n, edges) == ref
+        assert _closure_masks(n, pairs) == ref
 
 
 @pytest.mark.parametrize("n", range(1, 13))
