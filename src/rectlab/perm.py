@@ -18,19 +18,20 @@ Conventions
   column ``c`` is fully shaded, which forces ``s_{c+1} = s_c + 1``.
 - The *weak Bruhat order* compares permutations by inclusion of inversion
   sets; covers differ by one adjacent transposition creating one inversion.
-- Class flags are pattern avoidance.  The windmill flag is decided without
-  the matcher: by the source paper's theorem it holds exactly when the
-  staircase insertion's walls, from :mod:`rectlab.rect` (the one package
-  module imported here), hold no windmill.
+- Class flags are pattern avoidance, but :func:`classify` runs no matcher:
+  it reads every flag off one staircase insertion of :mod:`rectlab.rect`
+  (the one package module imported here), whose walk points and step
+  rules live here so that :mod:`rectlab.walks` shares them.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .rect import _Staircase, _windmills
+from .rect import _Staircase, _linear_order, _windmills
 
 
 class Permutation(tuple):
@@ -52,8 +53,9 @@ class Permutation(tuple):
         values = tuple(entries)
         if not values:
             raise ValueError("a permutation has size at least 1")
-        if not all(isinstance(v, int) for v in values):
-            raise TypeError("entries must be integers, not %s" % type(values[0]).__name__)
+        if not all(type(v) is int for v in values):  # rejects bool
+            bad = next(v for v in values if type(v) is not int)
+            raise TypeError("entries must be integers, not %s" % type(bad).__name__)
         if sorted(values) != list(range(1, len(values) + 1)):
             raise ValueError("entries %r are not a permutation of 1..%d" % (values, len(values)))
         return super().__new__(cls, values)
@@ -179,43 +181,6 @@ def vincular_pattern(word: Iterable[int], adjacent_after: Iterable[int]) -> Mesh
     return MeshPattern(tau, frozenset(cells))
 
 
-# The classical and vincular patterns used by the class predicates below.
-PATTERN_2413 = classical_pattern((2, 4, 1, 3))
-PATTERN_3142 = classical_pattern((3, 1, 4, 2))
-VINC_2_41_3 = vincular_pattern((2, 4, 1, 3), (2,))
-VINC_3_14_2 = vincular_pattern((3, 1, 4, 2), (2,))
-VINC_3_41_2 = vincular_pattern((3, 4, 1, 2), (2,))
-VINC_2_14_3 = vincular_pattern((2, 1, 4, 3), (2,))
-
-# The four vincular patterns (middle pair adjacent) whose avoidance defines
-# two-clumped permutations, and their complements (co-two-clumped).
-TWO_CLUMPED_FORBIDDEN = (
-    vincular_pattern((2, 4, 5, 1, 3), (3,)),
-    vincular_pattern((4, 2, 5, 1, 3), (3,)),
-    vincular_pattern((3, 5, 1, 2, 4), (2,)),
-    vincular_pattern((3, 5, 1, 4, 2), (2,)),
-)
-CO_TWO_CLUMPED_FORBIDDEN = (
-    vincular_pattern((2, 4, 1, 5, 3), (3,)),
-    vincular_pattern((4, 2, 1, 5, 3), (3,)),
-    vincular_pattern((3, 1, 5, 2, 4), (2,)),
-    vincular_pattern((3, 1, 5, 4, 2), (2,)),
-)
-
-# The two mesh patterns whose joint avoidance characterizes permutations
-# mapping to guillotine rectangulations; containment of each corresponds to
-# one windmill chirality ("cw": the top horizontal wall of the windmill ends
-# inside its right vertical wall; "ccw" is the mirror image).
-WINDMILL_MESH_CW = MeshPattern(
-    Permutation((2, 5, 3, 1, 4)),
-    frozenset({(0, 3), (0, 4), (1, 3), (4, 2), (5, 1), (5, 2)}),
-)
-WINDMILL_MESH_CCW = MeshPattern(
-    Permutation((4, 1, 3, 5, 2)),
-    frozenset({(0, 1), (0, 2), (1, 2), (4, 3), (5, 3), (5, 4)}),
-)
-
-
 # ---------------------------------------------------------------------------
 # Containment
 # ---------------------------------------------------------------------------
@@ -284,10 +249,6 @@ def contains_pattern(pi: Permutation, m: MeshPattern) -> bool:
     return next(occurrences(pi, m), None) is not None
 
 
-def avoids_all(pi: Permutation, patterns: Iterable[MeshPattern]) -> bool:
-    return not any(contains_pattern(pi, m) for m in patterns)
-
-
 # ---------------------------------------------------------------------------
 # Class predicates
 # ---------------------------------------------------------------------------
@@ -304,51 +265,108 @@ CLASS_FLAGS = (
 )
 
 
+# The walk colors of :mod:`rectlab.walks`, indexed by right + 2 * top aligned
+COLORS = ("black", "red", "green", "white")
+
+
+def _history(pi: Permutation) -> tuple[list, list[tuple[int, int, str]]]:
+    """One staircase insertion of ``pi``: its walls, the segments of both
+    images, and its walk points ``(x, y, color)``, one per step, as
+    :mod:`rectlab.walks` defines them."""
+    st = _Staircase(len(pi))
+    points = []
+    for j in pi:
+        _, _, valley, n_valleys, top, right = st.insert(j)
+        points.append((valley, n_valleys - 1 - valley, COLORS[right + 2 * top]))
+    return st.walls, points
+
+
+def _slack(inward_from: bool, inward_to: bool, weak: bool) -> int:
+    """How far one step may move back in x (leftmost rule) or in y
+    (rightmost rule): 0 when it is inward (either side inward for the weak
+    variant, both sides for the strong one), else 1.  :func:`classify`,
+    the walk predicates and the counting DP of :mod:`rectlab.walks` share
+    this one definition of the step rules."""
+    inward = (inward_from or inward_to) if weak else (inward_from and inward_to)
+    return 0 if inward else 1
+
+
+def _left_slack(c: str, c2: str, weak: bool) -> int:
+    return _slack(c in ("black", "red"), c2 in ("black", "green"), weak)
+
+
+def _right_slack(c: str, c2: str, weak: bool) -> int:
+    return _slack(c in ("black", "green"), c2 in ("black", "red"), weak)
+
+
+def _extremal(points, weak: bool, rightmost: bool) -> bool:
+    """Whether the walk points ``(x, y, color)`` encode the leftmost linear
+    extension of their fiber (the rightmost with ``rightmost``) under the
+    weak or the strong step rules: no step moves back in x (in y) by more
+    than its slack."""
+    slack, i = (_right_slack, 1) if rightmost else (_left_slack, 0)
+    return all(
+        q[i] >= p[i] - slack(p[2], q[2], weak) for p, q in zip(points, points[1:])
+    )
+
+
+def _avoids_2_41_3(pi: Permutation) -> bool:
+    """Whether ``pi`` avoids the vincular pattern 2-41-3.
+
+    An adjacent descent ``a > b`` starts an occurrence iff the least value
+    in ``(b, a)`` before it lies below the greatest value in ``(b, a)``
+    after it; sorted lists of the earlier and the later values answer both
+    by bisection.
+    """
+    earlier, later = [], sorted(pi[2:])
+    for t, (a, b) in enumerate(zip(pi, pi[1:])):
+        if a > b:
+            i, k = bisect_right(earlier, b), bisect_left(later, a)
+            if i < len(earlier) and k and earlier[i] < later[k - 1]:
+                return False
+        insort(earlier, a)
+        if t + 2 < len(pi):
+            del later[bisect_left(later, pi[t + 2])]
+    return True
+
+
 def classify(pi: Permutation) -> frozenset[str]:
     """The set of class flags that hold for ``pi``.
 
-    Each flag is avoidance of a fixed pattern list: ``separable`` avoids the
-    two classical crossing patterns; ``baxter``/``twisted_baxter``/
-    ``co_twisted_baxter``/``semi_baxter`` avoid vincular pairs (or the single
-    vincular pattern for ``semi_baxter``); ``two_clumped``/``co_two_clumped``
-    avoid their four vincular patterns; ``windmill_mesh_avoiding`` avoids both
-    windmill mesh patterns.  The first seven run the mesh matcher; the
-    windmill flag is read off the staircase insertion's walls instead (see
-    :func:`_windmill_free`), where the matcher would cost far more.
+    Every flag is read off one staircase insertion (:func:`_history`); no
+    drawing is built and no pattern is matched.  Each class but one is the
+    set of distinguished members of the fibers of a forward map:
+
+    - ``two_clumped`` / ``co_two_clumped``: ``pi`` is the bottom (top) of
+      its strong fiber, that is its walk is leftmost (rightmost) under the
+      strong step rules (Reading, "Generic rectangulations", 2012).
+    - ``twisted_baxter`` / ``co_twisted_baxter``: the same under the weak
+      step rules, for the weak fiber (Law and Reading, 2012).
+    - ``baxter``: ``pi`` is its weak fiber's one Baxter member, the SW-NE
+      order of the walls.
+    - ``windmill_mesh_avoiding``: the walls hold no windmill; by the source
+      paper's theorem these are exactly the ``pi`` with guillotine images.
+    - ``separable``: Baxter and windmill-free.
+    - ``semi_baxter``, avoidance of 2-41-3, has no map:
+      :func:`_avoids_2_41_3`.
+
+    The flags are avoidance of fixed pattern lists, and the mesh matcher
+    (:func:`occurrences`) over those lists is the reference in the tests.
     """
-    flags = set()
-    if avoids_all(pi, (VINC_2_41_3, VINC_3_14_2)):
-        flags.add("baxter")
-    if avoids_all(pi, (VINC_2_41_3, VINC_3_41_2)):
-        flags.add("twisted_baxter")
-    if avoids_all(pi, (VINC_2_14_3, VINC_3_14_2)):
-        flags.add("co_twisted_baxter")
-    if avoids_all(pi, (PATTERN_2413, PATTERN_3142)):
-        flags.add("separable")
-    if avoids_all(pi, TWO_CLUMPED_FORBIDDEN):
-        flags.add("two_clumped")
-    if avoids_all(pi, CO_TWO_CLUMPED_FORBIDDEN):
-        flags.add("co_two_clumped")
-    if not contains_pattern(pi, VINC_2_41_3):
-        flags.add("semi_baxter")
-    if _windmill_free(pi):
-        flags.add("windmill_mesh_avoiding")
-    return frozenset(flags)
-
-
-def _windmill_free(pi: Permutation) -> bool:
-    """Whether ``pi`` avoids both windmill mesh patterns.
-
-    By the source paper's theorem these are exactly the permutations whose
-    images are guillotine, that is windmill-free.  So the flag inserts
-    ``pi`` into a staircase and walks its walls (the segments of both
-    ``gamma_w(pi)`` and ``gamma_s(pi)``) for a windmill in O(n), building
-    no drawing.  The mesh matcher is the reference in the tests.
-    """
-    st = _Staircase(pi.n)
-    for j in pi:
-        st.insert(j)
-    return next(_windmills(pi.n, st.walls), None) is None
+    walls, points = _history(pi)
+    baxter = _linear_order(len(pi), walls, swne=True) == pi
+    windmill_free = next(_windmills(len(pi), walls), None) is None
+    flags = {
+        "baxter": baxter,
+        "twisted_baxter": _extremal(points, True, False),
+        "co_twisted_baxter": _extremal(points, True, True),
+        "separable": baxter and windmill_free,
+        "two_clumped": _extremal(points, False, False),
+        "co_two_clumped": _extremal(points, False, True),
+        "semi_baxter": _avoids_2_41_3(pi),
+        "windmill_mesh_avoiding": windmill_free,
+    }
+    return frozenset(f for f, held in flags.items() if held)
 
 
 # ---------------------------------------------------------------------------

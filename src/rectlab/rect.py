@@ -345,8 +345,8 @@ def _diagonal_boxes(n: int, walls) -> list[tuple[int, int, int, int]]:
 
 class _Staircase:
     """The staircase of an insertion (see :mod:`rectlab.biject`): peak
-    bookkeeping shared by the forward maps, the walk encoding and the
-    windmill flag of :func:`rectlab.perm.classify`, and the walls it builds:
+    bookkeeping shared by the forward maps, the walk encoding and the class
+    flags of :func:`rectlab.perm.classify`, and the walls it builds:
     ``(orientation, side_a, side_b)``, sides in order.  Both maps keep every
     rectangle-segment adjacency, so these are the segments of both."""
 

@@ -17,6 +17,11 @@ after white.  A walk is an *excursion* when it starts at the origin, and
 excursions are in bijection with permutations: each one is the strong
 encoding of exactly one ``pi``, and decoding recovers that ``pi`` and maps it
 forward again.
+
+The encoding is the walk point list of :func:`rectlab.perm._history`, and
+the step rules of the walk predicates and of the counting DP are
+:func:`rectlab.perm._slack`: :func:`rectlab.perm.classify` reads its flags
+off the same points under the same rules.
 """
 
 from __future__ import annotations
@@ -28,10 +33,17 @@ from operator import add, sub
 from typing import Iterator
 
 from .biject import gamma_s, gamma_w
-from .perm import Permutation, _numeral
-from .rect import Rectangulation, _Staircase
+from .perm import (
+    COLORS,
+    Permutation,
+    _extremal,
+    _history,
+    _left_slack,
+    _numeral,
+    _right_slack,
+)
+from .rect import Rectangulation
 
-COLORS = ("black", "red", "green", "white")
 _LEVEL_STEP = {"black": 1, "red": 0, "green": 0, "white": -1}
 
 
@@ -117,13 +129,7 @@ def walk_from_text(text: str, variant: str = "strong") -> HistoryQuadrantWalk:
 
 
 def _encode_points(pi: Permutation) -> tuple[WalkPoint, ...]:
-    st = _Staircase(pi.n)
-    pts = []
-    for j in pi:
-        _, _, valley, n_valleys, top, right = st.insert(j)
-        color = ("black", "green", "red", "white")[top + 2 * right]
-        pts.append(WalkPoint(valley, n_valleys - 1 - valley, color))
-    return tuple(pts)
+    return tuple(WalkPoint(*p) for p in _history(pi)[1])
 
 
 def encode_strong(pi: Permutation) -> HistoryQuadrantWalk:
@@ -204,39 +210,14 @@ def decode(w: HistoryQuadrantWalk) -> Rectangulation:
 # ---------------------------------------------------------------------------
 
 
-def _slack(inward_from: bool, inward_to: bool, weak: bool) -> int:
-    """How far one step may move back in x (leftmost rule) or in y
-    (rightmost rule): 0 when it is inward (either side inward for the weak
-    variant, both sides for the strong one), else 1.  The walk predicates
-    and the counting DP share this one definition of the step rules."""
-    inward = (inward_from or inward_to) if weak else (inward_from and inward_to)
-    return 0 if inward else 1
-
-
-def _left_slack(c: str, c2: str, weak: bool) -> int:
-    return _slack(c in ("black", "red"), c2 in ("black", "green"), weak)
-
-
-def _right_slack(c: str, c2: str, weak: bool) -> int:
-    return _slack(c in ("black", "green"), c2 in ("black", "red"), weak)
-
-
 def is_leftmost(w: HistoryQuadrantWalk) -> bool:
     """True iff the walk encodes a leftmost linear extension (per variant)."""
-    weak = w.variant == "weak"
-    return all(
-        q.x >= p.x - _left_slack(p.color, q.color, weak)
-        for p, q in zip(w.points, w.points[1:])
-    )
+    return _extremal([(p.x, p.y, p.color) for p in w.points], w.variant == "weak", False)
 
 
 def is_rightmost(w: HistoryQuadrantWalk) -> bool:
     """True iff the walk encodes a rightmost linear extension (per variant)."""
-    weak = w.variant == "weak"
-    return all(
-        q.y >= p.y - _right_slack(p.color, q.color, weak)
-        for p, q in zip(w.points, w.points[1:])
-    )
+    return _extremal([(p.x, p.y, p.color) for p in w.points], w.variant == "weak", True)
 
 
 def is_leftright(w: HistoryQuadrantWalk) -> bool:

@@ -19,6 +19,19 @@ from itertools import combinations
 import pytest
 
 from conftest import strong_count_via_multiplicity
+from patterns import (
+    CO_TWO_CLUMPED_FORBIDDEN,
+    PATTERN_2413,
+    PATTERN_3142,
+    TWO_CLUMPED_FORBIDDEN,
+    VINC_2_14_3,
+    VINC_2_41_3,
+    VINC_3_14_2,
+    VINC_3_41_2,
+    WINDMILL_MESH_CCW,
+    WINDMILL_MESH_CW,
+    avoids_all,
+)
 from rectlab.biject import (
     baxter_representative,
     fiber_s,
@@ -43,20 +56,11 @@ from rectlab.counting import (
     z0_bound,
 )
 from rectlab.perm import (
-    CO_TWO_CLUMPED_FORBIDDEN,
-    PATTERN_2413,
-    PATTERN_3142,
-    TWO_CLUMPED_FORBIDDEN,
-    VINC_2_14_3,
-    VINC_2_41_3,
-    VINC_3_14_2,
-    VINC_3_41_2,
-    WINDMILL_MESH_CCW,
-    WINDMILL_MESH_CW,
+    CLASS_FLAGS,
     Permutation,
-    _windmill_free,
     all_permutations,
-    avoids_all,
+    classify,
+    complement,
     contains_pattern,
     inversion_set,
 )
@@ -233,14 +237,33 @@ class TestGuillotineCharacterization:
             assert not (scan8.guillotine_image[n] & mesh_containing)
         assert scan8.seconds + time.perf_counter() - start < 600
 
-    def test_windmill_flag_iff_mesh_avoidance(self, scan8):
-        """``classify``'s flag, read off the staircase walls, agrees with the
-        mesh matcher on all of S_1..S_8."""
+    def test_class_flags_iff_pattern_avoidance(self, scan8):
+        """Every flag of ``classify``, read off the staircase insertion,
+        agrees with the mesh matcher on all of S_1..S_8.  The co-2-clumped
+        patterns are the complements of the 2-clumped ones, so that class is
+        the complement of the scanned 2-clumped set."""
         for n in range(1, 9):
-            containing = scan8.contains[n]["mesh_cw"] | scan8.contains[n]["mesh_ccw"]
-            free = frozenset(pi for pi in all_permutations(n) if _windmill_free(pi))
-            assert len(free) == scan8.counts[n] - len(containing)
-            assert not free & containing
+            perms = frozenset(all_permutations(n))
+            c = scan8.contains[n]
+            want = {
+                flag: perms - containing
+                for flag, containing in (
+                    ("baxter", c["v2413"] | c["v3142"]),
+                    ("twisted_baxter", c["v2413"] | c["v3412"]),
+                    ("co_twisted_baxter", c["v2143"] | c["v3142"]),
+                    ("separable", c["c2413"] | c["c3142"]),
+                    ("semi_baxter", c["v2413"]),
+                    ("windmill_mesh_avoiding", c["mesh_cw"] | c["mesh_ccw"]),
+                )
+            }
+            want["two_clumped"] = scan8.clumped[n]
+            want["co_two_clumped"] = frozenset(map(complement, scan8.clumped[n]))
+            got = {flag: set() for flag in CLASS_FLAGS}
+            for pi in perms:
+                for flag in classify(pi):
+                    got[flag].add(pi)
+            for flag in CLASS_FLAGS:
+                assert got[flag] == want[flag], (n, flag)
 
 
 # ---------------------------------------------------------------------------

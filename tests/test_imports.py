@@ -1,7 +1,8 @@
 """Package layering: modules import each other at the top level only and
 without a cycle, only outside input validates a tiling, the lean constructor stays behind the
 library's own drawings, the one transitive closure is a poset's reach in
-``biject`` (keys build none), and the package keeps its checks under ``python -O``."""
+``biject`` (keys build none), the mesh matcher is only an oracle, and the
+package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -49,14 +50,15 @@ def _package_imports(tree: ast.Module):
 
 
 def test_top_level_imports_form_a_dag():
-    """Load-time imports never close a cycle (``perm`` reads windmills off
-    ``rect``'s staircase walls, so ``rect`` must stay below it), and
-    ``counting`` builds no drawing: it needs only the walk counts."""
+    """Load-time imports never close a cycle (``perm`` reads its class
+    flags off ``rect``'s staircase insertion and nothing else, so ``rect``
+    must stay below it), and ``counting`` builds no drawing: it needs only
+    the walk counts."""
     graph = {
         path.stem: set(_package_imports(ast.parse(path.read_text())))
         for path in sorted(SRC.glob("*.py"))
     }
-    assert "rect" in graph["perm"]
+    assert graph["perm"] == {"rect"}
     assert graph["counting"] == {"walks"}
     left = dict(graph)
     while left:
@@ -122,6 +124,21 @@ def test_closures_only_in_biject():
         path.name for path in sorted(SRC.glob("*.py"))
         if "_greedy_extension" in path.read_text()
     ] == []
+
+
+def test_matcher_is_only_an_oracle():
+    """``classify`` reads every flag off one staircase insertion, so the
+    mesh matcher has no caller in the package but itself, and the step
+    rules that ``classify``, the walk predicates and the counting DP share
+    are defined once, beside the insertion's walk points in ``perm``."""
+    assert _calls("occurrences") == [("perm.py", "contains_pattern")]
+    assert _calls("contains_pattern") == []
+    assert [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_slack"
+    ] == ["perm.py"]
 
 
 def test_verify_passes_under_optimize():

@@ -65,6 +65,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patterns import FORBIDDEN, avoids_all, matcher_flags
 from rectlab import biject, rect
 from rectlab.cli import run
 from rectlab.counting import (
@@ -80,6 +81,7 @@ from rectlab.biject import (
     _closure_masks,
     _Staircase,
     adjacency_poset,
+    baxter_representative,
     count_linear_extensions,
     diagonal_representative,
     gamma_s,
@@ -91,14 +93,7 @@ from rectlab.biject import (
     strong_poset,
     weak_poset,
 )
-from rectlab.perm import (
-    WINDMILL_MESH_CCW,
-    WINDMILL_MESH_CW,
-    Permutation,
-    _windmill_free,
-    all_permutations,
-    avoids_all,
-)
+from rectlab.perm import Permutation, all_permutations, classify
 from rectlab.rect import (
     Rect,
     Rectangulation,
@@ -856,7 +851,9 @@ def check_windmills_against_references(pi: Permutation) -> None:
         tree = guillotine_tree(r)
         assert tree == ref_guillotine_tree(r)
         assert is_guillotine(r) == (not windmills) == (tree is not None)
-    assert _windmill_free(pi) == avoids_all(pi, (WINDMILL_MESH_CW, WINDMILL_MESH_CCW))
+    assert ("windmill_mesh_avoiding" in classify(pi)) == avoids_all(
+        pi, FORBIDDEN["windmill_mesh_avoiding"]
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1006,6 +1003,24 @@ def test_random_windmills_against_references(pi):
 @settings(max_examples=60, deadline=None)
 def test_random_orders_against_references(pi, seed):
     check_orders_against_references(pi, seed)
+
+
+@given(st.integers(1, 40).flatmap(perms))
+@settings(max_examples=60, deadline=None)
+def test_classify_matches_the_matcher_on_class_members(pi):
+    """Every flag against the matcher over its pattern list.  A random
+    ``pi`` contains every pattern early, so the flags are checked on the
+    distinguished members of its fibers, where the classes live: both keys,
+    both rightmost extensions and the Baxter representative."""
+    rs, rw = gamma_s(pi), gamma_w(pi)
+    for sigma in (
+        strong_key(rs),
+        weak_key(rw),
+        rightmost_extension(strong_poset(rs)),
+        rightmost_extension(weak_poset(rw)),
+        baxter_representative(rw),
+    ):
+        assert classify(sigma) == matcher_flags(sigma), sigma
 
 
 def _random_permutation(n, seed):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -10,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reverse_permutation
-from rectlab.rect import Rectangulation
-from rectlab.perm import (
-    CLASS_FLAGS,
+from patterns import (
     CO_TWO_CLUMPED_FORBIDDEN,
     PATTERN_2413,
     PATTERN_3142,
@@ -23,10 +22,17 @@ from rectlab.perm import (
     VINC_3_41_2,
     WINDMILL_MESH_CCW,
     WINDMILL_MESH_CW,
+    avoids_all,
+    matcher_flags,
+)
+from rectlab import perm
+from rectlab.biject import baxter_representative, gamma_w
+from rectlab.rect import Rectangulation
+from rectlab.perm import (
+    CLASS_FLAGS,
     MeshPattern,
     Permutation,
     all_permutations,
-    avoids_all,
     bruhat_covers,
     bruhat_leq,
     classical_pattern,
@@ -41,6 +47,21 @@ from rectlab.perm import (
 )
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(Permutation)
+
+
+def random_separable(n: int, rng: random.Random) -> Permutation:
+    """A separable permutation: random direct and skew sums of adjacent
+    blocks, starting from ``n`` singletons."""
+    blocks = [[1] for _ in range(n)]
+    while len(blocks) > 1:
+        i = rng.randrange(len(blocks) - 1)
+        left, right = blocks[i], blocks[i + 1]
+        if rng.random() < 0.5:  # direct sum
+            blocks[i : i + 2] = [left + [v + len(left) for v in right]]
+        else:  # skew sum
+            blocks[i : i + 2] = [[v + len(right) for v in left] + right]
+    return Permutation(blocks[0])
+
 
 # An avoidance-equivalent enlargement of WINDMILL_MESH_CW with rectangular
 # shaded blocks, kept as a cross-check fixture.
@@ -89,6 +110,13 @@ class TestPermutation:
         # int() reads each of these as a number
         with pytest.raises(ValueError, match="entry %d" % entry):
             parse_permutation(bad)
+
+    @pytest.mark.parametrize(
+        "entries, kind", [((True, 2), "bool"), ((2, True), "bool"), ((1, "2"), "str")]
+    )
+    def test_rejects_non_int_entries_naming_their_type(self, entries, kind):
+        with pytest.raises(TypeError, match="entries must be integers, not %s$" % kind):
+            Permutation(entries)
 
     def test_identity_and_reverse(self):
         assert identity_permutation(4) == Permutation((1, 2, 3, 4))
@@ -351,18 +379,41 @@ class TestClassify:
                 got[f] += 1
         assert got == want
 
-    def test_windmill_flag_builds_no_drawing(self, monkeypatch):
-        """The flag walks the staircase insertion's walls; no drawing, lean
-        or validated, is built on the way."""
+    def test_classify_builds_no_drawing_and_runs_no_matcher(self, monkeypatch):
+        """Every flag is read off the staircase insertion: no drawing, lean
+        or validated, is built and no pattern is matched on the way."""
+        want = {pi: matcher_flags(pi) for pi in all_permutations(5)}
 
         def refuse(*args):
-            raise AssertionError("classify built a rectangulation")
+            raise AssertionError("classify built a rectangulation or matched")
 
         monkeypatch.setattr(Rectangulation, "__init__", refuse)
         monkeypatch.setattr(Rectangulation, "_built", refuse)
-        assert "windmill_mesh_avoiding" not in classify(parse_permutation("2 5 3 1 4"))
-        assert "windmill_mesh_avoiding" not in classify(parse_permutation("4 1 3 5 2"))
-        assert "windmill_mesh_avoiding" in classify(parse_permutation("2 4 1 3"))
+        monkeypatch.setattr(perm, "occurrences", refuse)
+        assert {pi: classify(pi) for pi in want} == want
+        assert all(any(f in w for w in want.values()) for f in CLASS_FLAGS)
+        assert all(any(f not in w for w in want.values()) for f in CLASS_FLAGS)
+
+    @pytest.mark.parametrize("kind", ["baxter", "separable"])
+    def test_classify_at_size_1000(self, kind):
+        """Class members are the avoiders the matcher was slowest on (a
+        Baxter ``pi`` took over a second at n=160); one insertion reads
+        their flags at n=1000 in well under 50 ms."""
+        rng = random.Random(1000)
+        if kind == "baxter":
+            pi = baxter_representative(gamma_w(Permutation(rng.sample(range(1, 1001), 1000))))
+            held = {"baxter", "semi_baxter"}
+        else:
+            pi = random_separable(1000, rng)
+            # 3412 and 2143 are separable, so the twisted classes may fail
+            held = set(CLASS_FLAGS) - {"twisted_baxter", "co_twisted_baxter"}
+        seconds = []
+        for _ in range(5):
+            start = time.perf_counter()
+            flags = classify(pi)
+            seconds.append(time.perf_counter() - start)
+        assert held <= flags
+        assert min(seconds) < 0.05, seconds
 
     def test_2413_is_not_separable(self):
         assert "separable" not in classify(parse_permutation("2 4 1 3"))
