@@ -43,7 +43,6 @@ from .rect import (
     _compact,
     _diagonal_boxes,
     _Staircase,
-    _walls,
     is_diagonal,
     strong_key,
     swne_labeling,
@@ -55,8 +54,8 @@ def gamma_w(pi: Permutation) -> Rectangulation:
     """Weak forward insertion: the diagonal representative on the n x n grid,
     its boxes read off the insertion's walls.
 
-    >>> [q.box for q in gamma_w(Permutation((1, 2, 3))).rects]
-    [(0, 0, 1, 3), (1, 0, 2, 3), (2, 0, 3, 3)]
+    >>> gamma_w(Permutation((1, 2, 3))).boxes
+    ((0, 0, 1, 3), (1, 0, 2, 3), (2, 0, 3, 3))
     """
     st = _Staircase(pi.n)
     for j in pi:
@@ -181,13 +180,13 @@ def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
     Two rectangles touch only across a segment, so only its two sides are
     compared, by their spans along the segment.
     """
-    box = [q.box for q in r.rects]
+    box = r.boxes
     pairs = set()
-    for s in r.segments:
-        k = 1 if s.orientation == "v" else 0  # box index of the span start
-        for p in s.side_a:
+    for orientation, side_a, side_b in r.walls:
+        k = 1 if orientation == "v" else 0  # box index of the span start
+        for p in side_a:
             u = box[p - 1]
-            for q in s.side_b:
+            for q in side_b:
                 w = box[q - 1]
                 if max(u[k], w[k]) < min(u[k + 2], w[k + 2]):
                     pairs.add((p, q) if k else (q, p))  # p left of q / q below p
@@ -204,8 +203,7 @@ def diagonal_representative(r: Rectangulation) -> Rectangulation:
     class shares ``r``'s walls, and they place every box."""
     if is_diagonal(r):
         return r
-    walls = _walls(r)
-    return Rectangulation._built(_diagonal_boxes(r.n, walls), walls)
+    return Rectangulation._built(_diagonal_boxes(r.n, r.walls), r.walls)
 
 
 def weak_poset(r: Rectangulation) -> Poset:
@@ -221,13 +219,13 @@ def _strong_pairs(r: Rectangulation) -> set[tuple[int, int]]:
     above-side rectangle precedes every below-side rectangle starting
     strictly to its right.
     """
-    box = [q.box for q in r.rects]
+    box = r.boxes
     pairs = _adjacency_pairs(r)
-    for s in r.segments:
-        k = 1 if s.orientation == "v" else 0  # box index of the span start
-        for a in s.side_a:
+    for orientation, side_a, side_b in r.walls:
+        k = 1 if orientation == "v" else 0  # box index of the span start
+        for a in side_a:
             end = box[a - 1][k + 2]
-            for b in s.side_b:
+            for b in side_b:
                 if end < box[b - 1][k]:  # b starts past a's end
                     pairs.add((b, a) if k else (a, b))
     return pairs
@@ -350,10 +348,10 @@ def reflect_swne(r: Rectangulation) -> Rectangulation:
     Left-of becomes below and above becomes right-of: labels reverse, and
     each wall turns, swaps its sides and reverses their order."""
     w, h, n = r.width, r.height, r.n
-    reflected = [(h - q.y2, w - q.x2, h - q.y1, w - q.x1) for q in reversed(r.rects)]
+    reflected = [(h - y2, w - x2, h - y1, w - x1) for x1, y1, x2, y2 in reversed(r.boxes)]
     flip = lambda side: [n + 1 - q for q in reversed(side)]
     turn = {"v": "h", "h": "v"}
-    walls = [(turn[s.orientation], flip(s.side_b), flip(s.side_a)) for s in r.segments]
+    walls = [(turn[o], flip(side_b), flip(side_a)) for o, side_a, side_b in r.walls]
     return Rectangulation._built(_compact(reflected), walls)
 
 
@@ -369,12 +367,10 @@ def _swap_positions(pi: Permutation, i: int) -> Permutation:
 
 
 def _union_is_rect(r: Rectangulation, j: int, k: int) -> bool:
-    a, b = r.rect(j), r.rect(k)
-    if a.x1 == b.x1 and a.x2 == b.x2 and (a.y2 == b.y1 or b.y2 == a.y1):
-        return True
-    if a.y1 == b.y1 and a.y2 == b.y2 and (a.x2 == b.x1 or b.x2 == a.x1):
-        return True
-    return False
+    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = r.boxes[j - 1], r.boxes[k - 1]
+    return (ax1, ax2) == (bx1, bx2) and (ay2 == by1 or by2 == ay1) or (
+        (ay1, ay2) == (by1, by2) and (ax2 == bx1 or bx2 == ax1)
+    )
 
 
 def _flip_kind(

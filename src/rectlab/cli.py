@@ -217,7 +217,7 @@ def _check_perm_counts(max_n: int) -> tuple[bool, str]:
 def _check_running_fixture(max_n: int) -> tuple[bool, str]:
     r = biject.gamma_w(_RUNNING_PERM)
     facts = (
-        len(r.segments) == 15,
+        len(r.walls) == 15,
         rect.multiplicity(r) == 1152,
         rect.has_z_wall(r),
         len(rect.find_windmills(r)) == 2,
@@ -239,7 +239,7 @@ def _check_running_fixture(max_n: int) -> tuple[bool, str]:
 
 def _check_json_round_trip(max_n: int) -> tuple[bool, str]:
     """Revalidate built drawings: each image and its ``reflect_swne``, read
-    back through the validating ``from_json``, has the same boxes, segments
+    back through the validating ``from_json``, has the same boxes, walls
     and labelings."""
     labelings = (rect.nwse_labeling, rect.swne_labeling)
     for pi in perm.all_permutations(min(max_n, 4)):
@@ -248,7 +248,7 @@ def _check_json_round_trip(max_n: int) -> tuple[bool, str]:
             reflected = ("reflect_swne(%s)" % name, biject.reflect_swne(image))
             for what, r in ((name, image), reflected):
                 back = rect.from_json(rect.to_json(r))
-                if (back.rects, back.segments) != (r.rects, r.segments) or any(
+                if (back.boxes, back.walls) != (r.boxes, r.walls) or any(
                     f(back) != f(r) for f in labelings
                 ):
                     return False, "%s differs from its JSON copy" % what

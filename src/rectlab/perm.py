@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .rect import _Staircase, _linear_order, _windmills
+from .rect import _Staircase, _windmills
 
 
 class Permutation(tuple):
@@ -343,7 +343,9 @@ def classify(pi: Permutation) -> frozenset[str]:
     - ``twisted_baxter`` / ``co_twisted_baxter``: the same under the weak
       step rules, for the weak fiber (Law and Reading, 2012).
     - ``baxter``: ``pi`` is its weak fiber's one Baxter member, the SW-NE
-      order of the walls.
+      order of the walls.  That order is the unique topological order of
+      the pairs across the walls, so ``pi`` is it iff each wall's earlier
+      side lies wholly before its later side in ``pi``.
     - ``windmill_mesh_avoiding``: the walls hold no windmill; by the source
       paper's theorem these are exactly the ``pi`` with guillotine images.
     - ``separable``: Baxter and windmill-free.
@@ -354,7 +356,10 @@ def classify(pi: Permutation) -> frozenset[str]:
     (:func:`occurrences`) over those lists is the reference in the tests.
     """
     walls, points = _history(pi)
-    baxter = _linear_order(len(pi), walls, swne=True) == pi
+    pos = {q: t for t, q in enumerate(pi)}
+    # SW-NE puts below before above: horizontal walls swap their sides
+    sides = [(b, a) if o == "h" else (a, b) for o, a, b in walls]
+    baxter = all(max(pos[q] for q in a) < min(pos[q] for q in b) for a, b in sides)
     windmill_free = next(_windmills(len(pi), walls), None) is None
     flags = {
         "baxter": baxter,

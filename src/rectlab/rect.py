@@ -3,9 +3,8 @@
 Conventions
 -----------
 - Coordinates are non-negative integers; ``y`` increases **downward**, so
-  "above" means smaller ``y``.  A rectangle is stored as
-  ``(label, x1, y1, x2, y2)`` with ``x1 < x2`` (left/right) and ``y1 < y2``
-  (top/bottom).
+  "above" means smaller ``y``.  A box is ``(x1, y1, x2, y2)`` with
+  ``x1 < x2`` (left/right) and ``y1 < y2`` (top/bottom).
 - A rectangulation of size ``n`` tiles the box ``[0, width] x [0, height]``
   with ``n`` rectangles whose interiors are disjoint.  It must be *generic*:
   no point where four rectangles meet.
@@ -19,10 +18,12 @@ Conventions
   left of or above rectangle ``j`` (in the transitive wall-sharing sense).
 - A *segment* is a maximal straight interval of internal walls.  A valid
   rectangulation of size ``n`` has exactly ``n - 1`` segments.
-- A drawing is its boxes plus its walls (one per segment, sides in order
-  along it); :func:`_tile_walls` validates outside input and yields them,
-  and the :class:`_Staircase` of an insertion builds them for the forward
-  maps.
+- A drawing stores its boxes, in label order, and its walls
+  ``(orientation, side_a, side_b)``, one per segment with its sides in
+  order along it: :func:`_tile_walls` validates outside input and yields
+  them, and the :class:`_Staircase` of an insertion builds them for the
+  forward maps.  ``Rect`` and ``Segment`` objects are views, built on
+  first read of :attr:`Rectangulation.rects` / ``.segments``.
 - Each end of a segment lies on the frame or strictly inside one
   perpendicular segment, its *hook*, which the walls alone name.  A
   windmill is a 4-cycle of hooks, and a drawing is guillotine exactly when
@@ -34,6 +35,7 @@ Conventions
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -106,15 +108,16 @@ class Segment:
 
 
 class Rectangulation:
-    """An immutable generic rectangulation: its boxes and its segments.
+    """An immutable generic rectangulation: ``boxes[i]``, the box ``(x1, y1,
+    x2, y2)`` of label ``i + 1``, and ``walls``, one ``(orientation, side_a,
+    side_b)`` per segment in segment order.  Readers use these two tuples;
+    :attr:`rects` and :attr:`segments` are views built on first read.
 
     Outside input comes through :func:`from_rects`, :func:`from_json` or the
     constructor (normalized, NW-SE-labeled rectangles), each validating once
     in :func:`_tile_walls`; built drawings come from :meth:`_built`.  Both
-    assemble the segments alike; the labelings are read off the segments.
+    assemble the walls alike; the labelings are read off the walls.
     """
-
-    __slots__ = ("rects", "width", "height", "segments")
 
     def __init__(self, rects: Iterable[Rect]):
         rect_list = sorted(rects, key=lambda r: r.label)
@@ -127,7 +130,7 @@ class Rectangulation:
             )
         if min(r.x1 for r in rect_list) != 0 or min(r.y1 for r in rect_list) != 0:
             raise RectangulationError("coordinates must start at 0 (not normalized)")
-        self._assemble(tuple(rect_list), _tile_walls(rect_list))
+        self._assemble(tuple(r.box for r in rect_list), _tile_walls(rect_list))
         order = nwse_labeling(self)
         if order != tuple(range(1, n + 1)):
             raise RectangulationError(
@@ -135,56 +138,72 @@ class Rectangulation:
             )
 
     @classmethod
-    def _built(cls, boxes: Sequence[tuple[int, ...]], walls) -> Rectangulation:
+    def _built(cls, boxes: Sequence[tuple[int, int, int, int]], walls) -> Rectangulation:
         """Trusted geometry: ``boxes[i]`` is the box of label ``i + 1``."""
         self = cls.__new__(cls)
-        self._assemble(tuple(Rect(i, *box) for i, box in enumerate(boxes, 1)), walls)
+        self._assemble(tuple(boxes), walls)
         return self
 
-    def _assemble(self, rects: tuple[Rect, ...], walls) -> None:
-        """Fields from ``rects`` (in label order) and ``walls``; checks only
+    def _assemble(self, boxes: tuple[tuple[int, int, int, int], ...], walls) -> None:
+        """Fields from ``boxes`` (in label order) and ``walls``; checks only
         that both sides of each wall span the same interval."""
-        self.rects = rects
-        self.width = max(r.x2 for r in rects)
-        self.height = max(r.y2 for r in rects)
-        segments = []
+        self.boxes = boxes
+        self.width = max(b[2] for b in boxes)
+        self.height = max(b[3] for b in boxes)
+        keyed = []
         for orientation, side_a, side_b in walls:
-            # (line, lo, hi) per side: first box's edge on the wall, span to the last
-            a, a_end = rects[side_a[0] - 1], rects[side_a[-1] - 1]
-            b, b_end = rects[side_b[0] - 1], rects[side_b[-1] - 1]
-            if orientation == "v":
-                span, other = (a.x2, a.y1, a_end.y2), (b.x1, b.y1, b_end.y2)
-            else:
-                span, other = (a.y2, a.x1, a_end.x2), (b.y1, b.x1, b_end.x2)
+            span, other = _spans(boxes, orientation, side_a, side_b)
             if span != other:
                 raise RectangulationError(
                     "segment sides %r and %r span different intervals" % (side_a, side_b)
                 )
-            segments.append(Segment(orientation, *span, tuple(side_a), tuple(side_b)))
-        segments.sort(key=lambda s: (s.orientation != "v", s.line, s.lo))
-        self.segments = tuple(segments)
+            wall = (orientation, tuple(side_a), tuple(side_b))
+            keyed.append((orientation != "v", *span[:2], wall))  # segment order
+        keyed.sort()
+        self.walls = tuple(k[-1] for k in keyed)
 
-    # -- basic relations -----------------------------------------------------
+    # -- views ---------------------------------------------------------------
+
+    @functools.cached_property
+    def rects(self) -> tuple[Rect, ...]:
+        return tuple(Rect(i, *box) for i, box in enumerate(self.boxes, 1))
+
+    @functools.cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        return tuple(
+            Segment(wall[0], *_spans(self.boxes, *wall)[0], *wall[1:]) for wall in self.walls
+        )
 
     def rect(self, label: int) -> Rect:
         return self.rects[label - 1]
 
     @property
     def n(self) -> int:
-        return len(self.rects)
+        return len(self.boxes)
 
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rectangulation):
             return NotImplemented
-        return self.rects == other.rects
+        return self.boxes == other.boxes
 
     def __hash__(self) -> int:
-        return hash(self.rects)
+        return hash(self.boxes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Rectangulation(n=%d, %dx%d)" % (self.n, self.width, self.height)
+
+
+def _spans(boxes, orientation: str, side_a, side_b) -> tuple[tuple[int, int, int], ...]:
+    """``(line, lo, hi)`` of a wall as each side sees it: the line its first
+    box's edge lies on, and the span from that box to its last."""
+    k = orientation == "v"  # index of a box's start along the wall
+    a, b = boxes[side_a[0] - 1], boxes[side_b[0] - 1]
+    return (
+        (a[3 - k], a[k], boxes[side_a[-1] - 1][k + 2]),
+        (b[1 - k], b[k], boxes[side_b[-1] - 1][k + 2]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +465,13 @@ def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _walls(r: Rectangulation):
-    """The walls of ``r`` as ``(orientation, side_a, side_b)``, in segment order."""
-    return [(s.orientation, s.side_a, s.side_b) for s in r.segments]
-
-
 def nwse_labeling(r: Rectangulation) -> tuple[int, ...]:
     """Labels in NW-SE reading order: ``i`` before ``j`` iff left-of or above.
 
     For a valid rectangulation this is ``(1, 2, .., n)`` by the labeling
     invariant.
     """
-    return _linear_order(r.n, _walls(r))
+    return _linear_order(r.n, r.walls)
 
 
 def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
@@ -465,7 +479,7 @@ def swne_labeling(r: Rectangulation) -> tuple[int, ...]:
 
     ``i`` before ``j`` iff ``i`` left of ``j`` or ``j`` above ``i``.
     """
-    return _linear_order(r.n, _walls(r), swne=True)
+    return _linear_order(r.n, r.walls, swne=True)
 
 
 def from_json(text: str) -> Rectangulation:
@@ -515,8 +529,8 @@ def to_json(r: Rectangulation) -> str:
         {
             "n": r.n,
             "rects": [
-                {"label": q.label, "x1": q.x1, "y1": q.y1, "x2": q.x2, "y2": q.y2}
-                for q in r.rects
+                {"label": i, "x1": x1, "y1": y1, "x2": x2, "y2": y2}
+                for i, (x1, y1, x2, y2) in enumerate(r.boxes, 1)
             ],
         },
         separators=(", ", ": "),
@@ -531,12 +545,8 @@ def to_json(r: Rectangulation) -> str:
 def is_diagonal(r: Rectangulation) -> bool:
     """True iff drawn on the n x n grid with rectangle ``j`` meeting cell ``j``
     of the main (NW-SE) diagonal."""
-    n = r.n
-    if r.width != n or r.height != n:
-        return False
-    return all(
-        q.x1 <= q.label - 1 and q.x2 >= q.label and q.y1 <= q.label - 1 and q.y2 >= q.label
-        for q in r.rects
+    return r.width == r.height == r.n and all(
+        x1 < j <= x2 and y1 < j <= y2 for j, (x1, y1, x2, y2) in enumerate(r.boxes, 1)
     )
 
 
@@ -549,7 +559,7 @@ def segment_joint_counts(r: Rectangulation) -> list[tuple[int, int]]:
     arrivals from above and from below.  A side with ``k`` rectangles meets
     ``k - 1`` such T-joints.
     """
-    return [(len(s.side_a) - 1, len(s.side_b) - 1) for s in r.segments]
+    return [(len(side_a) - 1, len(side_b) - 1) for _, side_a, side_b in r.walls]
 
 
 def multiplicity(r: Rectangulation) -> int:
@@ -572,19 +582,10 @@ def is_one_sided(r: Rectangulation) -> bool:
 def has_z_wall(r: Rectangulation) -> bool:
     """True iff some vertical segment carries a left-side rectangle whose
     bottom corner lies strictly above a right-side rectangle's top corner,
-    both corners strictly inside the segment."""
-    for s in r.segments:
-        if s.orientation != "v":
-            continue
-        left_bottoms = [
-            r.rect(i).y2 for i in s.side_a if s.lo < r.rect(i).y2 < s.hi
-        ]
-        right_tops = [
-            r.rect(j).y1 for j in s.side_b if s.lo < r.rect(j).y1 < s.hi
-        ]
-        if left_bottoms and right_tops and min(left_bottoms) < max(right_tops):
-            return True
-    return False
+    both corners strictly inside the segment: sides run top-down, so the
+    first left bottom lies above the last right top (a lone box's do not)."""
+    box = r.boxes
+    return any(o == "v" and box[a[0] - 1][3] < box[b[-1] - 1][1] for o, a, b in r.walls)
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +607,11 @@ def guillotine_tree(r: Rectangulation):
     looks its cut up by one bisection among the lines of the segments with
     its span, and the parts wait on an explicit queue; O(n log n) overall.
     """
-    leaf = {q.box: q.label for q in r.rects}
+    leaf = {box: i for i, box in enumerate(r.boxes, 1)}
     lines: dict[tuple[str, int, int], list[int]] = {}
-    for s in r.segments:  # sorted by line
-        lines.setdefault((s.orientation, s.lo, s.hi), []).append(s.line)
+    for wall in r.walls:  # sorted by line
+        line, lo, hi = _spans(r.boxes, *wall)[0]
+        lines.setdefault((wall[0], lo, hi), []).append(line)
     parts = [(0, 0, r.width, r.height)]
     cuts = []  # per part: its leaf, or (orientation, line, first child's index)
     for x1, y1, x2, y2 in parts:  # grows while iterated: parents before children
@@ -646,7 +648,7 @@ def is_guillotine(r: Rectangulation) -> bool:
     so this is one hook walk over the walls, O(n); :func:`guillotine_tree`
     builds the cuts themselves.
     """
-    return next(_windmills(r.n, _walls(r)), None) is None
+    return next(_windmills(r.n, r.walls), None) is None
 
 
 @dataclass(frozen=True)
@@ -671,7 +673,7 @@ def find_windmills(r: Rectangulation) -> list[Windmill]:
     s = r.segments
     return [
         Windmill(chirality, s[top], s[right], s[bottom], s[left])
-        for chirality, top, right, bottom, left in _windmills(r.n, _walls(r))
+        for chirality, top, right, bottom, left in _windmills(r.n, r.walls)
     ]
 
 
@@ -776,19 +778,19 @@ def _render_ascii(r: Rectangulation) -> str:
         for gy in range(y1 * _CELL_H, y2 * _CELL_H + 1):
             grid[gy][gx] = "|"
 
-    for q in r.rects:
-        hline(q.y1, q.x1, q.x2)
-        hline(q.y2, q.x1, q.x2)
-        vline(q.x1, q.y1, q.y2)
-        vline(q.x2, q.y1, q.y2)
-    for q in r.rects:
-        for y in (q.y1, q.y2):
-            for x in (q.x1, q.x2):
+    for x1, y1, x2, y2 in r.boxes:
+        hline(y1, x1, x2)
+        hline(y2, x1, x2)
+        vline(x1, y1, y2)
+        vline(x2, y1, y2)
+    for x1, y1, x2, y2 in r.boxes:
+        for y in (y1, y2):
+            for x in (x1, x2):
                 grid[y * _CELL_H][x * _CELL_W] = "+"
-    for q in r.rects:
-        text = str(q.label)
-        gy = (q.y1 + q.y2) * _CELL_H // 2
-        gx = (q.x1 + q.x2) * _CELL_W // 2 - len(text) // 2
+    for label, (x1, y1, x2, y2) in enumerate(r.boxes, 1):
+        text = str(label)
+        gy = (y1 + y2) * _CELL_H // 2
+        gx = (x1 + x2) * _CELL_W // 2 - len(text) // 2
         for i, ch in enumerate(text):
             grid[gy][gx + i] = ch
     return "\n".join("".join(row).rstrip() for row in grid) + "\n"
@@ -805,27 +807,17 @@ def _render_svg(r: Rectangulation) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (w, h, w, h)
     ]
-    for q in r.rects:
+    boxes = [[v * _SVG_UNIT for v in box] for box in r.boxes]
+    for x1, y1, x2, y2 in boxes:
         parts.append(
             '<rect x="%d" y="%d" width="%d" height="%d" fill="white" '
-            'stroke="black" stroke-width="%d"/>'
-            % (
-                q.x1 * _SVG_UNIT,
-                q.y1 * _SVG_UNIT,
-                (q.x2 - q.x1) * _SVG_UNIT,
-                (q.y2 - q.y1) * _SVG_UNIT,
-                _SVG_STROKE,
-            )
+            'stroke="black" stroke-width="%d"/>' % (x1, y1, x2 - x1, y2 - y1, _SVG_STROKE)
         )
-    for q in r.rects:
+    for label, (x1, y1, x2, y2) in enumerate(boxes, 1):
         parts.append(
             '<text x="%d" y="%d" text-anchor="middle" dominant-baseline="central" '
             'font-family="sans-serif" font-size="16">%d</text>'
-            % (
-                (q.x1 + q.x2) * _SVG_UNIT // 2,
-                (q.y1 + q.y2) * _SVG_UNIT // 2,
-                q.label,
-            )
+            % ((x1 + x2) // 2, (y1 + y2) // 2, label)
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

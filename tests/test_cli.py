@@ -523,7 +523,7 @@ class TestVerifyFixtures:
 
         def missing_segment(r):
             out = reflect(r)
-            out.segments = out.segments[:-1]
+            out.walls = out.walls[:-1]
             return out
 
         monkeypatch.setattr(biject, "reflect_swne", missing_segment)
@@ -654,3 +654,80 @@ def test_classify_on_arbitrary_text(text):
 @settings(max_examples=200, deadline=None)
 def test_walk_decode_on_arbitrary_text(text, variant):
     _check_outcome(*_run_text(["walk", "decode", variant, "-"], stdin=text))
+
+
+def _check_outcome_or_usage(code, out, err):
+    """As :func:`_check_outcome`, or exit 2 with argparse's usage message."""
+    if code == 2:
+        assert out == "" and err.startswith("usage: ") and "Traceback" not in err, err
+    else:
+        _check_outcome(code, out, err)
+
+
+def _parsed_size(text, parse):
+    """The size ``parse`` reads off ``text``, or 0 where it fails: every
+    case below keeps it at most 6, so none starts real work."""
+    try:
+        return parse(text)
+    except ValueError:
+        return 0
+
+
+_SMALL_PERMS = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1)))
+_PERM_TEXT = st.one_of(
+    _TEXT,
+    _SMALL_PERMS.map(lambda p: " ".join(map(str, p))),
+).filter(lambda text: _parsed_size(text, lambda t: parse_permutation(t).n) <= 6)
+# what argparse's ``int`` reads, in and out of range, and near misses
+_SIZE_TEXT = st.one_of(
+    st.integers(-2, 8).map(str), _PIECES, _TEXT
+).filter(lambda text: _parsed_size(text, int) <= 6)
+_FIELDS = ("label", "x1", "y1", "x2", "y2")
+_DOC_TEXT = st.one_of(
+    _TEXT,
+    # rects-shaped documents of at most six boxes, fields missing or mistyped
+    st.lists(
+        st.dictionaries(
+            st.sampled_from(_FIELDS),
+            st.integers(-1, 4) | st.sampled_from([True, 1.5, "1", None]),
+        ),
+        max_size=6,
+    ).map(lambda rects: json.dumps({"rects": rects})),
+    # the JSON of drawings of size at most 6, whole or cut short
+    st.tuples(
+        _SMALL_PERMS,
+        st.sampled_from([biject.gamma_s, biject.gamma_w]),
+        st.none() | st.integers(0, 400),
+    ).map(lambda case: to_json(case[1](Permutation(case[0])))[: case[2]]),
+    # any JSON value
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    ).map(json.dumps),
+)
+
+
+@given(
+    _PERM_TEXT,
+    st.sampled_from(["--strong", "--weak"]),
+    st.sampled_from([[], ["--ascii"], ["--svg"]]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_map_on_arbitrary_text(text, variant, fmt, dashes):
+    argv = ["map", variant, *fmt, *(["--"] if dashes else []), text]
+    _check_outcome_or_usage(*_run_text(argv))
+
+
+@given(_DOC_TEXT, st.sampled_from(["key", "fiber"]), st.sampled_from(["--strong", "--weak"]))
+@settings(max_examples=200, deadline=None)
+def test_key_and_fiber_on_arbitrary_stdin(text, command, variant):
+    _check_outcome(*_run_text([command, variant, "-"], stdin=text))
+
+
+@given(_SIZE_TEXT, st.none() | _SIZE_TEXT, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_flipgraph_on_arbitrary_sizes(n, max_n, dot):
+    argv = ["flipgraph", n, *(["--dot"] if dot else [])]
+    _check_outcome_or_usage(*_run_text(argv + (["--max-n", max_n] if max_n is not None else [])))

@@ -1,6 +1,7 @@
 """Package layering: modules import each other at the top level only and
 without a cycle, only outside input validates a tiling, the lean constructor stays behind the
-library's own drawings, the one transitive closure is a poset's reach in
+library's own drawings, readers use a drawing's boxes and walls rather than
+its object views, the one transitive closure is a poset's reach in
 ``biject`` (keys build none), the mesh matcher is only an oracle, and the
 package keeps its checks under ``python -O``."""
 
@@ -79,9 +80,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _calls(name: str):
-    """(module file, innermost enclosing function) of every reference to
-    ``name``, as a plain name or as an attribute."""
+def _owners(match):
+    """(module file, innermost enclosing function) of every node ``match``
+    accepts."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -89,13 +90,16 @@ def _calls(name: str):
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((node, fn.name) for node in ast.walk(fn))
-        found += [
-            (path.name, owner.get(node))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == name
-            or isinstance(node, ast.Name) and node.id == name
-        ]
+        found += [(path.name, owner.get(node)) for node in ast.walk(tree) if match(node)]
     return sorted(found)
+
+
+def _calls(name: str):
+    """Every reference to ``name``, as a plain name or as an attribute."""
+    return _owners(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.Name) and node.id == name
+    )
 
 
 def test_lean_constructor_only_in_forward_maps():
@@ -112,6 +116,26 @@ def test_lean_constructor_only_in_forward_maps():
         ("biject.py", "reflect_swne"),
         ("rect.py", "from_rects"),
     ]
+
+
+def test_drawings_are_read_as_boxes_and_walls():
+    """A drawing stores its boxes and walls, and the library reads those:
+    outside ``rect`` no module reads the ``rects``/``segments`` views or
+    calls ``rect(label)``, and ``Rect``/``Segment`` objects are built only
+    where outside input arrives (``from_json``, ``from_rects``) and by the
+    two views."""
+    def reads_a_view(node):
+        if isinstance(node, ast.Call):  # r.rect(label)
+            return isinstance(node.func, ast.Attribute) and node.func.attr == "rect"
+        return isinstance(node, ast.Attribute) and node.attr in ("rects", "segments")
+
+    assert [where for where in _owners(reads_a_view) if where[0] != "rect.py"] == []
+    for cls, owners in (("Rect", ["from_json", "from_rects", "rects"]), ("Segment", ["segments"])):
+        assert _owners(
+            lambda node: isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == cls
+        ) == [("rect.py", fn) for fn in owners], cls
 
 
 def test_closures_only_in_biject():

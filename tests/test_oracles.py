@@ -105,10 +105,12 @@ from rectlab.rect import (
     from_json,
     from_rects,
     guillotine_tree,
+    has_z_wall,
     is_diagonal,
     is_guillotine,
     multiplicity,
     nwse_labeling,
+    render,
     segment_joint_counts,
     strong_key,
     swne_labeling,
@@ -985,6 +987,41 @@ def test_built_drawings_are_lean_and_outside_input_validates(monkeypatch):
             calls.clear()
             build()
             assert len(calls) == validations, (name, pi, len(calls))
+
+
+def test_lean_paths_build_no_rect_or_segment(monkeypatch):
+    """A drawing stores its boxes and walls, and every reader below uses
+    them: ``Rect`` and ``Segment`` objects are built only by the
+    ``rects``/``segments`` views, once each, on first read (which
+    :func:`check_lean_matches_validated` compares with the validated
+    route's)."""
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counted_init(self, *args):
+            built.append(cls.__name__)
+            init(self, *args)
+
+        return counted_init
+
+    monkeypatch.setattr(Rect, "__init__", counted(Rect))
+    monkeypatch.setattr(Segment, "__init__", counted(Segment))
+    readers = (
+        strong_key, weak_key, to_json, render, is_diagonal, is_guillotine,
+        guillotine_tree, has_z_wall, nwse_labeling, swne_labeling, multiplicity,
+    )
+    for pi in all_permutations(5):
+        rs, rw = gamma_s(pi), gamma_w(pi)
+        for r in (rs, rw, reflect_swne(rs), diagonal_representative(rs), decode(encode_strong(pi))):
+            for read in readers:
+                read(r)
+        assert built == [], (pi, built)
+        for _ in range(2):  # built on the first read, kept after it
+            assert (len(rs.rects), len(rs.segments)) == (5, 4)
+        assert built == ["Rect"] * 5 + ["Segment"] * 4, pi
+        built.clear()
 
 
 @given(st.integers(1, 64).flatmap(perms))

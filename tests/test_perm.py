@@ -25,9 +25,9 @@ from patterns import (
     avoids_all,
     matcher_flags,
 )
-from rectlab import perm
+from rectlab import perm, rect
 from rectlab.biject import baxter_representative, gamma_w
-from rectlab.rect import Rectangulation
+from rectlab.rect import Rectangulation, swne_labeling
 from rectlab.perm import (
     CLASS_FLAGS,
     MeshPattern,
@@ -393,6 +393,20 @@ class TestClassify:
         assert {pi: classify(pi) for pi in want} == want
         assert all(any(f in w for w in want.values()) for f in CLASS_FLAGS)
         assert all(any(f not in w for w in want.values()) for f in CLASS_FLAGS)
+
+    def test_baxter_flag_runs_no_kahn_pass(self, monkeypatch):
+        """``pi`` is the SW-NE order of its walls iff each wall's earlier
+        side lies wholly before its later side in ``pi``: the flag agrees
+        with the Kahn pass over the weak image without running it."""
+        want = {pi: swne_labeling(gamma_w(pi)) == pi for pi in all_permutations(6)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran the Kahn pass")
+
+        monkeypatch.setattr(rect, "_linear_order", refuse)
+        monkeypatch.setattr(perm, "_linear_order", refuse, raising=False)
+        assert {pi: "baxter" in classify(pi) for pi in want} == want
+        assert 0 < sum(want.values()) < len(want)
 
     @pytest.mark.parametrize("kind", ["baxter", "separable"])
     def test_classify_at_size_1000(self, kind):

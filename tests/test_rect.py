@@ -8,7 +8,6 @@ import re
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -257,11 +256,12 @@ class TestLabelings:
         # Built drawings are never corrupt; tamper with one past validation.
         # Consecutive labels share a wall, so no wall can go missing.
         r = build(D1_RECTS)
-        segments = r.segments
-        for k in range(len(segments)):
-            r.segments = segments[:k] + segments[k + 1 :]
+        walls = r.walls
+        for k in range(len(walls)):
+            r.walls = walls[:k] + walls[k + 1 :]
             i, j = named_pair(labeling, r, "are not comparable")
-            after = labels_after(r.segments, r.n, labeling is swne_labeling)
+            segments = [Segment(o, 0, 0, 0, a, b) for o, a, b in r.walls]
+            after = labels_after(segments, r.n, labeling is swne_labeling)
             assert j not in after[i] and i not in after[j]
 
     @pytest.mark.parametrize("labeling", [nwse_labeling, swne_labeling])
@@ -269,11 +269,12 @@ class TestLabelings:
         # The two sides of a wall are related only across it, so reversing
         # a wall alone closes no cycle: add the reversed copy instead.
         r = build(D1_RECTS)
-        segments = r.segments
-        for s in segments:
-            r.segments = segments + (replace(s, side_a=s.side_b, side_b=s.side_a),)
+        walls = r.walls
+        for orientation, side_a, side_b in walls:
+            r.walls = walls + ((orientation, side_b, side_a),)
             i, j = named_pair(labeling, r, "lie on a cycle of the order")
-            after = labels_after(r.segments, r.n, labeling is swne_labeling)
+            segments = [Segment(o, 0, 0, 0, a, b) for o, a, b in r.walls]
+            after = labels_after(segments, r.n, labeling is swne_labeling)
             assert j in after[i] and i in after[j]
 
     def test_linear_order_reads_walls(self):
@@ -381,6 +382,19 @@ class TestSegments:
         for seg in d1.segments:
             assert seg.side_a and seg.side_b
             assert seg.lo < seg.hi
+
+    def test_wall_sides_must_span_one_interval(self, d1):
+        # The assembly both routes share refuses a wall with one side cut
+        # short, naming both sides.
+        cut = 0
+        for k, (o, side_a, side_b) in enumerate(d1.walls):
+            for wall in ((o, side_a[:-1], side_b), (o, side_a, side_b[:-1])):
+                if wall[1] and wall[2]:
+                    walls = d1.walls[:k] + (wall,) + d1.walls[k + 1 :]
+                    with pytest.raises(RectangulationError, match="span different intervals"):
+                        Rectangulation._built(d1.boxes, walls)
+                    cut += 1
+        assert cut > 0
 
 
 # ---------------------------------------------------------------------------
