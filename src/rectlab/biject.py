@@ -60,7 +60,8 @@ def gamma_w(pi: Permutation) -> Rectangulation:
     st = _Staircase(pi.n)
     for j in pi:
         st.insert(j)
-    result = Rectangulation._built(_diagonal_boxes(pi.n, st.walls), st.walls)
+    walls = st.walls
+    result = Rectangulation._built(_diagonal_boxes(pi.n, walls), walls)
     if not is_diagonal(result):
         raise RectangulationError("weak insertion did not yield a diagonal drawing")
     return result

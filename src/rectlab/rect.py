@@ -365,20 +365,38 @@ def _diagonal_boxes(n: int, walls) -> list[tuple[int, int, int, int]]:
 class _Staircase:
     """The staircase of an insertion (see :mod:`rectlab.biject`): peak
     bookkeeping shared by the forward maps, the walk encoding and the class
-    flags of :func:`rectlab.perm.classify`, and the walls it builds:
-    ``(orientation, side_a, side_b)``, sides in order.  Both maps keep every
-    rectangle-segment adjacency, so these are the segments of both."""
+    flags of :func:`rectlab.perm.classify`, and the walls it builds.  Both
+    maps keep every rectangle-segment adjacency, so these are the segments
+    of both.
 
-    __slots__ = ("labels", "inserted", "right", "top", "walls")
+    Each step is O(1) but for placing ``j`` among the peaks (one bisection
+    and one slice assignment).  The inserted labels, with the sentinels
+    ``0`` and ``n + 1``, form runs of consecutive integers: ``run[x]`` is
+    the other end of the run that ends at ``x``, or -1 when ``x`` is not
+    inserted (entries inside a run are never read).  The neighbours of a
+    label not yet inserted are run ends or not inserted, so its alignment
+    is two reads, and inserting it joins its neighbours' runs by writing
+    their outer ends (the line case of Gabow and Tarjan's disjoint-set
+    union, 1985).  Wall sides only grow by appends.
+    """
+
+    __slots__ = ("labels", "run", "right", "top", "built")
 
     def __init__(self, n: int):
         self.labels = [0, n + 1]
-        self.inserted = {0, n + 1}
+        self.run = [0] + [-1] * n + [n + 1]
         # the walls right of / above each label; the sentinels' sides lie on
         # the box boundary, which takes appends like a wall but is no segment
         edge = ("", [], [])
         self.right, self.top = [edge] * (n + 2), [edge] * (n + 2)
-        self.walls: list[tuple[str, list[int], list[int]]] = []
+        self.built: list[tuple[str, list[int], list[int]]] = []
+
+    @property
+    def walls(self) -> list[tuple[str, list[int], list[int]]]:
+        """The walls built so far, ``(orientation, side_a, side_b)`` with
+        sides in order along them: vertical sides grow bottom-up, so they
+        are read reversed.  Linear in ``n``: read it once, at the end."""
+        return [("v", w[1][::-1], w[2][::-1]) if w[0] == "v" else w for w in self.built]
 
     def insert(self, j: int) -> tuple[int, int, int, int, bool, bool]:
         """Insert label ``j``; returns (a, b, valley_index, n_valleys,
@@ -392,29 +410,44 @@ class _Staircase:
                 " two peaks holds it" % j
             )
         a, b = labels[idx - 1], labels[idx]
-        valley_index = idx - 1
-        n_valleys = len(labels) - 1
-        top = self.inserted.issuperset(range(a + 1, j))
-        right = self.inserted.issuperset(range(j + 1, b))
+        valley_index, n_valleys = idx - 1, len(labels) - 1
+        # aligned iff every label strictly between a and j (j and b) is in;
+        # a and b are, so iff the run through j - 1 (j + 1) reaches a (b)
+        run = self.run
+        lo, hi = run[j - 1], run[j + 1]
+        top = 0 <= lo <= a
+        right = hi >= b
+        if lo < 0:
+            lo = j
+        if hi < 0:
+            hi = j
+        run[lo], run[hi] = hi, lo
         labels[idx - top : idx + right] = [j]  # j replaces the peaks it aligns with
         idx -= top
-        self.inserted.add(j)
-        near = labels[max(idx - 1, 0) : idx + 2]  # only the gaps next to j changed
-        if any(y - x < 2 for x, y in zip(near, near[1:])):
+        # only the gaps next to j changed; j may have replaced a sentinel
+        if (idx and j - labels[idx - 1] < 2) or (
+            idx + 1 < len(labels) and labels[idx + 1] - j < 2
+        ):
             raise RectangulationError(
                 "staircase invariant violated at %d: consecutive peak labels"
                 " differ by < 2" % j
             )
         R, T = self.right, self.top
-        T[j] = T[a] if top else ("h", [], [])
-        R[j] = R[b] if right else ("v", [], [])
-        self.walls += [w for w, old in ((T[j], top), (R[j], right)) if not old]
-        # j is right of R[a], above T[b], below T[j] and left of R[j];
-        # vertical sides are listed top-down, so they grow at the front
-        R[a][2].insert(0, j)
+        if top:
+            T[j] = T[a]
+        else:
+            T[j] = wall = ("h", [], [])
+            self.built.append(wall)
+        if right:
+            R[j] = R[b]
+        else:
+            R[j] = wall = ("v", [], [])
+            self.built.append(wall)
+        # j is right of R[a], above T[b], below T[j] and left of R[j]
+        R[a][2].append(j)
         T[b][1].append(j)
         T[j][2].append(j)
-        R[j][1].insert(0, j)
+        R[j][1].append(j)
         return a, b, valley_index, n_valleys, top, right
 
 

@@ -104,9 +104,10 @@ class TestInvariantChecks:
             stair.insert(2)
 
     def test_inserted_set_disagreeing_with_peaks(self):
-        # Flip one label of ``inserted`` before each insertion of each pi in
-        # S_n: the staircase either still replays or names the broken
-        # invariant, never a bare IndexError.
+        # Flip one label of the inserted set that ``run`` holds, between
+        # inserted (a one-label run) and not inserted, before each insertion
+        # of each pi in S_n: the staircase either still replays or names the
+        # broken invariant, never a bare IndexError.
         named = 0
         for n in range(1, 6):
             for pi in all_permutations(n):
@@ -116,7 +117,7 @@ class TestInvariantChecks:
                         try:
                             for i, j in enumerate(pi):
                                 if i == step:
-                                    stair.inserted ^= {k}
+                                    stair.run[k] = -1 if stair.run[k] >= 0 else k
                                 stair.insert(j)
                         except RectangulationError as exc:
                             assert "staircase invariant" in str(exc)

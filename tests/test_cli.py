@@ -434,6 +434,13 @@ class TestFlipgraph:
         assert run(["flipgraph", "7", "--max-n", "7"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [["0"], ["--", "-1"]])
+    def test_sizes_below_one(self, capsys, argv):
+        assert run(["flipgraph", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
+
 
 class TestConstants:
     def test_deterministic(self, capsys):

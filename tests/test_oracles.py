@@ -238,13 +238,42 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 _REF_SENTINELS = ((-_ONE, _ZERO, _ZERO, _ONE), (_ZERO, _ONE, _ONE, 2 * _ONE))
 
 
+def ref_staircase(pi):
+    """Staircase insertion by its definition, on the set of inserted labels:
+    ``j`` lands in the valley between the peaks ``a < j < b``, its top side
+    aligns with ``a`` iff every label strictly between ``a`` and ``j`` is
+    inserted, and its right side with ``b`` iff every label strictly between
+    ``j`` and ``b`` is.  Returns each step's ``(a, b, valley_index,
+    n_valleys, top, right)`` and the walls in the order they open, each
+    side listed top-down or left to right as it grows."""
+    n = len(pi)
+    peaks, inserted = [0, n + 1], {0, n + 1}
+    edge = ("", [], [])  # the box boundary: takes labels, is no segment
+    top_of, right_of = {0: edge, n + 1: edge}, {0: edge, n + 1: edge}
+    steps, walls = [], []
+    for j in pi:
+        i = min(k for k, p in enumerate(peaks) if p > j)
+        a, b = peaks[i - 1], peaks[i]
+        top = all(x in inserted for x in range(a + 1, j))
+        right = all(x in inserted for x in range(j + 1, b))
+        steps.append((a, b, i - 1, len(peaks) - 1, top, right))
+        peaks[i - top : i + right] = [j]
+        inserted.add(j)
+        top_of[j] = top_of[a] if top else ("h", [], [])
+        right_of[j] = right_of[b] if right else ("v", [], [])
+        walls += [w for w, old in ((top_of[j], top), (right_of[j], right)) if not old]
+        right_of[a][2].insert(0, j)  # j is the highest so far on that line
+        top_of[b][1].append(j)
+        top_of[j][2].append(j)
+        right_of[j][1].insert(0, j)
+    return steps, walls
+
+
 def ref_gamma_s(pi):
     """Strong insertion with exact ``Fraction`` midpoints, then compaction."""
     n = pi.n
-    stair = _Staircase(n)
     geo = dict(zip((0, n + 1), _REF_SENTINELS))
-    for j in pi:
-        a, b, _, _, top, right = stair.insert(j)
+    for j, (a, b, _, _, top, right) in zip(pi, ref_staircase(pi)[0]):
         geo[j] = _ref_box(geo[a], geo[b], top, right)
     xs = sorted({v for j in range(1, n + 1) for v in (geo[j][0], geo[j][2])})
     ys = sorted({v for j in range(1, n + 1) for v in (geo[j][1], geo[j][3])})
@@ -421,10 +450,8 @@ def ref_gamma_w(pi):
     the grid line ``j - 1`` (top) or ``j`` (right), validated as outside
     input."""
     n = pi.n
-    stair = _Staircase(n)
     geo = {0: (0, 0, 0, n), n + 1: (0, n, n, n)}  # the box's left and bottom walls
-    for j in pi:
-        a, b, _, _, top, right = stair.insert(j)
+    for j, (a, b, _, _, top, right) in zip(pi, ref_staircase(pi)[0]):
         (_, ay1, ax2, _), (_, by1, bx2, _) = geo[a], geo[b]
         geo[j] = (ax2, ay1 if top else j - 1, bx2 if right else j, by1)
     return Rectangulation(Rect(j, *geo[j]) for j in range(1, n + 1))
@@ -1058,6 +1085,43 @@ def test_classify_matches_the_matcher_on_class_members(pi):
         baxter_representative(rw),
     ):
         assert classify(sigma) == matcher_flags(sigma), sigma
+
+
+def check_staircase(pi) -> None:
+    """Every step's return tuple and the final walls against the
+    set-based definition."""
+    stair = _Staircase(len(pi))
+    got = [stair.insert(j) for j in pi]
+    steps, walls = ref_staircase(pi)
+    assert got == steps
+    assert stair.walls == walls
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exhaustive_staircase_against_definition(n):
+    for pi in all_permutations(n):
+        check_staircase(pi)
+
+
+@given(st.integers(1, 300).flatmap(perms))
+@settings(max_examples=60, deadline=None)
+def test_random_staircase_against_definition(pi):
+    check_staircase(pi)
+
+
+@pytest.mark.parametrize("kind", ["identity", "reverse", "two_runs", "one_wall"])
+def test_staircase_on_long_runs(kind):
+    """Long runs of inserted labels and long sides, where a scan over the
+    inserted labels or an insertion at the front of a side costs O(n):
+    ``one_wall`` (1, n, n - 1, .., 2) puts n - 1 labels right of one wall."""
+    n = 2000
+    pi = {
+        "identity": range(1, n + 1),
+        "reverse": range(n, 0, -1),
+        "two_runs": [*range(n // 2, 0, -1), *range(n, n // 2, -1)],
+        "one_wall": [1, *range(n, 1, -1)],
+    }[kind]
+    check_staircase(pi)
 
 
 def _random_permutation(n, seed):

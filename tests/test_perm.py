@@ -27,7 +27,7 @@ from patterns import (
 )
 from rectlab import perm, rect
 from rectlab.biject import baxter_representative, gamma_w
-from rectlab.rect import Rectangulation, swne_labeling
+from rectlab.rect import Rectangulation, is_diagonal, swne_labeling
 from rectlab.perm import (
     CLASS_FLAGS,
     MeshPattern,
@@ -428,6 +428,20 @@ class TestClassify:
             seconds.append(time.perf_counter() - start)
         assert held <= flags
         assert min(seconds) < 0.05, seconds
+
+    def test_classify_and_gamma_w_at_ten_thousand(self):
+        """Long runs of inserted labels at n=10^4: two decreasing runs
+        (n/2..1, then n..n/2+1) and the identity.  Each staircase step reads
+        its alignment off the ends of the runs next to it, where a scan
+        over the run would make the insertion quadratic."""
+        n = 10**4
+        two_runs = Permutation([*range(n // 2, 0, -1), *range(n, n // 2, -1)])
+        for pi, held in (
+            (two_runs, set(CLASS_FLAGS) - {"co_twisted_baxter"}),
+            (identity_permutation(n), set(CLASS_FLAGS)),
+        ):
+            assert classify(pi) == held
+            assert is_diagonal(gamma_w(pi))
 
     def test_2413_is_not_separable(self):
         assert "separable" not in classify(parse_permutation("2 4 1 3"))
