@@ -3,6 +3,9 @@
 This module implements the forward insertion algorithms (weak and strong),
 the three posets attached to a rectangulation, linear-extension machinery,
 fibers, canonical representatives, and the flip graph on strong classes.
+Strong classes are the classes of a lattice congruence of the weak order,
+so flips and the quotient's edges are read off each class's extremal
+extensions; no fiber is listed.
 
 Conventions
 -----------
@@ -129,10 +132,22 @@ class Poset:
     """The partial order on labels 1..n that ``pairs`` generates (its covers
     or any relation with this transitive closure).  Linear extensions are
     the topological orders of ``pairs`` (Kahn 1962), so they need no closure;
-    the closure and the covers are built once, when first asked for."""
+    the closure and the covers are built once, when first asked for.
+    ``n`` and the labels in ``pairs`` are checked to be ints in 1..n."""
 
     n: int
     pairs: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        if type(self.n) is not int or self.n < 1:  # rejects bool
+            raise ValueError("n must be an integer >= 1, got %r" % (self.n,))
+        n = self.n
+        for pair in self.pairs:
+            if type(pair) is tuple and len(pair) == 2:
+                i, j = pair
+                if type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n:
+                    continue
+            raise ValueError("pair %r is not two labels in 1..%d" % (pair, n))
 
     @functools.cached_property
     def _reach(self) -> tuple[int, ...]:
@@ -387,23 +402,23 @@ def _flip_kind(
 def flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
     """All flip moves from ``r``'s strong class: pairs (kind, neighbour).
 
-    Neighbours are exactly the classes reachable by swapping two adjacent
-    entries in some permutation of the strong fiber; kinds distinguish wall
-    slides (weak class unchanged), simple flips (the two swapped rectangles
-    form a rectangle together before and after), and pivoting flips.
+    Strong classes are the classes of a lattice congruence of the weak order
+    (Reading, "Generic rectangulations", 2012), so a class is the interval
+    between its extremal extensions, and its neighbours in the quotient are
+    the classes of the bottom's descents and of the top's ascents swapped.
+    Kinds distinguish wall slides (weak class unchanged), simple flips (the
+    two swapped rectangles form a rectangle together before and after), and
+    pivoting flips.
     """
-    base = strong_key(r)
-    found: dict[tuple[int, ...], tuple[str, Rectangulation]] = {}
-    for pi in linear_extensions(strong_poset(r)):
+    p = strong_poset(r)
+    found: dict[Permutation, tuple[str, Rectangulation]] = {}
+    for pi, up in ((leftmost_extension(p), False), (rightmost_extension(p), True)):
         for i in range(r.n - 1):
-            sigma = _swap_positions(pi, i)
-            r2 = gamma_s(sigma)
-            key = strong_key(r2)
-            if key == base or tuple(key) in found:
-                continue
-            canon = gamma_s(key)
             j, k = pi[i], pi[i + 1]
-            found[tuple(key)] = (_flip_kind(r, canon, j, k), canon)
+            if (j < k) == up:  # a descent of the bottom, an ascent of the top
+                key = strong_key(gamma_s(_swap_positions(pi, i)))
+                canon = gamma_s(key)
+                found[key] = (_flip_kind(r, canon, j, k), canon)
     return [found[key] for key in sorted(found)]
 
 
@@ -444,26 +459,28 @@ def _default_max_n() -> int:
 
 
 def quotient_cover_graph(n: int, max_n: int | None = None) -> FlipGraph:
-    """Brute-force flip graph over all strong classes of size ``n``.
+    """Cover graph of the strong classes' quotient of the weak order on S_n,
+    on the class keys.
 
-    For every permutation and every adjacent transposition whose images
-    differ, an edge joins the two canonical keys.  Guarded by ``max_n``
-    (default: the RECTLAB_MAX_N environment variable, else 6).
+    A key is its class's bottom, so the classes below it are those of its
+    descents swapped (see :func:`flips`), and their keys are smaller.
+    Guarded by ``max_n`` (default: the RECTLAB_MAX_N environment variable,
+    else 6).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     bound = max_n if max_n is not None else _default_max_n()
     if n > bound:
         raise ValueError(
             "size %d exceeds the configured bound %d (raise RECTLAB_MAX_N)"
             % (n, bound)
         )
-    key_of: dict[Permutation, Permutation] = {}
-    for pi in all_permutations(n):
-        key_of[pi] = strong_key(gamma_s(pi))
+    key_of = {pi: strong_key(gamma_s(pi)) for pi in all_permutations(n)}
     vertices = sorted(set(key_of.values()))
-    edges = set()
-    for pi, k1 in key_of.items():
-        for i in range(n - 1):
-            k2 = key_of[_swap_positions(pi, i)]
-            if k1 != k2:
-                edges.add((min(k1, k2), max(k1, k2)))
+    edges = {
+        (key_of[_swap_positions(k, i)], k)
+        for k in vertices
+        for i in range(n - 1)
+        if k[i] > k[i + 1]
+    }
     return FlipGraph(n, tuple(vertices), tuple(sorted(edges)))

@@ -133,8 +133,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_flipgraph(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     graph = biject.quotient_cover_graph(args.n, max_n=args.max_n)
     if args.dot:
         _print(graph.to_dot())

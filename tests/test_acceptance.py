@@ -32,6 +32,7 @@ from patterns import (
     WINDMILL_MESH_CW,
     avoids_all,
 )
+from sequences import BAXTER, O_COUNTS, STRONG_GUILLOTINE, STRONG_RECT, U_COUNTS
 from rectlab.biject import (
     baxter_representative,
     fiber_s,
@@ -82,14 +83,8 @@ from rectlab.walks import (
     nit_count,
 )
 
-WEAK_COUNTS = [1, 2, 6, 22, 92, 422]
-STRONG_COUNTS = [1, 2, 6, 24, 116, 642, 3938]
-STRONG_COUNTS_10 = STRONG_COUNTS + [26194, 186042, 1395008]
-U_COUNTS = [1, 2, 6, 24, 112, 582, 3272, 19550, 122628, 800392]
-O_COUNTS = [1, 2, 6, 20, 72, 274, 1088, 4470, 18884, 81652]
-STRONG_GUILLOTINE = [
-    1, 2, 6, 24, 114, 606, 3494, 21434, 138100, 926008, 6418576, 45755516,
-]
+WEAK_COUNTS = BAXTER[:6]
+STRONG_COUNTS = STRONG_RECT[:7]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +163,7 @@ class TestClassCounts:
         ]
         assert got == STRONG_COUNTS
         assert got == [count_strong_rect(n) for n in range(1, 8)]
-        assert [count_strong_rect(n) for n in range(1, 11)] == STRONG_COUNTS_10
+        assert [count_strong_rect(n) for n in range(1, 11)] == STRONG_RECT
         assert time.perf_counter() - start < 120
 
 

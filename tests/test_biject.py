@@ -182,6 +182,27 @@ class TestPosets:
     def test_cyclic_relation_rejected(self):
         with pytest.raises(ValueError, match="cyclic"):
             Poset(3, frozenset({(1, 2), (2, 1)})).covers
+        with pytest.raises(ValueError, match="cyclic"):  # a self-loop
+            leftmost_extension(Poset(2, frozenset({(1, 1)})))
+
+    @pytest.mark.parametrize(
+        "n, pairs, bad",
+        [
+            (2, {(1, 3)}, r"\(1, 3\)"),
+            (3, {(3, 0)}, r"\(3, 0\)"),
+            (2, {(1, 2.0)}, r"\(1, 2\.0\)"),
+            (2, {(True, 2)}, r"\(True, 2\)"),
+            (3, {(1, 2, 3)}, r"\(1, 2, 3\)"),
+        ],
+    )
+    def test_pairs_outside_the_labels_rejected(self, n, pairs, bad):
+        with pytest.raises(ValueError, match="pair %s is not two labels in 1..%d" % (bad, n)):
+            Poset(n, frozenset(pairs))
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, "3"])
+    def test_sizes_other_than_positive_ints_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            Poset(n, frozenset())
 
     def test_strong_poset_two_dimensional(self, sweeps):
         # the order is exactly the intersection of its extreme extensions
@@ -601,6 +622,12 @@ class TestFlips:
             for r in sweeps.strong_classes(n).values():
                 for kind, r2 in flips(r):
                     assert (weak_key(r2) == weak_key(r)) == (kind == "wall_slide")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sizes_below_one(self, n):
+        # rejected before the bound, which a size below one always meets
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            quotient_cover_graph(n, max_n=-5)
 
     def test_bound_guard(self):
         with pytest.raises(ValueError):

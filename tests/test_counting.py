@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_two_sided_segments, strong_count_via_multiplicity
+from sequences import BAXTER, O_COUNTS, SCHRODER, STRONG_GUILLOTINE, STRONG_RECT
 from rectlab import counting
 from rectlab.biject import gamma_w
 from rectlab.counting import (
@@ -34,11 +35,6 @@ from rectlab.rect import is_guillotine
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "rectlab" / "data"
 
-SCHRODER = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098]
-BAXTER = [1, 2, 6, 22, 92, 422, 2074, 10754, 58202, 326240]
-STRONG_GUILLOTINE = [
-    1, 2, 6, 24, 114, 606, 3494, 21434, 138100, 926008, 6418576, 45755516,
-]
 
 
 def poly(*cs, order=None):
@@ -395,10 +391,8 @@ class TestPackagedData:
         assert data["strong_leftright"]["oeis"] is None  # none confirmed
         assert data["schroder"]["terms"] == SCHRODER
         assert data["baxter"]["terms"] == BAXTER
-        assert data["strong_rect"]["terms"][:7] == [1, 2, 6, 24, 116, 642, 3938]
-        assert data["one_sided"]["terms"] == [
-            1, 2, 6, 20, 72, 274, 1088, 4470, 18884, 81652,
-        ]
+        assert data["strong_rect"]["terms"][:7] == STRONG_RECT[:7]
+        assert data["one_sided"]["terms"] == O_COUNTS
         assert data["half_schroder"]["terms"][1:5] == [1, 3, 11, 45]
 
 

@@ -2,8 +2,9 @@
 without a cycle, only outside input validates a tiling, the lean constructor stays behind the
 library's own drawings, readers use a drawing's boxes and walls rather than
 its object views, the one transitive closure is a poset's reach in
-``biject`` (keys build none), the mesh matcher is only an oracle, and the
-package keeps its checks under ``python -O``."""
+``biject`` (keys build none), only fibers list linear extensions, the mesh
+matcher is only an oracle, and the package keeps its checks under
+``python -O``."""
 
 from __future__ import annotations
 
@@ -148,6 +149,13 @@ def test_closures_only_in_biject():
         path.name for path in sorted(SRC.glob("*.py"))
         if "_greedy_extension" in path.read_text()
     ] == []
+
+
+def test_only_fibers_list_extensions():
+    """Flips and the quotient graph read a class's two extremal extensions
+    (the ends of its weak-order interval), so only the fibers themselves
+    list linear extensions."""
+    assert _calls("linear_extensions") == [("biject.py", "fiber_s"), ("biject.py", "fiber_w")]
 
 
 def test_matcher_is_only_an_oracle():

@@ -50,6 +50,12 @@ the reference for the list; the cut tree, whose own reference tracks each
 part's box, is the reference for guillotine status; and the mesh matcher
 is the reference for the windmill flag of ``classify``, which walks the
 staircase insertion's walls.
+
+Flips are the covers of the quotient of the weak order by strong
+equivalence, read off the descents of a class's leftmost extension and the
+ascents of its rightmost one, and the quotient graph's edges off the
+descents of each class key.  The references map every member of the fiber,
+and every permutation of S_n, through every adjacent swap.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -76,18 +83,24 @@ from rectlab.counting import (
     weighted_guillotine_series,
 )
 from rectlab.biject import (
+    FlipGraph,
     Poset,
     _adjacency_pairs,
     _closure_masks,
+    _default_max_n,
+    _flip_kind,
     _Staircase,
+    _swap_positions,
     adjacency_poset,
     baxter_representative,
     count_linear_extensions,
     diagonal_representative,
+    flips,
     gamma_s,
     gamma_w,
     leftmost_extension,
     linear_extensions,
+    quotient_cover_graph,
     reflect_swne,
     rightmost_extension,
     strong_poset,
@@ -443,6 +456,55 @@ def ref_count_linear_extensions(p):
         )
 
     return rec(0)
+
+
+def ref_flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
+    """All flip moves from ``r``'s strong class: pairs (kind, neighbour).
+
+    Neighbours are exactly the classes reachable by swapping two adjacent
+    entries in some permutation of the strong fiber; kinds distinguish wall
+    slides (weak class unchanged), simple flips (the two swapped rectangles
+    form a rectangle together before and after), and pivoting flips.
+    """
+    base = strong_key(r)
+    found: dict[tuple[int, ...], tuple[str, Rectangulation]] = {}
+    for pi in linear_extensions(strong_poset(r)):
+        for i in range(r.n - 1):
+            sigma = _swap_positions(pi, i)
+            r2 = gamma_s(sigma)
+            key = strong_key(r2)
+            if key == base or tuple(key) in found:
+                continue
+            canon = gamma_s(key)
+            j, k = pi[i], pi[i + 1]
+            found[tuple(key)] = (_flip_kind(r, canon, j, k), canon)
+    return [found[key] for key in sorted(found)]
+
+
+def ref_quotient_cover_graph(n: int, max_n: int | None = None) -> FlipGraph:
+    """Brute-force flip graph over all strong classes of size ``n``.
+
+    For every permutation and every adjacent transposition whose images
+    differ, an edge joins the two canonical keys.  Guarded by ``max_n``
+    (default: the RECTLAB_MAX_N environment variable, else 6).
+    """
+    bound = max_n if max_n is not None else _default_max_n()
+    if n > bound:
+        raise ValueError(
+            "size %d exceeds the configured bound %d (raise RECTLAB_MAX_N)"
+            % (n, bound)
+        )
+    key_of: dict[Permutation, Permutation] = {}
+    for pi in all_permutations(n):
+        key_of[pi] = strong_key(gamma_s(pi))
+    vertices = sorted(set(key_of.values()))
+    edges = set()
+    for pi, k1 in key_of.items():
+        for i in range(n - 1):
+            k2 = key_of[_swap_positions(pi, i)]
+            if k1 != k2:
+                edges.add((min(k1, k2), max(k1, k2)))
+    return FlipGraph(n, tuple(vertices), tuple(sorted(edges)))
 
 
 def ref_gamma_w(pi):
@@ -1323,3 +1385,39 @@ def test_weighted_series_matches_picard_iteration(y):
         assert weighted_guillotine_series(y, N) == Series(ref.coeffs[: N + 1])
     for N in (1, 2, 7):
         assert weighted_guillotine_series(y, N) == ref_weighted_guillotine_series(y, N)
+
+
+def flip_moves(moves):
+    """Kinds, boxes and walls of flip moves, in their order."""
+    return [(kind, r2.boxes, r2.walls) for kind, r2 in moves]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flips_match_the_fiber_walk(sweeps, n):
+    for r in sweeps.strong_classes(n).values():
+        assert flip_moves(flips(r)) == flip_moves(ref_flips(r))
+
+
+@given(st.integers(1, 12).flatmap(perms))
+@settings(max_examples=30, deadline=None)
+def test_random_flips_match_the_fiber_walk(pi):
+    r = gamma_s(pi)
+    assert flip_moves(flips(r)) == flip_moves(ref_flips(r))
+
+
+def test_flips_enumerate_no_fiber(sweeps):
+    """Flips read the two extremal extensions only, so they never list a
+    fiber."""
+    classes = [r for n in range(1, 6) for r in sweeps.strong_classes(n).values()]
+    want = [flip_moves(ref_flips(r)) for r in classes]
+
+    def refuse(p):
+        raise AssertionError("flips listed a fiber")
+
+    with mock.patch.object(biject, "linear_extensions", refuse):
+        assert [flip_moves(flips(r)) for r in classes] == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_quotient_graph_matches_every_swap(n):
+    assert quotient_cover_graph(n, max_n=n) == ref_quotient_cover_graph(n, max_n=n)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sequences import BAXTER, O_COUNTS, STRONG_RECT, U_COUNTS
 from rectlab.biject import fiber_s, gamma_s, gamma_w, strong_poset, weak_poset
 from rectlab.biject import leftmost_extension, rightmost_extension
 from rectlab.perm import (
@@ -329,19 +330,19 @@ class TestColorDisambiguation:
 
 class TestCounts:
     def test_count_strong_rect(self):
-        want = [1, 2, 6, 24, 116, 642, 3938, 26194, 186042, 1395008]
+        want = STRONG_RECT
         assert [count_strong_rect(n) for n in range(1, 11)] == want
 
     def test_count_weak_rect(self):
-        want = [1, 2, 6, 22, 92, 422, 2074, 10754]
+        want = BAXTER[:8]
         assert [count_weak_rect(n) for n in range(1, 9)] == want
 
     def test_count_u(self):
-        want = [1, 2, 6, 24, 112, 582, 3272, 19550, 122628, 800392]
+        want = U_COUNTS
         assert [count_U(n) for n in range(1, 11)] == want
 
     def test_count_o(self):
-        want = [1, 2, 6, 20, 72, 274, 1088, 4470, 18884, 81652]
+        want = O_COUNTS
         assert [count_O(n) for n in range(1, 11)] == want
 
     def test_counts_match_brute_force_excursions(self):
