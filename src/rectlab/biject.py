@@ -3,9 +3,10 @@
 This module implements the forward insertion algorithms (weak and strong),
 the three posets attached to a rectangulation, linear-extension machinery,
 fibers, canonical representatives, and the flip graph on strong classes.
-Strong classes are the classes of a lattice congruence of the weak order,
-so flips and the quotient's edges are read off each class's extremal
-extensions; no fiber is listed.
+Strong and weak classes are classes of lattice congruences of the weak
+order, so a :class:`Poset` reads its order off its two extremal extensions,
+and so do flips and the quotient's edges: no closure is built and no fiber
+is listed.
 
 Conventions
 -----------
@@ -37,7 +38,7 @@ import functools
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .perm import Permutation, all_permutations
 from .rect import (
@@ -110,30 +111,18 @@ def _bits(mask: int) -> Iterator[int]:
         yield b
 
 
-def _closure_masks(n: int, pairs: Collection[tuple[int, int]]) -> list[int]:
-    """Transitive closure of 1-based ``pairs`` as bitmasks: bit ``j - 1`` of
-    ``reach[i - 1]`` iff i -> j.
-
-    Walking :func:`_least_order`'s order backwards, each label ORs in the
-    finished masks of its successors.  Raises ``ValueError`` when the
-    relation has a cycle.
-    """
-    succ = [0] * n
-    for i, j in pairs:
-        succ[i - 1] |= 1 << (j - 1)
-    for i in reversed(_least_order(n, pairs)):  # successors first
-        for j in _bits(succ[i - 1]):  # _bits reads succ[i - 1] once
-            succ[i - 1] |= succ[j]
-    return succ
+class RealizerError(ValueError):
+    """Pairs that generate less than their extremal extensions' intersection."""
 
 
 @dataclass(frozen=True, eq=False)
 class Poset:
-    """The partial order on labels 1..n that ``pairs`` generates (its covers
-    or any relation with this transitive closure).  Linear extensions are
-    the topological orders of ``pairs`` (Kahn 1962), so they need no closure;
-    the closure and the covers are built once, when first asked for.
-    ``n`` and the labels in ``pairs`` are checked to be ints in 1..n."""
+    """The partial order on labels 1..n that ``pairs`` generate, read off its
+    leftmost and rightmost extensions: i < j iff i precedes j in both.  Every
+    poset the library builds is such an intersection; for any other, such as
+    ``Poset(3, {(1, 3)})`` or an order of dimension 3 or more, ``less``,
+    ``covers`` and ``==`` raise :class:`RealizerError`.  ``n`` and the labels
+    in ``pairs`` are checked at construction to be ints in 1..n."""
 
     n: int
     pairs: frozenset[tuple[int, int]]
@@ -141,35 +130,48 @@ class Poset:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:  # rejects bool
             raise ValueError("n must be an integer >= 1, got %r" % (self.n,))
-        n = self.n
         for pair in self.pairs:
             if type(pair) is tuple and len(pair) == 2:
                 i, j = pair
-                if type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n:
+                if type(i) is int and type(j) is int and 0 < i <= self.n and 0 < j <= self.n:
                     continue
-            raise ValueError("pair %r is not two labels in 1..%d" % (pair, n))
+            raise ValueError("pair %r is not two labels in 1..%d" % (pair, self.n))
 
     @functools.cached_property
-    def _reach(self) -> tuple[int, ...]:
-        return tuple(_closure_masks(self.n, self.pairs))
-
-    @functools.cached_property
-    def covers(self) -> frozenset[tuple[int, int]]:
-        """The irredundant pairs: i < j with no k between them."""
-        reach = self._reach
+    def _order(self) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
+        """Masks with bit ``j - 1`` of ``later[i - 1]`` iff j follows i in
+        both extremal extensions (one reversed pass over each), and their
+        covers.  The pairs generate this order iff every cover is a pair."""
+        later = [-1] * self.n
+        for reverse in (False, True):
+            after = 0
+            for v in reversed(_least_order(self.n, self.pairs, reverse)):
+                later[v - 1] &= after
+                after |= 1 << (v - 1)
         covers = []
         for i in range(self.n):
             # i < j is a cover unless some k with i < k already has k < j
             # (bitmask transitive reduction, Aho-Garey-Ullman 1972).
             beyond = 0
-            for k in _bits(reach[i]):
-                beyond |= reach[k]
-            covers.extend((i + 1, j + 1) for j in _bits(reach[i] & ~beyond))
-        return frozenset(covers)
+            for k in _bits(later[i]):
+                beyond |= later[k]
+            covers.extend((i + 1, j + 1) for j in _bits(later[i] & ~beyond))
+        missing = set(covers) - self.pairs
+        if missing:
+            raise RealizerError(
+                "the pairs generate less than the intersection of their extremal "
+                "extensions: its cover %r is not a pair" % (min(missing),)
+            )
+        return tuple(later), frozenset(covers)
+
+    @property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The irredundant pairs: i < j with no k between them."""
+        return self._order[1]
 
     def less(self, i: int, j: int) -> bool:
         """Strictly below: ``i < j`` in the partial order."""
-        return bool(self._reach[i - 1] >> (j - 1) & 1)
+        return bool(self._order[0][i - 1] >> (j - 1) & 1)
 
     @functools.cached_property
     def _pred_masks(self) -> tuple[int, ...]:
@@ -328,13 +330,13 @@ def _least_order(n: int, pairs: Iterable[tuple[int, int]], reverse: bool = False
 
 
 def leftmost_extension(p: Poset) -> Permutation:
-    """Smallest-available extension: the unique Bruhat-minimal one, read off
-    the pairs by :func:`_least_order`."""
+    """Smallest-ready-first extension (:func:`_least_order`): for the
+    library's posets, the bottom of their weak-order interval of extensions."""
     return _least_order(p.n, p.pairs)
 
 
 def rightmost_extension(p: Poset) -> Permutation:
-    """Largest-available extension: the unique Bruhat-maximal one."""
+    """Largest-ready-first extension: for the library's posets, the top."""
     return _least_order(p.n, p.pairs, reverse=True)
 
 
@@ -377,9 +379,7 @@ def reflect_swne(r: Rectangulation) -> Rectangulation:
 
 
 def _swap_positions(pi: Permutation, i: int) -> Permutation:
-    vals = list(pi)
-    vals[i], vals[i + 1] = vals[i + 1], vals[i]
-    return Permutation(tuple(vals))
+    return Permutation(pi[:i] + (pi[i + 1], pi[i]) + pi[i + 2 :])
 
 
 def _union_is_rect(r: Rectangulation, j: int, k: int) -> bool:
@@ -387,16 +387,6 @@ def _union_is_rect(r: Rectangulation, j: int, k: int) -> bool:
     return (ax1, ax2) == (bx1, bx2) and (ay2 == by1 or by2 == ay1) or (
         (ay1, ay2) == (by1, by2) and (ax2 == bx1 or bx2 == ax1)
     )
-
-
-def _flip_kind(
-    r: Rectangulation, r2: Rectangulation, j: int, k: int
-) -> str:
-    if weak_key(r) == weak_key(r2):
-        return "wall_slide"
-    if _union_is_rect(r, j, k) and _union_is_rect(r2, j, k):
-        return "simple"
-    return "pivot"
 
 
 def flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
@@ -411,6 +401,7 @@ def flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
     pivoting flips.
     """
     p = strong_poset(r)
+    weak = weak_key(r)
     found: dict[Permutation, tuple[str, Rectangulation]] = {}
     for pi, up in ((leftmost_extension(p), False), (rightmost_extension(p), True)):
         for i in range(r.n - 1):
@@ -418,7 +409,13 @@ def flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
             if (j < k) == up:  # a descent of the bottom, an ascent of the top
                 key = strong_key(gamma_s(_swap_positions(pi, i)))
                 canon = gamma_s(key)
-                found[key] = (_flip_kind(r, canon, j, k), canon)
+                if weak_key(canon) == weak:
+                    kind = "wall_slide"
+                elif _union_is_rect(r, j, k) and _union_is_rect(canon, j, k):
+                    kind = "simple"
+                else:
+                    kind = "pivot"
+                found[key] = (kind, canon)
     return [found[key] for key in sorted(found)]
 
 
@@ -430,10 +427,17 @@ class FlipGraph:
     vertices: tuple[Permutation, ...]
     edges: tuple[tuple[Permutation, Permutation], ...]
 
+    @functools.cached_property
+    def _adjacent(self) -> dict[Permutation, list[Permutation]]:
+        adjacent: dict[Permutation, list[Permutation]] = {}
+        for a, b in self.edges:
+            adjacent.setdefault(a, []).append(b)
+            adjacent.setdefault(b, []).append(a)
+        return adjacent
+
     def neighbors(self, v: Permutation) -> list[Permutation]:
-        out = [b for a, b in self.edges if a == v]
-        out += [a for a, b in self.edges if b == v]
-        return sorted(out)
+        """The keys joined to ``v`` by an edge, sorted."""
+        return sorted(self._adjacent.get(v, ()))
 
     def to_dot(self) -> str:
         lines = ["graph quotient {"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .walks import count_strong_rect
+from .walks import COLORS, _LEVEL_STEP, _left_slack, _right_slack, count_strong_rect
 
 # ---------------------------------------------------------------------------
 # Truncated power series over exact rationals
@@ -398,26 +398,19 @@ def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
 # Growth constants
 # ---------------------------------------------------------------------------
 
-_TRANSFER_ALL = (
-    (2, 3, 3, 4),
-    (2, 3, 2, 3),
-    (2, 2, 3, 3),
-    (2, 2, 2, 2),
-)
-_TRANSFER_TWO_CLUMPED = (
-    (2, 2, 2, 2),
-    (1, 1, 2, 2),
-    (1, 2, 1, 2),
-    (0, 1, 1, 2),
-)
+def _transfer_matrix(weak: bool) -> list[list[int]]:
+    """Entry (c, c2): the width dl + dr + step + 1 of the x-window that a
+    point colored ``c2`` collects from color ``c`` in the leftright DP of
+    :func:`rectlab.walks._excursion_count`, under the weak or strong rules."""
+    slack = lambda c, c2: _left_slack(c, c2, weak) + _right_slack(c, c2, weak)
+    return [[slack(c, c2) + _LEVEL_STEP[c] + 1 for c2 in COLORS] for c in COLORS]
 
 
-def _spectral_radius(matrix: tuple[tuple[int, ...], ...]) -> float:
+def _spectral_radius(matrix: list[list[int]]) -> float:
     """Power iteration; the matrices here are nonnegative and primitive."""
-    dim = len(matrix)
-    vec = [1.0] * dim
+    vec = [1.0] * len(matrix)
     for _ in range(10_000):
-        nxt = [sum(matrix[i][j] * vec[j] for j in range(dim)) for i in range(dim)]
+        nxt = [sum(a * v for a, v in zip(row, vec)) for row in matrix]
         norm = max(abs(c) for c in nxt)
         nxt = [c / norm for c in nxt]
         if all(abs(a - b) < 1e-15 for a, b in zip(nxt, vec)):
@@ -542,18 +535,18 @@ class GrowthConstants:
 def growth_constants() -> GrowthConstants:
     """Compute the package's growth constants.
 
-    - ``gamma``: spectral radius of the strong-class transfer matrix,
-      equal to (9 + sqrt(113)) / 2 ~ 9.815.
-    - ``gamma_prime``: spectral radius of the single-key transfer matrix,
-      equal to (7 + sqrt(17)) / 2 ~ 5.562.
+    - ``gamma``: growth rate of strong leftright walks (:func:`rectlab.walks.count_U`),
+      the spectral radius of their transfer matrix, (9 + sqrt(113)) / 2 ~ 9.815.
+    - ``gamma_prime``: the same for weak leftright walks (``count_O``),
+      (7 + sqrt(17)) / 2 ~ 5.562.
     - ``x0``: the unique positive root of 2x^5 - 29x^4 + 36x^3 - 8x^2 - 8,
       ~ 13.155 (first upper bound for the strong guillotine growth rate).
     - ``lower_bound``: (1 + sqrt(13 - 8*sqrt(2))) * (3 + 2*sqrt(2)) / 2
       ~ 6.699 (strong guillotine growth is at least this).
     """
     return GrowthConstants(
-        gamma=_spectral_radius(_TRANSFER_ALL),
-        gamma_prime=_spectral_radius(_TRANSFER_TWO_CLUMPED),
+        gamma=_spectral_radius(_transfer_matrix(weak=False)),
+        gamma_prime=_spectral_radius(_transfer_matrix(weak=True)),
         x0=_x0(),
         lower_bound=0.5
         * (1 + math.sqrt(13 - 8 * math.sqrt(2)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import random
 from collections import Counter
 from unittest import mock
 
@@ -14,6 +16,7 @@ from rectlab import biject
 from rectlab.biject import (
     FlipGraph,
     Poset,
+    RealizerError,
     _adjacency_pairs,
     _Staircase,
     adjacency_poset,
@@ -36,6 +39,7 @@ from rectlab.biject import (
 from rectlab.perm import (
     Permutation,
     all_permutations,
+    bruhat_leq,
     classify,
     complement,
     identity_permutation,
@@ -204,8 +208,39 @@ class TestPosets:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             Poset(n, frozenset())
 
+    @pytest.mark.parametrize(
+        "n, pairs, cover, top",
+        [
+            # 2-dimensional, but its realizer is not its extremal extensions
+            (3, {(1, 3)}, (2, 3), (2, 1, 3)),
+            # the standard example S_3 (a_i = i, b_j = j + 3): dimension 3
+            (
+                6,
+                {(i, j + 3) for i in (1, 2, 3) for j in (1, 2, 3) if i != j},
+                (4, 5),
+                (3, 2, 4, 1, 6, 5),
+            ),
+        ],
+    )
+    def test_orders_beyond_the_realizer_refused(self, n, pairs, cover, top):
+        p = Poset(n, frozenset(pairs))
+        message = r"its cover \(%d, %d\) is not a pair" % cover
+        for read in (lambda: p.less(1, 2), lambda: p.covers, lambda: p == p):
+            with pytest.raises(RealizerError, match=message):
+                read()
+        # extensions read the pairs alone, so they still work
+        exts = list(linear_extensions(p))
+        want = [
+            q for q in all_permutations(n)
+            if all(q.index(i) < q.index(j) for i, j in pairs)
+        ]
+        assert exts == want and count_linear_extensions(p) == len(want)
+        assert leftmost_extension(p) == want[0]
+        assert rightmost_extension(p) == Permutation(top)  # largest ready first
+
     def test_strong_poset_two_dimensional(self, sweeps):
-        # the order is exactly the intersection of its extreme extensions
+        # the order the pairs generate (what a path of pairs reaches) is
+        # exactly the intersection of its extreme extensions
         for n in range(1, 7):
             for r in sweeps.strong_classes(n).values():
                 p = strong_poset(r)
@@ -214,11 +249,15 @@ class TestPosets:
                 pos_lo = {v: i for i, v in enumerate(lo)}
                 pos_hi = {v: i for i, v in enumerate(hi)}
                 for i in range(1, n + 1):
+                    reached, stack = set(), [i]
+                    while stack:
+                        k = stack.pop()
+                        new = {b for a, b in p.pairs if a == k} - reached
+                        reached |= new
+                        stack.extend(new)
                     for j in range(1, n + 1):
-                        if i == j:
-                            continue
                         both = pos_lo[i] < pos_lo[j] and pos_hi[i] < pos_hi[j]
-                        assert p.less(i, j) == both
+                        assert (j in reached) == both == p.less(i, j)
 
     def test_poset_order_relations_nested(self, sweeps):
         # weak order relation is contained in the strong one (the strong
@@ -269,17 +308,19 @@ class TestLinearExtensions:
 
     def test_keys_close_nothing(self):
         # keys, posets, fibers, counts and extremal extensions are read off
-        # the generating pairs, so only .covers and .less build a closure,
-        # once per poset
+        # the generating pairs, so only .covers, .less and == read the order
+        # off the extremal extensions, once per poset
         calls = []
-        real = biject._closure_masks
+        real = Poset.__dict__["_order"].func
 
-        def spy(n, pairs):
-            calls.append(n)
-            return real(n, pairs)
+        def spy(p):
+            calls.append(p.n)
+            return real(p)
 
+        spied = functools.cached_property(spy)
+        spied.__set_name__(Poset, "_order")
         r = gamma_s(RUNNING_PERM)
-        with mock.patch.object(biject, "_closure_masks", spy):
+        with mock.patch.object(Poset, "_order", spied):
             strong_key(r)
             weak_key(r)
             posets = [make(r) for make in (adjacency_poset, strong_poset, weak_poset)]
@@ -294,12 +335,13 @@ class TestLinearExtensions:
                 p.covers
                 p.less(1, 2)
                 p.covers
+                assert p == p
             assert calls == [16, 16, 16]
         # a poset given by its covers is the same order as one given by
         # the pairs that generate it
         p = strong_poset(r)
         q = Poset(p.n, p.covers)
-        assert p.pairs != q.pairs and p._reach == q._reach
+        assert p.pairs != q.pairs and p._order == q._order
         assert p == q and hash(p) == hash(q)
 
     def test_extremal_extensions_of_antichain(self):
@@ -468,16 +510,28 @@ class TestFibers:
             for r in sweeps.strong_classes(n).values():
                 assert len(fiber_s(r)) == 1
 
-    def test_fiber_s_is_weak_order_interval_s5(self, sweeps):
-        everyone = list(all_permutations(5))
-        for r in sweeps.strong_classes(5).values():
-            members = set(fiber_s(r))
-            p = strong_poset(r)
-            lo, hi = inversion_set(leftmost_extension(p)), inversion_set(
-                rightmost_extension(p)
-            )
-            interval = {q for q in everyone if lo <= inversion_set(q) <= hi}
-            assert members == interval
+    def test_fibers_are_weak_order_intervals(self):
+        # strong and weak classes are classes of lattice congruences of the
+        # weak order, so each fiber, read off the forward map, is the
+        # interval between its extremal extensions
+        for n in range(1, 7):
+            inversions = {pi: inversion_set(pi) for pi in all_permutations(n)}
+            for forward, key, poset in (
+                (gamma_s, strong_key, strong_poset),
+                (gamma_w, weak_key, weak_poset),
+            ):
+                fibers: dict[Permutation, tuple[Rectangulation, set]] = {}
+                for pi in inversions:
+                    r = forward(pi)
+                    fibers.setdefault(key(r), (r, set()))[1].add(pi)
+                for r, members in fibers.values():
+                    p = poset(r)
+                    b, t = leftmost_extension(p), rightmost_extension(p)
+                    assert bruhat_leq(b, t)
+                    lo, hi = inversions[b], inversions[t]
+                    assert members == {
+                        pi for pi, inv in inversions.items() if lo <= inv <= hi
+                    }
 
     def test_geometric_backward_algorithms_agree(self, sweeps):
         for n in range(1, 6):
@@ -648,6 +702,30 @@ class TestFlips:
         for v in g.vertices:
             ns = g.neighbors(v)
             assert ns == sorted(ns)
+
+    def test_neighbors_match_the_edge_scan_n6(self):
+        g = quotient_cover_graph(6)
+        for v in g.vertices:
+            scan = [b for a, b in g.edges if a == v] + [a for a, b in g.edges if b == v]
+            assert g.neighbors(v) == sorted(scan)
+        assert g.neighbors(Permutation((1,))) == []
+
+    def test_flips_read_the_weak_key_once(self):
+        # one weak key for the class, and one per neighbour's drawing
+        values = list(range(1, 25))
+        random.Random(24).shuffle(values)
+        r = gamma_s(Permutation(values))
+        calls = []
+        real = biject.weak_key
+
+        def spy(drawing):
+            calls.append(drawing)
+            return real(drawing)
+
+        with mock.patch.object(biject, "weak_key", spy):
+            moves = flips(r)
+        assert calls[0] is r and r not in calls[1:]
+        assert len(calls) == len(moves) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from rectlab.counting import (
 )
 from rectlab.perm import all_permutations, classify
 from rectlab.rect import is_guillotine
+from rectlab.walks import count_O, count_U
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "rectlab" / "data"
 
@@ -302,6 +303,17 @@ class TestGrowthConstants:
         gc = growth_constants()
         assert gc.gamma == pytest.approx((9 + math.sqrt(113)) / 2, abs=1e-9)
         assert gc.gamma_prime == pytest.approx((7 + math.sqrt(17)) / 2, abs=1e-9)
+
+    def test_leftright_counts_below_the_transfer_powers(self):
+        # each x-window of a leftright walk holds at most M[c][c2] points, so
+        # the walks with n points number at most 1^T M^(n-1) 1: gamma and
+        # gamma' bound the growth of count_U and count_O
+        for weak, count in ((False, count_U), (True, count_O)):
+            m = counting._transfer_matrix(weak)
+            row = [1] * len(m)  # 1^T M^(n-1)
+            for n in range(1, 61):
+                assert count(n) <= sum(row), (weak, n)
+                row = [sum(r * m_c[c2] for r, m_c in zip(row, m)) for c2 in range(len(m))]
 
     def test_rho_exact_rational_points(self):
         assert rho(0) == Fraction(2, 27)

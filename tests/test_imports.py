@@ -1,8 +1,8 @@
 """Package layering: modules import each other at the top level only and
 without a cycle, only outside input validates a tiling, the lean constructor stays behind the
 library's own drawings, readers use a drawing's boxes and walls rather than
-its object views, the one transitive closure is a poset's reach in
-``biject`` (keys build none), only fibers list linear extensions, the mesh
+its object views, no transitive closure is built (a poset reads its order
+off its extremal extensions), only fibers list linear extensions, the mesh
 matcher is only an oracle, and the package keeps its checks under
 ``python -O``."""
 
@@ -140,14 +140,19 @@ def test_drawings_are_read_as_boxes_and_walls():
 
 
 def test_closures_only_in_biject():
-    """``rect`` reads its labelings off the walls; the one transitive
-    closure is a poset's reach, in ``biject``, built when asked for.
-    Extremal extensions and keys are one least-first Kahn pass, with no
-    greedy rescan left."""
-    assert _calls("_closure_masks") == [("biject.py", "_reach")]
+    """``rect`` reads its labelings off the walls, and ``src`` builds no
+    transitive closure at all: a poset is the intersection of its two
+    extremal extensions, so its order is one cached tuple of "later in
+    both" masks and their covers, ``Poset._order`` in ``biject``, which
+    only ``less`` and ``covers`` (and ``==`` through it) read.  Extremal
+    extensions and keys are one least-first Kahn pass, with no greedy
+    rescan left."""
+    assert _calls("_order") == [("biject.py", "covers"), ("biject.py", "less")]
     assert [
-        path.name for path in sorted(SRC.glob("*.py"))
-        if "_greedy_extension" in path.read_text()
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("_closure_masks", "_reach", "_greedy_extension")
+        if name in path.read_text()
     ] == []
 
 

@@ -1,11 +1,12 @@
 """Reference implementations kept as oracles for the fast construction path.
 
-The library computes closures with one topological pass, covers with a
-bitmask transitive reduction, segments and touching pairs from per-line
-groups, and strong-insertion coordinates as integers on the ``2**n`` grid.
-The straightforward versions below (a fixpoint closure, the cubic cover
-comprehension, all-pairs scans and exact ``Fraction`` midpoints) must agree
-with them exactly: same covers, same segments, same JSON bytes.
+The library reads a poset's order off its two extremal extensions, its
+covers with a bitmask transitive reduction of that order, segments and
+touching pairs from per-line groups, and strong-insertion coordinates as
+integers on the ``2**n`` grid.  The straightforward versions below (a
+fixpoint closure of the pairs, the cubic cover comprehension, all-pairs
+scans and exact ``Fraction`` midpoints) must agree with them exactly: same
+order, same covers, same segments, same JSON bytes.
 
 Orders and joint counts are read from what a rectangulation already holds:
 labelings are one topological pass over the pairs across its walls, joint
@@ -16,7 +17,8 @@ fixpoint left-of and above closures, the all-pairs joint scan, the greedy
 rescans over closed predecessor masks and the per-orientation copies they
 replaced are the references here, and so are the recursive extension
 enumerator and the memoized recursive count that the explicit stack and
-the layered downset count replaced.
+the layered downset count replaced.  Each of them reads the fixpoint
+closure of the pairs, never the library's order.
 
 Walk counts come from one interval-window frontier DP.  Two independent
 engines check it: the dense DP over every (x, y, color) cell with its own
@@ -85,10 +87,9 @@ from rectlab.counting import (
 from rectlab.biject import (
     FlipGraph,
     Poset,
+    RealizerError,
     _adjacency_pairs,
-    _closure_masks,
     _default_max_n,
-    _flip_kind,
     _Staircase,
     _swap_positions,
     adjacency_poset,
@@ -393,16 +394,21 @@ def ref_strong_pairs(r):
     return pairs
 
 
-def ref_pred_masks(p):
-    """Predecessor masks: the full closure, transposed bit by bit."""
-    pred = [0] * p.n
-    for i in range(p.n):
-        m = p._reach[i]
+@functools.lru_cache(maxsize=32)
+def _ref_pred_masks(n, pairs):
+    pred = [0] * n
+    for i, m in enumerate(ref_closure_masks(n, [(i - 1, j - 1) for i, j in pairs])):
         while m:
             j = (m & -m).bit_length() - 1
             m &= m - 1
             pred[j] |= 1 << i
     return pred
+
+
+def ref_pred_masks(p):
+    """Predecessor masks: the fixpoint closure of the pairs, transposed bit
+    by bit, computed once per relation (0.5 s at n=1024)."""
+    return _ref_pred_masks(p.n, p.pairs)
 
 
 def ref_leftmost(p):
@@ -458,6 +464,22 @@ def ref_count_linear_extensions(p):
     return rec(0)
 
 
+def ref_flip_kind(r: Rectangulation, r2: Rectangulation, j: int, k: int) -> str:
+    """A wall slide keeps the weak class; a simple flip swaps two rectangles
+    whose union is a rectangle before and after (its bounding box has their
+    area); any other flip pivots."""
+    if weak_key(r) == weak_key(r2):
+        return "wall_slide"
+    area = lambda x1, y1, x2, y2: (x2 - x1) * (y2 - y1)
+
+    def union_is_rect(d):
+        u, w = d.boxes[j - 1], d.boxes[k - 1]
+        hull = (min(u[0], w[0]), min(u[1], w[1]), max(u[2], w[2]), max(u[3], w[3]))
+        return area(*hull) == area(*u) + area(*w)
+
+    return "simple" if union_is_rect(r) and union_is_rect(r2) else "pivot"
+
+
 def ref_flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
     """All flip moves from ``r``'s strong class: pairs (kind, neighbour).
 
@@ -477,7 +499,7 @@ def ref_flips(r: Rectangulation) -> list[tuple[str, Rectangulation]]:
                 continue
             canon = gamma_s(key)
             j, k = pi[i], pi[i + 1]
-            found[tuple(key)] = (_flip_kind(r, canon, j, k), canon)
+            found[tuple(key)] = (ref_flip_kind(r, canon, j, k), canon)
     return [found[key] for key in sorted(found)]
 
 
@@ -841,6 +863,16 @@ def ref_weighted_guillotine_series(y, N):
 # ---------------------------------------------------------------------------
 
 
+def check_order(p: Poset) -> None:
+    """``less`` against the fixpoint closure of the pairs, and ``covers``
+    against the cubic comprehension over it."""
+    reach = ref_closure_masks(p.n, [(i - 1, j - 1) for i, j in p.pairs])
+    assert [[p.less(i, j) for j in range(1, p.n + 1)] for i in range(1, p.n + 1)] == [
+        [bool(m >> j & 1) for j in range(p.n)] for m in reach
+    ]
+    assert p.covers == ref_covers(p.n, p.pairs)
+
+
 def check_decoders(w) -> None:
     ref = ref_decode_strong(w)
     assert to_json(decode_strong(w)) == to_json(ref)
@@ -878,9 +910,7 @@ def check_against_references(pi: Permutation) -> None:
             (weak_poset(r), ref_adjacency_pairs(ref_diagonal(r))),
         ):
             assert p.pairs == pairs
-            assert p.covers == ref_covers(p.n, pairs)
-            edges = [(i - 1, j - 1) for i, j in pairs]
-            assert list(p._reach) == ref_closure_masks(p.n, edges)
+            check_order(p)
 
 
 def check_orders_against_references(pi: Permutation, seed: int) -> None:
@@ -951,6 +981,14 @@ def check_windmills_against_references(pi: Permutation) -> None:
 def test_exhaustive_against_references(n):
     for pi in all_permutations(n):
         check_against_references(pi)
+
+
+def test_orders_of_every_image_of_s7(sweeps):
+    """The three posets of every image of S_7, strong and weak (S_1..S_6
+    go through ``check_against_references``)."""
+    for r in (*sweeps.strong_classes(7).values(), *sweeps.weak_classes(7).values()):
+        for p in (adjacency_poset(r), strong_poset(r), weak_poset(r)):
+            check_order(p)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -1305,15 +1343,31 @@ def test_key_cli_on_mutated_documents(tmp_path, capsys):
     )
 )
 @settings(max_examples=300, deadline=None)
-def test_closure_matches_fixpoint_or_rejects_cycles(case):
+def test_poset_matches_fixpoint_or_refuses(case):
+    """A cyclic relation is refused as cyclic.  An acyclic one reads as its
+    fixpoint closure when that closure is the intersection of its leftmost
+    and rightmost extensions (both from the reference greedy), and is
+    refused by name when it is not."""
     n, edges = case
     ref = ref_closure_masks(n, edges)
-    pairs = [(i + 1, j + 1) for i, j in edges]
+    p = Poset(n, frozenset((i + 1, j + 1) for i, j in edges))
+    reads = (lambda: p.less(1, 1), lambda: p.covers, lambda: p == p)
     if any(ref[i] >> i & 1 for i in range(n)):
-        with pytest.raises(ValueError, match="cyclic"):
-            _closure_masks(n, pairs)
+        for read in reads:
+            with pytest.raises(ValueError, match="cyclic"):
+                read()
+        return
+    b, t = ({v: k for k, v in enumerate(ext)} for ext in (ref_leftmost(p), ref_rightmost(p)))
+    both = [
+        sum(1 << (j - 1) for j in range(1, n + 1) if b[i] < b[j] and t[i] < t[j])
+        for i in range(1, n + 1)
+    ]
+    if both == ref:
+        check_order(p)
     else:
-        assert _closure_masks(n, pairs) == ref
+        for read in reads:
+            with pytest.raises(RealizerError, match="is not a pair"):
+                read()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
