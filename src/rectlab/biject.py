@@ -111,6 +111,19 @@ def _bits(mask: int) -> Iterator[int]:
         yield b
 
 
+def _covers(later: list[int] | tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The covers of the order whose bit ``j - 1`` of ``later[i - 1]`` says
+    i < j: i < j is a cover unless some k with i < k already has k < j
+    (bitmask transitive reduction, Aho-Garey-Ullman 1972)."""
+    covers = []
+    for i, mask in enumerate(later):
+        beyond = 0
+        for k in _bits(mask):
+            beyond |= later[k]
+        covers.extend((i + 1, j + 1) for j in _bits(mask & ~beyond))
+    return frozenset(covers)
+
+
 class RealizerError(ValueError):
     """Pairs that generate less than their extremal extensions' intersection."""
 
@@ -138,40 +151,38 @@ class Poset:
             raise ValueError("pair %r is not two labels in 1..%d" % (pair, self.n))
 
     @functools.cached_property
-    def _order(self) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
+    def _later(self) -> tuple[int, ...]:
         """Masks with bit ``j - 1`` of ``later[i - 1]`` iff j follows i in
-        both extremal extensions (one reversed pass over each), and their
-        covers.  The pairs generate this order iff every cover is a pair."""
+        both extremal extensions (one reversed pass over each).  The pairs
+        generate this order iff each mask is the union, over the label's
+        pairs (i, j), of j and ``later[j - 1]``: the fixpoint that their
+        transitive closure satisfies, unique on an acyclic relation."""
         later = [-1] * self.n
         for reverse in (False, True):
             after = 0
             for v in reversed(_least_order(self.n, self.pairs, reverse)):
                 later[v - 1] &= after
                 after |= 1 << (v - 1)
-        covers = []
-        for i in range(self.n):
-            # i < j is a cover unless some k with i < k already has k < j
-            # (bitmask transitive reduction, Aho-Garey-Ullman 1972).
-            beyond = 0
-            for k in _bits(later[i]):
-                beyond |= later[k]
-            covers.extend((i + 1, j + 1) for j in _bits(later[i] & ~beyond))
-        missing = set(covers) - self.pairs
-        if missing:
+        reach = [0] * self.n
+        for i, j in self.pairs:
+            reach[i - 1] |= 1 << (j - 1) | later[j - 1]
+        if reach != later:
+            # then some cover of the order is not a pair: name the least
+            missing = _covers(later) - self.pairs
             raise RealizerError(
                 "the pairs generate less than the intersection of their extremal "
                 "extensions: its cover %r is not a pair" % (min(missing),)
             )
-        return tuple(later), frozenset(covers)
+        return tuple(later)
 
-    @property
+    @functools.cached_property
     def covers(self) -> frozenset[tuple[int, int]]:
         """The irredundant pairs: i < j with no k between them."""
-        return self._order[1]
+        return _covers(self._later)
 
     def less(self, i: int, j: int) -> bool:
         """Strictly below: ``i < j`` in the partial order."""
-        return bool(self._order[0][i - 1] >> (j - 1) & 1)
+        return bool(self._later[i - 1] >> (j - 1) & 1)
 
     @functools.cached_property
     def _pred_masks(self) -> tuple[int, ...]:

@@ -524,7 +524,9 @@ def z0_bound(k: int) -> float:
 
 @dataclass(frozen=True)
 class GrowthConstants:
-    """Named growth rates; see :func:`growth_constants` for provenance."""
+    """Named growth rates; see :func:`growth_constants` for provenance.
+    ``gamma``, ``gamma_prime`` and ``x0`` are computed; ``lower_bound`` is
+    the source paper's closed form, cited rather than recomputed."""
 
     gamma: float
     gamma_prime: float
@@ -542,7 +544,9 @@ def growth_constants() -> GrowthConstants:
     - ``x0``: the unique positive root of 2x^5 - 29x^4 + 36x^3 - 8x^2 - 8,
       ~ 13.155 (first upper bound for the strong guillotine growth rate).
     - ``lower_bound``: (1 + sqrt(13 - 8*sqrt(2))) * (3 + 2*sqrt(2)) / 2
-      ~ 6.699 (strong guillotine growth is at least this).
+      ~ 6.699 (strong guillotine growth is at least this).  This one is
+      cited: the library evaluates the source paper's closed form and does
+      not derive it from a construction.
     """
     return GrowthConstants(
         gamma=_spectral_radius(_transfer_matrix(weak=False)),

@@ -1,34 +1,22 @@
-"""Permutations, pattern containment, class predicates, and the weak Bruhat order.
+"""Permutations and the class predicates of the source paper.
 
 Conventions
 -----------
 - A permutation of size ``n`` is written in one-line notation: ``pi[i]`` is the
   image of position ``i`` (0-based indexing in code, values are ``1..n``).
   The text form is whitespace-separated, e.g. ``"2 5 3 1 4"``.
-- A *mesh pattern* is a pair ``(tau, shaded)`` where ``tau`` is a permutation
-  of size ``k`` and ``shaded`` is a set of cells ``(i, j)`` with
-  ``0 <= i, j <= k``.  An occurrence of the pattern in ``pi`` is a subsequence
-  ``pi[s_1] .. pi[s_k]`` (1-based ``s_1 < .. < s_k``) order-isomorphic to
-  ``tau`` such that for every shaded cell ``(i, j)`` no entry of ``pi`` lies
-  strictly between columns ``s_i`` and ``s_{i+1}`` and strictly between the
-  ``j``-th and ``(j+1)``-th smallest chosen values (with sentinels
-  ``s_0 = t_0 = 0`` and ``s_{k+1} = t_{k+1} = n+1``).
-- A *classical* pattern has no shaded cells.  A *vincular* pattern with an
-  adjacency bar between positions ``c`` and ``c+1`` is the mesh pattern whose
-  column ``c`` is fully shaded, which forces ``s_{c+1} = s_c + 1``.
-- The *weak Bruhat order* compares permutations by inclusion of inversion
-  sets; covers differ by one adjacent transposition creating one inversion.
-- Class flags are pattern avoidance, but :func:`classify` runs no matcher:
-  it reads every flag off one staircase insertion of :mod:`rectlab.rect`
-  (the one package module imported here), whose walk points and step
-  rules live here so that :mod:`rectlab.walks` shares them.
+- The paper defines each class by avoidance of classical, vincular or mesh
+  patterns, but :func:`classify` runs no matcher: it reads every flag off
+  one staircase insertion of :mod:`rectlab.rect` (the one package module
+  imported here), whose walk points and step rules live here so that
+  :mod:`rectlab.walks` shares them.  The pattern definitions live with the
+  tests, whose mesh matcher is the reference for :func:`classify`.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .rect import _Staircase, _windmills
@@ -103,6 +91,7 @@ def _numeral(token: str) -> int:
 
 
 def identity_permutation(n: int) -> Permutation:
+    """The increasing permutation ``1 2 .. n``."""
     return Permutation(range(1, n + 1))
 
 
@@ -120,133 +109,6 @@ def complement(pi: Permutation) -> Permutation:
     """
     n = len(pi)
     return Permutation(n + 1 - v for v in pi)
-
-
-# ---------------------------------------------------------------------------
-# Mesh patterns
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeshPattern:
-    """A mesh pattern ``(tau, shaded)``; classical when ``shaded`` is empty."""
-
-    tau: Permutation
-    shaded: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", Permutation(self.tau))
-        object.__setattr__(self, "shaded", frozenset(self.shaded))
-        k = len(self.tau)
-        for (i, j) in self.shaded:
-            if not (0 <= i <= k and 0 <= j <= k):
-                raise ValueError("shaded cell %r outside {0..%d}^2" % ((i, j), k))
-
-    @property
-    def k(self) -> int:
-        return len(self.tau)
-
-    def forced_adjacencies(self) -> frozenset[int]:
-        """Column indices ``c`` whose full shading forces ``s_{c+1} = s_c + 1``."""
-        k = self.k
-        full = []
-        for c in range(k + 1):
-            if all((c, j) in self.shaded for j in range(k + 1)):
-                full.append(c)
-        return frozenset(full)
-
-
-def classical_pattern(word: Iterable[int]) -> MeshPattern:
-    """Mesh pattern with no shading.
-
-    >>> classical_pattern([1, 3, 2]).shaded
-    frozenset()
-    """
-    return MeshPattern(Permutation(word), frozenset())
-
-
-def vincular_pattern(word: Iterable[int], adjacent_after: Iterable[int]) -> MeshPattern:
-    """Vincular pattern: each column in ``adjacent_after`` is fully shaded.
-
-    ``adjacent_after=(c,)`` with ``1 <= c <= k-1`` requires the occurrence's
-    positions ``s_c`` and ``s_{c+1}`` to be adjacent in the host permutation.
-    """
-    tau = Permutation(word)
-    k = len(tau)
-    cells = set()
-    for c in adjacent_after:
-        if not 0 <= c <= k:
-            raise ValueError("adjacency column %d outside 0..%d" % (c, k))
-        cells.update((c, j) for j in range(k + 1))
-    return MeshPattern(tau, frozenset(cells))
-
-
-# ---------------------------------------------------------------------------
-# Containment
-# ---------------------------------------------------------------------------
-
-
-def occurrences(pi: Permutation, m: MeshPattern) -> Iterator[tuple[int, ...]]:
-    """Yield the occurrences of ``m`` in ``pi`` as 1-based index tuples.
-
-    Occurrences are produced in lexicographic index order.  A pattern larger
-    than ``pi`` has no occurrences.
-    """
-    n = len(pi)
-    k = m.k
-    if k > n:
-        return
-    tau = m.tau
-    shaded = m.shaded
-    forced = m.forced_adjacencies()
-    # chosen[i] = 0-based position of the (i+1)-th pattern point.
-    chosen: list[int] = []
-
-    def value_order_ok(pos: int) -> bool:
-        v = pi[pos]
-        i = len(chosen)
-        for j, earlier in enumerate(chosen):
-            if (pi[earlier] < v) != (tau[j] < tau[i]):
-                return False
-        return True
-
-    def shading_ok() -> bool:
-        s = [0] + [p + 1 for p in chosen] + [n + 1]  # 1-based with sentinels
-        values = sorted(pi[p] for p in chosen)
-        t = [0] + values + [n + 1]
-        for (i, j) in shaded:
-            lo_pos, hi_pos = s[i], s[i + 1]
-            lo_val, hi_val = t[j], t[j + 1]
-            for ell in range(lo_pos + 1, hi_pos):
-                if lo_val < pi[ell - 1] < hi_val:
-                    return False
-        return True
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        i = len(chosen)
-        if i == k:
-            if shading_ok():
-                yield tuple(p + 1 for p in chosen)
-            return
-        prev = chosen[-1] if chosen else -1  # s_0 = 0 is position -1
-        if i in forced:
-            # column i fully shaded: s_{i+1} must be s_i + 1
-            candidates: Iterable[int] = (prev + 1,) if prev + 1 <= n - (k - i) else ()
-        else:
-            candidates = range(prev + 1, n - (k - 1 - i))
-        for pos in candidates:
-            if value_order_ok(pos):
-                chosen.append(pos)
-                yield from extend()
-                chosen.pop()
-
-    # A fully shaded column k leaves no entry after s_k: shading_ok checks it.
-    yield from extend()
-
-
-def contains_pattern(pi: Permutation, m: MeshPattern) -> bool:
-    """True iff ``pi`` contains the mesh pattern ``m``."""
-    return next(occurrences(pi, m), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +214,9 @@ def classify(pi: Permutation) -> frozenset[str]:
     - ``semi_baxter``, avoidance of 2-41-3, has no map:
       :func:`_avoids_2_41_3`.
 
-    The flags are avoidance of fixed pattern lists, and the mesh matcher
-    (:func:`occurrences`) over those lists is the reference in the tests.
+    The paper defines the flags as avoidance of fixed pattern lists; those
+    lists and the mesh matcher over them live with the tests, as the
+    reference that each flag is checked against.
     """
     walls, points = _history(pi)
     pos = {q: t for t, q in enumerate(pi)}
@@ -373,41 +236,3 @@ def classify(pi: Permutation) -> frozenset[str]:
     }
     return frozenset(f for f, held in flags.items() if held)
 
-
-# ---------------------------------------------------------------------------
-# Weak Bruhat order
-# ---------------------------------------------------------------------------
-
-
-def inversion_set(pi: Permutation) -> frozenset[tuple[int, int]]:
-    """Pairs of values ``(a, b)`` with ``a < b`` but ``a`` after ``b`` in ``pi``.
-
-    >>> sorted(inversion_set(Permutation([3, 1, 2])))
-    [(1, 3), (2, 3)]
-    """
-    pos = {v: i for i, v in enumerate(pi)}
-    n = len(pi)
-    return frozenset(
-        (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if pos[a] > pos[b]
-    )
-
-
-def bruhat_leq(pi: Permutation, sigma: Permutation) -> bool:
-    """Weak Bruhat comparison: ``Inv(pi)`` included in ``Inv(sigma)``."""
-    if len(pi) != len(sigma):
-        raise ValueError(
-            "cannot compare permutations of sizes %d and %d" % (len(pi), len(sigma))
-        )
-    return inversion_set(pi) <= inversion_set(sigma)
-
-
-def bruhat_covers(pi: Permutation) -> list[Permutation]:
-    """Permutations covering ``pi``: one adjacent transposition adds one inversion."""
-    out = []
-    values = list(pi)
-    for i in range(len(values) - 1):
-        if values[i] < values[i + 1]:
-            swapped = values[:]
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            out.append(Permutation(swapped))
-    return out

@@ -97,6 +97,21 @@ def reverse_permutation(n: int) -> Permutation:
     return Permutation(range(n, 0, -1))
 
 
+def inversion_set(pi: Permutation) -> frozenset[tuple[int, int]]:
+    """Pairs of values ``(a, b)`` with ``a < b`` but ``a`` after ``b`` in ``pi``.
+    One permutation is below another in the weak order iff its inversion
+    set is a subset of the other's.
+
+    >>> sorted(inversion_set(Permutation([3, 1, 2])))
+    [(1, 3), (2, 3)]
+    """
+    pos = {v: i for i, v in enumerate(pi)}
+    n = len(pi)
+    return frozenset(
+        (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if pos[a] > pos[b]
+    )
+
+
 def strong_count_via_multiplicity(n: int, guillotine_only: bool = False) -> int:
     """Strong classes of size ``n`` counted without constructing them: the
     sum of ``multiplicity`` over the weak classes (the distinct ``gamma_w``

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RUNNING_PERM, reverse_permutation
+from conftest import RUNNING_PERM, inversion_set, reverse_permutation
 from rectlab import biject
 from rectlab.biject import (
     FlipGraph,
@@ -39,11 +39,9 @@ from rectlab.biject import (
 from rectlab.perm import (
     Permutation,
     all_permutations,
-    bruhat_leq,
     classify,
     complement,
     identity_permutation,
-    inversion_set,
     parse_permutation,
 )
 from rectlab.rect import (
@@ -311,16 +309,16 @@ class TestLinearExtensions:
         # the generating pairs, so only .covers, .less and == read the order
         # off the extremal extensions, once per poset
         calls = []
-        real = Poset.__dict__["_order"].func
+        real = Poset.__dict__["_later"].func
 
         def spy(p):
             calls.append(p.n)
             return real(p)
 
         spied = functools.cached_property(spy)
-        spied.__set_name__(Poset, "_order")
+        spied.__set_name__(Poset, "_later")
         r = gamma_s(RUNNING_PERM)
-        with mock.patch.object(Poset, "_order", spied):
+        with mock.patch.object(Poset, "_later", spied):
             strong_key(r)
             weak_key(r)
             posets = [make(r) for make in (adjacency_poset, strong_poset, weak_poset)]
@@ -341,8 +339,28 @@ class TestLinearExtensions:
         # the pairs that generate it
         p = strong_poset(r)
         q = Poset(p.n, p.covers)
-        assert p.pairs != q.pairs and p._order == q._order
+        assert p.pairs != q.pairs and p._later == q._later
         assert p == q and hash(p) == hash(q)
+
+    def test_less_builds_no_covers(self):
+        # the realizer check compares each label's mask with one OR per
+        # pair, so asking only ``less`` runs no transitive reduction
+        r = gamma_s(RUNNING_PERM)
+        b, t = (
+            {v: k for k, v in enumerate(ext(strong_poset(r)))}
+            for ext in (leftmost_extension, rightmost_extension)
+        )
+        labels = range(1, r.n + 1)
+        want = {(i, j) for i in labels for j in labels if b[i] < b[j] and t[i] < t[j]}
+
+        def refuse(mask):
+            raise AssertionError("less ran the cover reduction")
+
+        p = strong_poset(r)
+        with mock.patch.object(biject, "_bits", refuse):
+            assert {(i, j) for i in labels for j in labels if p.less(i, j)} == want
+        assert "covers" not in vars(p)
+        assert p.covers <= p.pairs
 
     def test_extremal_extensions_of_antichain(self):
         p = Poset(3, frozenset())
@@ -527,8 +545,8 @@ class TestFibers:
                 for r, members in fibers.values():
                     p = poset(r)
                     b, t = leftmost_extension(p), rightmost_extension(p)
-                    assert bruhat_leq(b, t)
                     lo, hi = inversions[b], inversions[t]
+                    assert lo <= hi
                     assert members == {
                         pi for pi, inv in inversions.items() if lo <= inv <= hi
                     }

@@ -339,11 +339,6 @@ class TestGrowthConstants:
         assert gc.x0 == pytest.approx(13.154940757637178, abs=1e-9)
         assert abs(p(gc.x0)) < 1e-4 * abs(p(13.2))  # residual is tiny
 
-    def test_lower_bound_closed_form(self):
-        gc = growth_constants()
-        want = 0.5 * (1 + math.sqrt(13 - 8 * math.sqrt(2))) * (3 + 2 * math.sqrt(2))
-        assert gc.lower_bound == pytest.approx(want, abs=1e-9)
-
     def test_z0_bound_decreases(self):
         b1 = z0_bound(1)
         b6 = z0_bound(6)

@@ -3,8 +3,9 @@ without a cycle, only outside input validates a tiling, the lean constructor sta
 library's own drawings, readers use a drawing's boxes and walls rather than
 its object views, no transitive closure is built (a poset reads its order
 off its extremal extensions), only fibers list linear extensions, the mesh
-matcher is only an oracle, and the package keeps its checks under
-``python -O``."""
+matcher and the weak-order helpers live in the tests, every public name is
+exported or used by the package itself, and the package keeps its checks
+under ``python -O``."""
 
 from __future__ import annotations
 
@@ -143,11 +144,10 @@ def test_closures_only_in_biject():
     """``rect`` reads its labelings off the walls, and ``src`` builds no
     transitive closure at all: a poset is the intersection of its two
     extremal extensions, so its order is one cached tuple of "later in
-    both" masks and their covers, ``Poset._order`` in ``biject``, which
-    only ``less`` and ``covers`` (and ``==`` through it) read.  Extremal
-    extensions and keys are one least-first Kahn pass, with no greedy
-    rescan left."""
-    assert _calls("_order") == [("biject.py", "covers"), ("biject.py", "less")]
+    both" masks, ``Poset._later`` in ``biject``, which only ``less`` and
+    ``covers`` (and ``==`` through it) read.  Extremal extensions and keys
+    are one least-first Kahn pass, with no greedy rescan left."""
+    assert _calls("_later") == [("biject.py", "covers"), ("biject.py", "less")]
     assert [
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
@@ -165,17 +165,156 @@ def test_only_fibers_list_extensions():
 
 def test_matcher_is_only_an_oracle():
     """``classify`` reads every flag off one staircase insertion, so the
-    mesh matcher has no caller in the package but itself, and the step
-    rules that ``classify``, the walk predicates and the counting DP share
-    are defined once, beside the insertion's walk points in ``perm``."""
-    assert _calls("occurrences") == [("perm.py", "contains_pattern")]
-    assert _calls("contains_pattern") == []
+    mesh matcher and the weak-order helpers live in the tests, which alone
+    use them, and the step rules that ``classify``, the walk predicates and
+    the counting DP share are defined once, beside the insertion's walk
+    points in ``perm``."""
+    names = ("occurrences", "contains_pattern", "MeshPattern", "inversion_set", "bruhat_")
+    assert [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in names
+        if name in path.read_text()
+    ] == []
     assert [
         path.name
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == "_slack"
     ] == ["perm.py"]
+
+
+# The documented API: a name appears in or leaves it only on purpose.
+API = [
+    "CLASS_FLAGS",
+    "CountTable",
+    "FlipGraph",
+    "GrowthConstants",
+    "HistoryQuadrantWalk",
+    "Permutation",
+    "Poset",
+    "RealizerError",
+    "Rect",
+    "Rectangulation",
+    "RectangulationError",
+    "Segment",
+    "Series",
+    "WalkPoint",
+    "Windmill",
+    "adjacency_poset",
+    "all_permutations",
+    "baxter_number",
+    "baxter_representative",
+    "classify",
+    "closed_excursions",
+    "complement",
+    "count_O",
+    "count_U",
+    "count_linear_extensions",
+    "count_strong_rect",
+    "count_weak_rect",
+    "decode",
+    "decode_strong",
+    "diagonal_representative",
+    "encode_strong",
+    "encode_weak",
+    "fiber_s",
+    "fiber_w",
+    "find_windmills",
+    "flips",
+    "from_json",
+    "from_rects",
+    "gamma_s",
+    "gamma_w",
+    "growth_constants",
+    "guillotine_tree",
+    "has_z_wall",
+    "identity_permutation",
+    "is_diagonal",
+    "is_guillotine",
+    "is_leftmost",
+    "is_leftright",
+    "is_one_sided",
+    "is_rightmost",
+    "leftmost_extension",
+    "linear_extensions",
+    "multiplicity",
+    "nit_count",
+    "nwse_labeling",
+    "parse_permutation",
+    "quotient_cover_graph",
+    "reflect_swne",
+    "render",
+    "rightmost_extension",
+    "schroder_counts",
+    "schroder_series",
+    "strong_guillotine_count",
+    "strong_guillotine_table",
+    "strong_key",
+    "strong_poset",
+    "swne_labeling",
+    "to_json",
+    "walk_from_text",
+    "walk_to_text",
+    "weak_key",
+    "weak_poset",
+    "weighted_guillotine_series",
+]
+
+
+def _public_definitions():
+    """(module file, name, node) of every public top-level ``def``,
+    ``class`` and assigned name in a package module."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            yield from ((path.name, name, node) for name in names if not name.startswith("_"))
+
+
+def test_api_is_pinned():
+    assert rectlab.__all__ == API
+
+
+def test_public_names_are_exported_or_used():
+    """A public name outside ``__all__`` must be read somewhere in the
+    package other than its own definition: code that only tests reach
+    belongs in the tests."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for module, name, node in _public_definitions():
+        if name in rectlab.__all__:
+            continue
+        own = set(map(id, ast.walk(node)))
+        if not any(
+            id(ref) not in own
+            and (
+                isinstance(ref, ast.Name) and ref.id == name
+                or isinstance(ref, ast.Attribute) and ref.attr == name
+            )
+            for tree in trees.values()
+            for ref in ast.walk(tree)
+        ):
+            unused.append((module, name))
+    assert unused == []
+
+
+def test_exported_callables_have_docstrings():
+    """Every exported callable is a ``def`` or ``class`` of the package, and
+    each carries its own docstring."""
+    defined = {
+        name: node
+        for _, name, node in _public_definitions()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    callables = [name for name in rectlab.__all__ if callable(getattr(rectlab, name))]
+    assert [name for name in callables if name not in defined] == []
+    assert [name for name in callables if not ast.get_docstring(defined[name])] == []
 
 
 def test_verify_passes_under_optimize():
