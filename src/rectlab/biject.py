@@ -194,13 +194,13 @@ class Poset:
         return tuple(pred)
 
     def __eq__(self, other: object) -> bool:
-        """The same order: the same ``n`` and the same covers."""
+        """The same order: the same ``n`` and the same "later in both" masks."""
         if not isinstance(other, Poset):
             return NotImplemented
-        return (self.n, self.covers) == (other.n, other.covers)
+        return (self.n, self._later) == (other.n, other._later)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.covers))
+        return hash((self.n, self._later))
 
 
 def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:

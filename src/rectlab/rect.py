@@ -38,6 +38,7 @@ import bisect
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -215,12 +216,54 @@ def _tile_walls(rects: Sequence[Rect]) -> list[tuple[str, list[int], list[int]]]
     """Validate a tiling; return its walls in :meth:`Rectangulation._built`'s
     format, ``(orientation, side_a, side_b)``, vertical lines first.
 
-    Raises a specific :class:`RectangulationError` subclass for overlapping
-    boxes, a hole, a union that is not a box, four boxes meeting at a point,
-    or a line whose two sides do not form the same segments.
+    The rectangles on each internal line form maximal runs on either side,
+    and the boxes tile their frame exactly once iff both sides of every line
+    form the same runs and the areas sum to the frame's: equal runs leave the
+    coverage depth no jump across any line, so it is constant, and by the
+    area it is 1.  An exact cover has ``n = 1 + segments + crossings``, so
+    ``n - 1`` walls is genericity.  Input that fails a test is named in a
+    second pass: :func:`_coverage_error` raises :class:`OverlapError`,
+    :class:`GapError` or :class:`NonRectangularUnionError`, and a corner count
+    names the crossing of a :class:`NonGenericError`.
     """
-    # Validate coverage on the compacted image: ordering of coordinates is
-    # all that matters, and it keeps the cell grid at most (2n)^2.
+    width, height = max(r.x2 for r in rects), max(r.y2 for r in rects)
+    exact = sum((r.x2 - r.x1) * (r.y2 - r.y1) for r in rects) == width * height
+    walls = []
+    for orientation, size, key in (
+        ("v", width, lambda r: (r.x2, r.x1, r.y1, r.y2)),
+        ("h", height, lambda r: (r.y2, r.y1, r.x1, r.x2)),
+    ):
+        # Per internal line: (lo, hi, label) of the rectangles ending on
+        # it (side a: left/above) and of those starting on it (side b).
+        sides: dict[int, tuple[list, list]] = {}
+        for r in rects:
+            end, start, lo, hi = key(r)
+            if end < size:
+                sides.setdefault(end, ([], []))[0].append((lo, hi, r.label))
+            if start > 0:
+                sides.setdefault(start, ([], []))[1].append((lo, hi, r.label))
+        for line in sorted(sides):
+            side_a, side_b = map(_runs, sides[line])
+            exact = exact and [run[:2] for run in side_a] == [run[:2] for run in side_b]
+            walls += [(orientation, a[2], b[2]) for a, b in zip(side_a, side_b)]
+    if not exact:
+        raise _coverage_error(rects)
+    if len(walls) != len(rects) - 1:
+        corners = Counter(
+            p for r in rects for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2))
+        )
+        crossing = next(p for p, c in corners.items() if c == 4)
+        raise NonGenericError("four rectangles meet at %r (non-generic crossing)" % (crossing,))
+    return walls
+
+
+def _coverage_error(rects: Sequence[Rect]) -> RectangulationError:
+    """The error for boxes that do not cover their frame exactly once, named
+    at a cell of a grid over the compacted image: the first overlapping cell
+    row by row, else the leftmost uncovered one, a hole unless some uncovered
+    cell touches the border (then the union is not a box)."""
+    # Ordering of coordinates is all that matters, and it keeps the cell
+    # grid at most (2n)^2.
     xs = sorted({v for r in rects for v in (r.x1, r.x2)})
     ys = sorted({v for r in rects for v in (r.y1, r.y2)})
     xi = {v: i for i, v in enumerate(xs)}
@@ -235,61 +278,15 @@ def _tile_walls(rects: Sequence[Rect]) -> list[tuple[str, list[int], list[int]]]
     over = [(x, y) for y in range(ch) for x in range(cw) if cover[y][x] > 1]
     if over:
         x, y = over[0]
-        raise OverlapError(
-            "rectangle interiors overlap near (%d, %d)" % (xs[x], ys[y])
-        )
+        return OverlapError("rectangle interiors overlap near (%d, %d)" % (xs[x], ys[y]))
     missing = {(x, y) for y in range(ch) for x in range(cw) if cover[y][x] == 0}
-    if missing:
-        boundary = any(
-            x == 0 or y == 0 or x == cw - 1 or y == ch - 1 for x, y in missing
+    boundary = any(x == 0 or y == 0 or x == cw - 1 or y == ch - 1 for x, y in missing)
+    x, y = min(missing)
+    if boundary:
+        return NonRectangularUnionError(
+            "union of rectangles is not a box (uncovered near (%d, %d))" % (xs[x], ys[y])
         )
-        x, y = sorted(missing)[0]
-        if boundary:
-            raise NonRectangularUnionError(
-                "union of rectangles is not a box (uncovered near (%d, %d))"
-                % (xs[x], ys[y])
-            )
-        raise GapError("hole inside the tiling near (%d, %d)" % (xs[x], ys[y]))
-    corner_count: dict[tuple[int, int], int] = {}
-    for r in rects:
-        for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)):
-            corner_count[p] = corner_count.get(p, 0) + 1
-    for (x, y), c in corner_count.items():
-        if xs[0] < x < xs[-1] and ys[0] < y < ys[-1] and c != 2:
-            if c == 4:
-                raise NonGenericError(
-                    "four rectangles meet at %r (non-generic crossing)" % ((x, y),)
-                )
-            raise RectangulationError(
-                "malformed joint at %r (%d rectangle corners)" % ((x, y), c)
-            )
-    walls = []
-    for orientation, axis, size, key in (
-        ("v", "x", xs[-1], lambda r: (r.x2, r.x1, r.y1, r.y2)),
-        ("h", "y", ys[-1], lambda r: (r.y2, r.y1, r.x1, r.x2)),
-    ):
-        # Per internal line: (lo, hi, label) of the rectangles ending on
-        # it (side a: left/above) and of those starting on it (side b).
-        sides: dict[int, tuple[list, list]] = {}
-        for r in rects:
-            end, start, lo, hi = key(r)
-            if end < size:
-                sides.setdefault(end, ([], []))[0].append((lo, hi, r.label))
-            if start > 0:
-                sides.setdefault(start, ([], []))[1].append((lo, hi, r.label))
-        for line in sorted(sides):
-            side_a, side_b = map(_runs, sides[line])
-            if [run[:2] for run in side_a] != [run[:2] for run in side_b]:
-                raise RectangulationError(
-                    "wall mismatch on %s line %s=%d"
-                    % ("vertical" if orientation == "v" else "horizontal", axis, line)
-                )
-            walls += [(orientation, a[2], b[2]) for a, b in zip(side_a, side_b)]
-    if len(walls) != len(rects) - 1:
-        raise RectangulationError(
-            "expected %d segments, found %d" % (len(rects) - 1, len(walls))
-        )
-    return walls
+    return GapError("hole inside the tiling near (%d, %d)" % (xs[x], ys[y]))
 
 
 def _runs(side: list[tuple[int, int, int]]) -> list[list]:

@@ -362,6 +362,21 @@ class TestLinearExtensions:
         assert "covers" not in vars(p)
         assert p.covers <= p.pairs
 
+    def test_equality_builds_no_covers(self):
+        # the same order iff the same n and the same "later in both" masks,
+        # so == and hash run no cover reduction; distinct classes differ
+        def refuse(mask):
+            raise AssertionError("== ran the cover reduction")
+
+        for make, draw, classes in ((strong_poset, gamma_s, 116), (weak_poset, gamma_w, 92)):
+            posets = [make(draw(pi)) for pi in all_permutations(5)]
+            with mock.patch.object(biject, "_bits", refuse):
+                again = [Poset(p.n, p.pairs) for p in posets]
+                assert again == posets and list(map(hash, again)) == list(map(hash, posets))
+                assert len(set(posets)) == classes
+            assert all("covers" not in vars(p) for p in posets + again)
+            assert all(Poset(p.n, p.covers) == p for p in posets)
+
     def test_extremal_extensions_of_antichain(self):
         p = Poset(3, frozenset())
         assert leftmost_extension(p) == Permutation((1, 2, 3))

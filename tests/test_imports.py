@@ -109,8 +109,12 @@ def test_lean_constructor_only_in_forward_maps():
     the drawings the library builds itself (``gamma_s``, ``gamma_w``,
     ``reflect_swne``, and ``diagonal_representative``, which places boxes
     on a drawing's own walls) reach the lean constructor from outside
-    ``rect``; ``from_rects`` reaches it once, for the drawing it returns."""
+    ``rect``; ``from_rects`` reaches it once, for the drawing it returns.
+    The cell grid that names a coverage error has one caller,
+    ``_tile_walls``, and only on input it refuses."""
     assert _calls("_tile_walls") == [("rect.py", "__init__"), ("rect.py", "from_rects")]
+    # the cell grid only names what the runs and the area sum refused
+    assert _calls("_coverage_error") == [("rect.py", "_tile_walls")]
     assert _calls("_built") == [
         ("biject.py", "diagonal_representative"),
         ("biject.py", "gamma_s"),
@@ -144,10 +148,16 @@ def test_closures_only_in_biject():
     """``rect`` reads its labelings off the walls, and ``src`` builds no
     transitive closure at all: a poset is the intersection of its two
     extremal extensions, so its order is one cached tuple of "later in
-    both" masks, ``Poset._later`` in ``biject``, which only ``less`` and
-    ``covers`` (and ``==`` through it) read.  Extremal extensions and keys
-    are one least-first Kahn pass, with no greedy rescan left."""
-    assert _calls("_later") == [("biject.py", "covers"), ("biject.py", "less")]
+    both" masks, ``Poset._later`` in ``biject``, which only ``less``,
+    ``covers``, ``==`` and ``hash`` read.  Extremal extensions and keys are
+    one least-first Kahn pass, with no greedy rescan left."""
+    assert _calls("_later") == [
+        ("biject.py", "__eq__"),
+        ("biject.py", "__eq__"),
+        ("biject.py", "__hash__"),
+        ("biject.py", "covers"),
+        ("biject.py", "less"),
+    ]
     assert [
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))

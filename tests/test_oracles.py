@@ -32,6 +32,13 @@ field by field and the same JSON bytes.  Outside JSON, fuzzed from both
 images by one mutation each, must be accepted exactly when its tiling
 validates and the comparison sort reads its labels as NW-SE.
 
+A tiling is decided by its wall runs, one area sum and the wall count;
+only refused input reaches the cell grid and the corner count that name
+the failure.  The reference checks coverage on the whole cell grid, then
+every interior corner, then the runs and their number, for the images of
+small permutations under up to three mutations of their boxes: same walls,
+or the same error class and message.
+
 Walks decode through the permutation they encode, replayed over the NW-SE
 order of the steps.  The reference decoder replays the staircase
 geometrically with exact ``Fraction`` midpoints and never forms a
@@ -109,6 +116,10 @@ from rectlab.biject import (
 )
 from rectlab.perm import Permutation, all_permutations, classify
 from rectlab.rect import (
+    GapError,
+    NonGenericError,
+    NonRectangularUnionError,
+    OverlapError,
     Rect,
     Rectangulation,
     RectangulationError,
@@ -563,6 +574,101 @@ def unchecked_labels(rects):
     tiling is validated, the labeling is not."""
     rects = sorted(rects, key=lambda q: q.label)
     return Rectangulation._built([q.box for q in rects], _tile_walls(rects))
+
+
+def ref_tile_walls(rects):
+    """The cell-grid validation: validate a tiling; return its walls in
+    :meth:`Rectangulation._built`'s format, ``(orientation, side_a,
+    side_b)``, vertical lines first.
+
+    Raises a specific :class:`RectangulationError` subclass for overlapping
+    boxes, a hole, a union that is not a box, four boxes meeting at a point,
+    or a line whose two sides do not form the same segments.
+    """
+    # Validate coverage on the compacted image: ordering of coordinates is
+    # all that matters, and it keeps the cell grid at most (2n)^2.
+    xs = sorted({v for r in rects for v in (r.x1, r.x2)})
+    ys = sorted({v for r in rects for v in (r.y1, r.y2)})
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    cw, ch = len(xs) - 1, len(ys) - 1
+    cover = [[0] * cw for _ in range(ch)]
+    for r in rects:
+        for y in range(yi[r.y1], yi[r.y2]):
+            row = cover[y]
+            for x in range(xi[r.x1], xi[r.x2]):
+                row[x] += 1
+    over = [(x, y) for y in range(ch) for x in range(cw) if cover[y][x] > 1]
+    if over:
+        x, y = over[0]
+        raise OverlapError(
+            "rectangle interiors overlap near (%d, %d)" % (xs[x], ys[y])
+        )
+    missing = {(x, y) for y in range(ch) for x in range(cw) if cover[y][x] == 0}
+    if missing:
+        boundary = any(
+            x == 0 or y == 0 or x == cw - 1 or y == ch - 1 for x, y in missing
+        )
+        x, y = sorted(missing)[0]
+        if boundary:
+            raise NonRectangularUnionError(
+                "union of rectangles is not a box (uncovered near (%d, %d))"
+                % (xs[x], ys[y])
+            )
+        raise GapError("hole inside the tiling near (%d, %d)" % (xs[x], ys[y]))
+    corner_count: dict[tuple[int, int], int] = {}
+    for r in rects:
+        for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)):
+            corner_count[p] = corner_count.get(p, 0) + 1
+    for (x, y), c in corner_count.items():
+        if xs[0] < x < xs[-1] and ys[0] < y < ys[-1] and c != 2:
+            if c == 4:
+                raise NonGenericError(
+                    "four rectangles meet at %r (non-generic crossing)" % ((x, y),)
+                )
+            raise RectangulationError(
+                "malformed joint at %r (%d rectangle corners)" % ((x, y), c)
+            )
+    walls = []
+    for orientation, axis, size, key in (
+        ("v", "x", xs[-1], lambda r: (r.x2, r.x1, r.y1, r.y2)),
+        ("h", "y", ys[-1], lambda r: (r.y2, r.y1, r.x1, r.x2)),
+    ):
+        # Per internal line: (lo, hi, label) of the rectangles ending on
+        # it (side a: left/above) and of those starting on it (side b).
+        sides: dict[int, tuple[list, list]] = {}
+        for r in rects:
+            end, start, lo, hi = key(r)
+            if end < size:
+                sides.setdefault(end, ([], []))[0].append((lo, hi, r.label))
+            if start > 0:
+                sides.setdefault(start, ([], []))[1].append((lo, hi, r.label))
+        for line in sorted(sides):
+            side_a, side_b = map(_ref_runs, sides[line])
+            if [run[:2] for run in side_a] != [run[:2] for run in side_b]:
+                raise RectangulationError(
+                    "wall mismatch on %s line %s=%d"
+                    % ("vertical" if orientation == "v" else "horizontal", axis, line)
+                )
+            walls += [(orientation, a[2], b[2]) for a, b in zip(side_a, side_b)]
+    if len(walls) != len(rects) - 1:
+        raise RectangulationError(
+            "expected %d segments, found %d" % (len(rects) - 1, len(walls))
+        )
+    return walls
+
+
+def _ref_runs(side: list[tuple[int, int, int]]) -> list[list]:
+    """Maximal runs of abutting ``(lo, hi, label)`` intervals on one side of
+    a line, in order along it: ``[lo, hi, labels]`` each."""
+    runs: list[list] = []
+    for lo, hi, q in sorted(side):
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = hi
+            runs[-1][2].append(q)
+        else:
+            runs.append([lo, hi, [q]])
+    return runs
 
 
 def ref_find_windmills(r):
@@ -1316,6 +1422,74 @@ def test_from_json_accepts_exactly_the_drawings(pi, weak, mutation, seed):
     else:
         assert accepts(rows)
         assert sorted([q.label, *q.box] for q in r.rects) == sorted(rows)
+
+
+BOX_MUTATIONS = ("move", "drop", "duplicate", "add")
+
+
+def mutated_boxes(pi, weak, mutations, rng):
+    """The boxes of an image of ``pi`` under ``mutations`` (a side moved by
+    one, a box dropped, a box duplicated, a random box in the frame added),
+    shifted so that the least coordinates are 0 as both constructors
+    require; ``None`` when a box degenerates."""
+    boxes = [list(b) for b in (gamma_w if weak else gamma_s)(pi).boxes]
+    for mutation in mutations:
+        if mutation == "move":
+            boxes[rng.randrange(len(boxes))][rng.randrange(4)] += rng.choice((-1, 1))
+        elif mutation == "drop" and len(boxes) > 1:
+            del boxes[rng.randrange(len(boxes))]
+        elif mutation == "duplicate":
+            boxes.append(list(rng.choice(boxes)))
+        elif mutation == "add":
+            width = max(1, max(b[2] for b in boxes))
+            height = max(1, max(b[3] for b in boxes))
+            x1, x2 = sorted(rng.sample(range(width + 1), 2))
+            y1, y2 = sorted(rng.sample(range(height + 1), 2))
+            boxes.append([x1, y1, x2, y2])
+    if any(b[0] >= b[2] or b[1] >= b[3] for b in boxes):
+        return None
+    dx, dy = min(b[0] for b in boxes), min(b[1] for b in boxes)
+    return [(b[0] - dx, b[1] - dy, b[2] - dx, b[3] - dy) for b in boxes]
+
+
+def tiling_outcome(tile_walls, boxes):
+    """The walls ``tile_walls`` reads off ``boxes``, or its error's class
+    and message."""
+    try:
+        return tile_walls([Rect(i, *b) for i, b in enumerate(boxes, 1)])
+    except RectangulationError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.integers(1, 9).flatmap(perms),
+    st.booleans(),
+    st.lists(st.sampled_from(BOX_MUTATIONS), max_size=3),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_tile_walls_match_the_cell_grid(pi, weak, mutations, seed):
+    """The wall runs, one area sum and the wall count accept exactly what
+    the cell grid and the corner count accepted, with the same walls, and
+    refuse the rest with the same error class and message."""
+    boxes = mutated_boxes(pi, weak, mutations, random.Random(seed))
+    if boxes is not None:
+        assert tiling_outcome(_tile_walls, boxes) == tiling_outcome(ref_tile_walls, boxes)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_grids_are_refused_like_the_cell_grid(k):
+    grid = [(x, y, x + 1, y + 1) for x in range(k) for y in range(k)]
+    crossed = [(0, 0, k, 1)] + [(x, y + 1, x + 1, y + 2) for x, y, _, _ in grid]
+    for boxes, error in (
+        (grid, NonGenericError),
+        (crossed, NonGenericError),
+        (grid + grid[:1], OverlapError),
+        (grid[1:], NonRectangularUnionError),
+        (grid[:k + 1] + grid[k + 2:], GapError if k > 2 else NonRectangularUnionError),
+    ):
+        got = tiling_outcome(_tile_walls, boxes)
+        assert got == tiling_outcome(ref_tile_walls, boxes) and got[0] is error
 
 
 def test_key_cli_on_mutated_documents(tmp_path, capsys):

@@ -494,15 +494,9 @@ class TestWeakOrder:
         assert len(inversion_set(reverse_permutation(n))) == n * (n - 1) // 2
 
     def test_partial_order_on_s5(self):
-        ps = list(all_permutations(5))
-        inv = {p: inversion_set(p) for p in ps}
-        leq = {(p, q): inv[p] <= inv[q] for p in ps for q in ps}
-        for p in ps:
-            assert leq[(p, p)]
-        for p in ps:
-            for q in ps:
-                if p != q and leq[(p, q)]:
-                    assert not leq[(q, p)]  # antisymmetry via strict inclusion
+        # inclusion of inversion sets is reflexive and transitive; it is
+        # antisymmetric on S_5 iff distinct permutations have distinct sets
+        assert len({inversion_set(p) for p in all_permutations(5)}) == 120
 
 
 # ---------------------------------------------------------------------------

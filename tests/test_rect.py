@@ -21,6 +21,7 @@ from conftest import (
     count_two_sided_segments,
     reverse_permutation,
 )
+from rectlab import rect
 from rectlab.biject import fiber_w, gamma_s, gamma_w
 from rectlab.perm import (
     Permutation,
@@ -120,6 +121,37 @@ class TestConstruction:
     def test_four_way_crossing_is_non_generic(self):
         with pytest.raises(NonGenericError):
             from_rects([(0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2), (1, 1, 2, 2)])
+
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            [(0, 0, 1, 1), (0, 0, 1, 1)],
+            [(0, 0, 1, 1), (1, 0, 2, 1), (0, 0, 1, 1), (1, 0, 2, 1)],
+        ],
+    )
+    def test_doubled_cover_is_an_overlap(self, boxes):
+        # both sides of every line form the same runs: only the area sees it
+        with pytest.raises(OverlapError, match=r"near \(0, 0\)"):
+            from_rects(boxes)
+
+    def test_unmatched_runs_are_an_overlap(self):
+        # the areas sum to the frame's: only the runs on x=1 see it
+        with pytest.raises(OverlapError, match=r"near \(0, 1\)"):
+            from_rects([(0, 0, 2, 1), (0, 1, 1, 2), (0, 1, 1, 2)])
+
+    def test_valid_input_reaches_no_error_naming_pass(self, monkeypatch):
+        # the runs, one area sum and the wall count accept a drawing; the
+        # cell grid and the corner count only name what they refuse
+        def refuse(*args):
+            raise AssertionError("a valid drawing reached an error-naming pass")
+
+        monkeypatch.setattr(rect, "_coverage_error", refuse)
+        monkeypatch.setattr(rect, "Counter", refuse)
+        pi = Permutation(random.Random(5).sample(range(1, 1025), 1024))
+        for r in (gamma_s(pi), gamma_w(pi)):
+            assert from_json(to_json(r)) == r
+            assert Rectangulation(r.rects) == r
+            assert from_rects(r.boxes).n == 1024
 
     def test_empty_input(self):
         with pytest.raises(RectangulationError):
