@@ -6,7 +6,8 @@ fibers, canonical representatives, and the flip graph on strong classes.
 Strong and weak classes are classes of lattice congruences of the weak
 order, so a :class:`Poset` reads its order off its two extremal extensions,
 and so do flips and the quotient's edges: no closure is built and no fiber
-is listed.
+is listed.  The pairs that generate the posets come from one merge along
+each wall (:func:`_wall_pairs`), O(n) of them.
 
 Conventions
 -----------
@@ -45,6 +46,7 @@ from .rect import (
     Rectangulation,
     RectangulationError,
     _compact,
+    _cycle_pair,
     _diagonal_boxes,
     _Staircase,
     is_diagonal,
@@ -203,28 +205,36 @@ class Poset:
         return hash((self.n, self._later))
 
 
-def _adjacency_pairs(r: Rectangulation) -> set[tuple[int, int]]:
-    """Direct blocking pairs: (a, b) when a is left of b or below b, touching.
-
-    Two rectangles touch only across a segment, so only its two sides are
-    compared, by their spans along the segment.
-    """
-    box = r.boxes
-    pairs = set()
-    for orientation, side_a, side_b in r.walls:
-        k = 1 if orientation == "v" else 0  # box index of the span start
-        for p in side_a:
-            u = box[p - 1]
-            for q in side_b:
-                w = box[q - 1]
-                if max(u[k], w[k]) < min(u[k + 2], w[k + 2]):
-                    pairs.add((p, q) if k else (q, p))  # p left of q / q below p
-    return pairs
+def _wall_pairs(boxes, walls, strong: bool = False) -> Iterator[tuple[int, int]]:
+    """The touching pairs across the walls, (a, b) when a is left of or below
+    b, and with ``strong`` one same-segment pair per joint: a right box
+    follows the left box ending just above it, an above box precedes the
+    below box starting just past it, and the boxes beyond these follow along
+    the side, each touching the next.  One merge walks a wall's two sides
+    together: the boxes under the pointers touch, and the one ending first
+    moves on (both end together only at the wall's end: no crossings)."""
+    for orientation, side_a, side_b in walls:
+        k = orientation == "v"  # box index of the span start
+        i = j = 0
+        while True:
+            p, q = side_a[i], side_b[j]
+            yield (p, q) if k else (q, p)  # p left of q / q below p
+            end_a, end_b = boxes[p - 1][k + 2], boxes[q - 1][k + 2]
+            if end_a == end_b:
+                break
+            if end_a < end_b:
+                i += 1
+                if strong and not k and j + 1 < len(side_b):
+                    yield p, side_b[j + 1]
+            else:
+                j += 1
+                if strong and k and i:
+                    yield side_b[j], side_a[i - 1]
 
 
 def adjacency_poset(r: Rectangulation) -> Poset:
     """The order generated by the blocking relation (left-of / below contact)."""
-    return Poset(r.n, frozenset(_adjacency_pairs(r)))
+    return Poset(r.n, frozenset(_wall_pairs(r.boxes, r.walls)))
 
 
 def diagonal_representative(r: Rectangulation) -> Rectangulation:
@@ -236,33 +246,13 @@ def diagonal_representative(r: Rectangulation) -> Rectangulation:
 
 
 def weak_poset(r: Rectangulation) -> Poset:
-    """Adjacency poset of the diagonal representative of ``r``'s weak class."""
-    return adjacency_poset(diagonal_representative(r))
-
-
-def _strong_pairs(r: Rectangulation) -> set[tuple[int, int]]:
-    """Blocking pairs plus the two non-touching same-segment relations.
-
-    On a vertical segment, a right-side rectangle precedes every left-side
-    rectangle ending strictly above it; on a horizontal segment, an
-    above-side rectangle precedes every below-side rectangle starting
-    strictly to its right.
-    """
-    box = r.boxes
-    pairs = _adjacency_pairs(r)
-    for orientation, side_a, side_b in r.walls:
-        k = 1 if orientation == "v" else 0  # box index of the span start
-        for a in side_a:
-            end = box[a - 1][k + 2]
-            for b in side_b:
-                if end < box[b - 1][k]:  # b starts past a's end
-                    pairs.add((b, a) if k else (a, b))
-    return pairs
+    """Adjacency poset of the diagonal drawing that ``r``'s walls place."""
+    return Poset(r.n, frozenset(_wall_pairs(_diagonal_boxes(r.n, r.walls), r.walls)))
 
 
 def strong_poset(r: Rectangulation) -> Poset:
-    """The order generated by :func:`_strong_pairs`."""
-    return Poset(r.n, frozenset(_strong_pairs(r)))
+    """The order the touching and same-segment pairs generate."""
+    return Poset(r.n, frozenset(_wall_pairs(r.boxes, r.walls, strong=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,7 @@ def _least_order(n: int, pairs: Iterable[tuple[int, int]], reverse: bool = False
     it generates, and the smallest-ready-first choice is that poset's
     leftmost extension, so no closure or cover reduction is needed: one Kahn
     (1962) pass whose ready labels wait in a heap.  Raises ``ValueError``
-    when labels are left over, on a cycle.
+    naming two labels on a cycle when labels are left over.
     """
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     indeg = [0] * (n + 1)
@@ -336,7 +326,9 @@ def _least_order(n: int, pairs: Iterable[tuple[int, int]], reverse: bool = False
             if not indeg[j]:
                 heapq.heappush(ready, sign * j)
     if len(order) < n:
-        raise ValueError("relation is cyclic; not a partial order")
+        raise ValueError(
+            "relation is cyclic: %d and %d lie on a cycle" % _cycle_pair(n, succ, order)
+        )
     return Permutation(tuple(order))
 
 

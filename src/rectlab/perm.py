@@ -19,7 +19,7 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Iterator
 
-from .rect import _Staircase, _windmills
+from .rect import _Staircase, _wall_covers, _windmills
 
 
 class Permutation(tuple):
@@ -205,9 +205,9 @@ def classify(pi: Permutation) -> frozenset[str]:
     - ``twisted_baxter`` / ``co_twisted_baxter``: the same under the weak
       step rules, for the weak fiber (Law and Reading, 2012).
     - ``baxter``: ``pi`` is its weak fiber's one Baxter member, the SW-NE
-      order of the walls.  That order is the unique topological order of
-      the pairs across the walls, so ``pi`` is it iff each wall's earlier
-      side lies wholly before its later side in ``pi``.
+      order of the walls.  Each wall holds one pair of consecutive labels
+      of that order, its cover (:func:`rectlab.rect._wall_covers`), so
+      ``pi`` is it iff every cover is adjacent, in order, in ``pi``.
     - ``windmill_mesh_avoiding``: the walls hold no windmill; by the source
       paper's theorem these are exactly the ``pi`` with guillotine images.
     - ``separable``: Baxter and windmill-free.
@@ -220,9 +220,7 @@ def classify(pi: Permutation) -> frozenset[str]:
     """
     walls, points = _history(pi)
     pos = {q: t for t, q in enumerate(pi)}
-    # SW-NE puts below before above: horizontal walls swap their sides
-    sides = [(b, a) if o == "h" else (a, b) for o, a, b in walls]
-    baxter = all(max(pos[q] for q in a) < min(pos[q] for q in b) for a, b in sides)
+    baxter = all(pos[j] == pos[i] + 1 for i, j in _wall_covers(walls, swne=True))
     windmill_free = next(_windmills(len(pi), walls), None) is None
     flags = {
         "baxter": baxter,

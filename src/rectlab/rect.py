@@ -16,6 +16,8 @@ Conventions
   and :func:`weak_key` (weak), never via raw coordinates.
 - Labels ``1..n`` are the NW-SE labeling: ``i < j`` iff rectangle ``i`` is
   left of or above rectangle ``j`` (in the transitive wall-sharing sense).
+  Each wall holds one pair of consecutive labels of either labeling, read
+  off its sides' ends (:func:`_wall_covers`).
 - A *segment* is a maximal straight interval of internal walls.  A valid
   rectangulation of size ``n`` has exactly ``n - 1`` segments.
 - A drawing stores its boxes, in label order, and its walls
@@ -448,25 +450,42 @@ class _Staircase:
         return a, b, valley_index, n_valleys, top, right
 
 
-def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
-    """Labels ``1..n`` in NW-SE order (SW-NE with ``swne``): each side a of a
-    wall precedes its side b, except that SW-NE puts below before above.
+def _wall_covers(walls, swne: bool = False) -> Iterator[tuple[int, int]]:
+    """Per wall, the last label of its earlier side and the first of its
+    later side in NW-SE order (SW-NE with ``swne``, which reads vertical
+    sides bottom-up and puts below first): the ``n - 1`` consecutive pairs."""
+    for orientation, side_a, side_b in walls:
+        if not swne:
+            yield side_a[-1], side_b[0]
+        else:
+            yield (side_a[0], side_b[-1]) if orientation == "v" else (side_b[-1], side_a[0])
 
-    Consecutive labels of either order share a wall, so the order is the
-    unique topological order of the pairs across the walls: one Kahn (1962)
-    pass that must find exactly one label ready at every step.  Raises
-    :class:`RectangulationError` naming two labels that are not comparable
-    or that lie on a cycle.
-    """
+
+def _cycle_pair(n: int, succ: list[list[int]], placed) -> tuple[int, int]:
+    """Two labels on a cycle of ``succ`` after a Kahn pass placed ``placed``:
+    each label left has a predecessor left, so walking back repeats one."""
+    left = set(range(1, n + 1)).difference(placed)
+    pred = {j: i for i in left for j in succ[i] if j in left}
+    seen = set()
+    j = min(left)
+    while j not in seen:
+        seen.add(j)
+        j = pred[j]
+    return pred[j], j
+
+
+def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
+    """Labels ``1..n`` in NW-SE order (SW-NE with ``swne``): consecutive
+    labels of either order share a wall, one pair per wall, so the order is
+    the unique topological order of the ``n - 1`` :func:`_wall_covers`.  One
+    Kahn (1962) pass that must find exactly one label ready at every step;
+    raises :class:`RectangulationError` naming two labels that are not
+    comparable or that lie on a cycle."""
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     indeg = [0] * (n + 1)
-    for orientation, side_a, side_b in walls:
-        if swne and orientation == "h":
-            side_a, side_b = side_b, side_a
-        for j in side_b:
-            indeg[j] += len(side_a)
-        for i in side_a:
-            succ[i] += side_b
+    for i, j in _wall_covers(walls, swne):
+        succ[i].append(j)
+        indeg[j] += 1
     ready = [i for i in range(1, n + 1) if not indeg[i]]
     order = []
     while len(ready) == 1:
@@ -481,16 +500,8 @@ def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
             "rectangles %d and %d are not comparable" % tuple(sorted(ready)[:2])
         )
     if len(order) < n:
-        # every label left has a predecessor left: walk back until one repeats
-        left = set(range(1, n + 1)).difference(order)
-        pred = {j: i for i in left for j in succ[i] if j in left}
-        seen = set()
-        j = min(left)
-        while j not in seen:
-            seen.add(j)
-            j = pred[j]
         raise RectangulationError(
-            "rectangles %d and %d lie on a cycle of the order" % (pred[j], j)
+            "rectangles %d and %d lie on a cycle of the order" % _cycle_pair(n, succ, order)
         )
     return tuple(order)
 
@@ -756,13 +767,12 @@ def _windmills(n: int, walls) -> Iterator[tuple[str, int, int, int, int]]:
 
 def weak_key(r: Rectangulation):
     """The canonical permutation of the weak class: the leftmost extension
-    of the weak poset, read as the least topological order of the adjacency
-    pairs of the diagonal representative.  Two rectangulations are weakly
-    equivalent iff their keys agree."""
+    of the weak poset, read as the least topological order of the touching
+    pairs of the diagonal boxes that the walls place (no drawing is built).
+    Two rectangulations are weakly equivalent iff their keys agree."""
     from . import biject
 
-    d = biject.diagonal_representative(r)
-    return biject._least_order(d.n, biject._adjacency_pairs(d))
+    return biject._least_order(r.n, biject._wall_pairs(_diagonal_boxes(r.n, r.walls), r.walls))
 
 
 def strong_key(r: Rectangulation):
@@ -772,7 +782,7 @@ def strong_key(r: Rectangulation):
     agree."""
     from . import biject
 
-    return biject._least_order(r.n, biject._strong_pairs(r))
+    return biject._least_order(r.n, biject._wall_pairs(r.boxes, r.walls, strong=True))
 
 
 # ---------------------------------------------------------------------------

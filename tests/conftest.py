@@ -16,6 +16,7 @@ from rectlab.perm import Permutation, all_permutations
 from rectlab.rect import (
     Rect,
     Rectangulation,
+    from_rects,
     is_guillotine,
     multiplicity,
     segment_joint_counts,
@@ -123,6 +124,19 @@ def strong_count_via_multiplicity(n: int, guillotine_only: bool = False) -> int:
 def count_two_sided_segments(r: Rectangulation) -> int:
     """Segments with at least one perpendicular arrival on each side."""
     return sum(1 for a, b in segment_joint_counts(r) if a > 0 and b > 0)
+
+
+def brick(k: int) -> Rectangulation:
+    """One vertical segment with ``k + 1`` boxes left of it and ``k`` right
+    of it, their joints staggered (n = 2k + 1): every other segment runs
+    from the frame to it.  A product of its two sides has k(k + 1) pairs,
+    and the strong order adds a same-segment relation across each joint."""
+    left = [0, *range(2, 2 * k + 1, 2), 2 * k + 1]
+    right = [0, *range(3, 2 * k, 2), 2 * k + 1]
+    return from_rects(
+        [(0, y1, 1, y2) for y1, y2 in zip(left, left[1:])]
+        + [(1, y1, 2, y2) for y1, y2 in zip(right, right[1:])]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RUNNING_PERM, inversion_set, reverse_permutation
+from conftest import RUNNING_PERM, brick, inversion_set, reverse_permutation
 from rectlab import biject
 from rectlab.biject import (
     FlipGraph,
     Poset,
     RealizerError,
-    _adjacency_pairs,
     _Staircase,
+    _wall_pairs,
     adjacency_poset,
     baxter_representative,
     count_linear_extensions,
@@ -48,8 +48,10 @@ from rectlab.rect import (
     Rectangulation,
     RectangulationError,
     _compact,
+    from_json,
     is_diagonal,
     strong_key,
+    to_json,
     weak_key,
 )
 
@@ -167,6 +169,20 @@ class TestPosets:
         assert len(adjacency_poset(r1).covers) == 22
         assert len(strong_poset(r1).covers) == 20
 
+    def test_brick_relations_are_linear(self):
+        # one segment with 2001 and 2000 staggered boxes on its sides: the
+        # product of the sides has 4,002,000 pairs, 1,999,000 of them
+        # same-segment relations; one merge along the wall keeps under 3n
+        r = brick(2000)
+        assert r.n == 4001 and from_json(to_json(r)) == r
+        for make in (adjacency_poset, strong_poset, weak_poset):
+            assert len(make(r).pairs) < 3 * r.n, make
+        p = strong_poset(r)
+        assert strong_key(r) == leftmost_extension(p)
+        assert weak_key(r) == leftmost_extension(weak_poset(r))
+        # each right box follows exactly one left box it does not touch
+        assert len(p.pairs - adjacency_poset(r).pairs) == 2000 - 1
+
     def test_weak_poset_is_class_invariant(self, d1, r1):
         assert weak_poset(r1).covers == weak_poset(d1).covers
         assert weak_poset(d1).covers == adjacency_poset(d1).covers
@@ -182,10 +198,15 @@ class TestPosets:
                     )
 
     def test_cyclic_relation_rejected(self):
-        with pytest.raises(ValueError, match="cyclic"):
+        with pytest.raises(ValueError, match="cyclic: 2 and 1 lie on a cycle"):
             Poset(3, frozenset({(1, 2), (2, 1)})).covers
-        with pytest.raises(ValueError, match="cyclic"):  # a self-loop
+        with pytest.raises(ValueError, match="cyclic: 1 and 1 lie on a cycle"):  # a self-loop
             leftmost_extension(Poset(2, frozenset({(1, 1)})))
+        # the walk back from the least label left ends on the cycle, not on
+        # the labels that only hang below it
+        p = Poset(6, frozenset({(1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (4, 2)}))
+        with pytest.raises(ValueError, match="cyclic: [456] and [456] lie on a cycle"):
+            rightmost_extension(p)
 
     @pytest.mark.parametrize(
         "n, pairs, bad",
@@ -412,7 +433,7 @@ def _fiber_weak_geometric(r: Rectangulation) -> set[Permutation]:
     a rectangle is removable when no remaining rectangle blocks it (nothing
     it is left of or below remains)."""
     d = diagonal_representative(r)
-    pairs = _adjacency_pairs(d)
+    pairs = set(_wall_pairs(d.boxes, d.walls))
     succ = {j: {b for a, b in pairs if a == j} for j in range(1, d.n + 1)}
     out: set[Permutation] = set()
     order: list[int] = []

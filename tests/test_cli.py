@@ -6,7 +6,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import resource
 import shutil
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brick
 from rectlab import biject, cli, counting
 from rectlab.cli import run, verify_fixtures
 from rectlab.perm import Permutation, parse_permutation
@@ -302,6 +306,25 @@ class TestFiberAndKey:
         path.write_text(out_of(capsys))
         assert run(["fiber", variant, str(path)]) == 0
         assert out_of(capsys) == identity + "\n"
+
+    def test_key_of_a_brick_under_a_memory_limit(self, tmp_path):
+        # one segment with 10001 and 10000 staggered boxes on its sides
+        # (1.2 MB of JSON): a pass over the product of the sides needs
+        # gigabytes, one merge along the wall about 40 MiB; the child's
+        # address space is capped so that a regression fails, not the host
+        path = tmp_path / "brick.json"
+        path.write_text(to_json(brick(10000)))
+        limit = 512 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "rectlab.cli", "key", "--strong", str(path)],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert len(parse_permutation(proc.stdout)) == 20001
 
     def test_map_key_map_preserves_class(self, capsys, tmp_path):
         run(["map", "--strong", "2 4 1 3"])

@@ -2,7 +2,8 @@
 without a cycle, only outside input validates a tiling, the lean constructor stays behind the
 library's own drawings, readers use a drawing's boxes and walls rather than
 its object views, no transitive closure is built (a poset reads its order
-off its extremal extensions), only fibers list linear extensions, the mesh
+off its extremal extensions), walls are read through their covers and
+one merge along each, only fibers list linear extensions, the mesh
 matcher and the weak-order helpers live in the tests, every public name is
 exported or used by the package itself, and the package keeps its checks
 under ``python -O``."""
@@ -162,6 +163,30 @@ def test_closures_only_in_biject():
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name in ("_closure_masks", "_reach", "_greedy_extension")
+        if name in path.read_text()
+    ] == []
+
+
+def test_walls_are_read_through_their_covers():
+    """No reader pairs every box of one side of a wall with every box of
+    the other.  The labelings read one cover per wall (``_linear_order``,
+    and the Baxter flag of ``classify``); keys and posets read the touching
+    and same-segment pairs of one merge along each wall (``_wall_pairs``);
+    and a Kahn pass that stops on a cycle names two of its labels through
+    one walk back (``_cycle_pair``)."""
+    assert _calls("_wall_covers") == [("perm.py", "classify"), ("rect.py", "_linear_order")]
+    assert _calls("_wall_pairs") == [
+        ("biject.py", "adjacency_poset"),
+        ("biject.py", "strong_poset"),
+        ("biject.py", "weak_poset"),
+        ("rect.py", "strong_key"),
+        ("rect.py", "weak_key"),
+    ]
+    assert _calls("_cycle_pair") == [("biject.py", "_least_order"), ("rect.py", "_linear_order")]
+    assert [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("_adjacency_pairs", "_strong_pairs")
         if name in path.read_text()
     ] == []
 

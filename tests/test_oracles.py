@@ -9,10 +9,13 @@ scans and exact ``Fraction`` midpoints) must agree with them exactly: same
 order, same covers, same segments, same JSON bytes.
 
 Orders and joint counts are read from what a rectangulation already holds:
-labelings are one topological pass over the pairs across its walls, joint
-counts are side lengths minus one, extensions read cover predecessors, and
-keys and extremal extensions are one least-first heap pass over the pairs
-that generate the order, with no closure.  The comparison sort over the
+labelings are one topological pass over one cover per wall, joint counts
+are side lengths minus one, extensions read cover predecessors, and keys
+and extremal extensions are one least-first heap pass over the pairs that
+generate the order, with no closure.  The pass over every pair across each
+wall's two sides is kept as ``ref_linear_order``, and the strong pairs,
+now one merge along each wall, must generate the same order as the
+all-pairs reference and be a subset of it.  The comparison sort over the
 fixpoint left-of and above closures, the all-pairs joint scan, the greedy
 rescans over closed predecessor masks and the per-orientation copies they
 replaced are the references here, and so are the recursive extension
@@ -73,6 +76,7 @@ import functools
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -81,6 +85,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import D1_RECTS, brick, build
 from patterns import FORBIDDEN, avoids_all, matcher_flags
 from rectlab import biject, rect
 from rectlab.cli import run
@@ -95,10 +100,10 @@ from rectlab.biject import (
     FlipGraph,
     Poset,
     RealizerError,
-    _adjacency_pairs,
     _default_max_n,
     _Staircase,
     _swap_positions,
+    _wall_pairs,
     adjacency_poset,
     baxter_representative,
     count_linear_extensions,
@@ -126,6 +131,7 @@ from rectlab.rect import (
     Segment,
     Windmill,
     _tile_walls,
+    _wall_covers,
     find_windmills,
     from_json,
     from_rects,
@@ -356,6 +362,53 @@ def ref_labeling(r, flip_above=False):
         raise RectangulationError("rectangles %d and %d are not comparable" % (i, j))
 
     return tuple(sorted(range(1, r.n + 1), key=functools.cmp_to_key(cmp)))
+
+
+def ref_linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
+    """Labels ``1..n`` in NW-SE order (SW-NE with ``swne``): each side a of a
+    wall precedes its side b, except that SW-NE puts below before above.
+
+    Consecutive labels of either order share a wall, so the order is the
+    unique topological order of the pairs across the walls: one Kahn (1962)
+    pass that must find exactly one label ready at every step.  Raises
+    :class:`RectangulationError` naming two labels that are not comparable
+    or that lie on a cycle.
+    """
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    indeg = [0] * (n + 1)
+    for orientation, side_a, side_b in walls:
+        if swne and orientation == "h":
+            side_a, side_b = side_b, side_a
+        for j in side_b:
+            indeg[j] += len(side_a)
+        for i in side_a:
+            succ[i] += side_b
+    ready = [i for i in range(1, n + 1) if not indeg[i]]
+    order = []
+    while len(ready) == 1:
+        i = ready.pop()
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    if ready:
+        raise RectangulationError(
+            "rectangles %d and %d are not comparable" % tuple(sorted(ready)[:2])
+        )
+    if len(order) < n:
+        # every label left has a predecessor left: walk back until one repeats
+        left = set(range(1, n + 1)).difference(order)
+        pred = {j: i for i in left for j in succ[i] if j in left}
+        seen = set()
+        j = min(left)
+        while j not in seen:
+            seen.add(j)
+            j = pred[j]
+        raise RectangulationError(
+            "rectangles %d and %d lie on a cycle of the order" % (pred[j], j)
+        )
+    return tuple(order)
 
 
 def ref_reach(r):
@@ -1009,14 +1062,18 @@ def check_against_references(pi: Permutation) -> None:
     rw = gamma_w(pi)
     assert to_json(rw) == to_json(ref_gamma_w(pi))
     for r in (rs, rw):
-        assert _adjacency_pairs(r) == ref_adjacency_pairs(r)
+        assert set(_wall_pairs(r.boxes, r.walls)) == ref_adjacency_pairs(r)
         for p, pairs in (
             (adjacency_poset(r), ref_adjacency_pairs(r)),
-            (strong_poset(r), ref_strong_pairs(r)),
             (weak_poset(r), ref_adjacency_pairs(ref_diagonal(r))),
         ):
             assert p.pairs == pairs
             check_order(p)
+        # the strong pairs are a generating subset of the reference pairs
+        p = strong_poset(r)
+        assert p == Poset(r.n, frozenset(ref_strong_pairs(r)))
+        assert p.pairs <= ref_strong_pairs(r)
+        check_order(p)
 
 
 def check_orders_against_references(pi: Permutation, seed: int) -> None:
@@ -1035,8 +1092,10 @@ def check_orders_against_references(pi: Permutation, seed: int) -> None:
         assert guillotine_tree(r) == ref_guillotine_tree(r)
         d = diagonal_representative(r)
         assert to_json(d) == to_json(ref_diagonal(r))
-        assert biject._strong_pairs(r) == ref_strong_pairs(r)
-        assert strong_poset(r).covers == ref_covers(r.n, ref_strong_pairs(r))
+        strong = strong_poset(r)
+        assert strong == Poset(r.n, frozenset(ref_strong_pairs(r)))
+        assert strong.pairs <= ref_strong_pairs(r)
+        assert strong.covers == ref_covers(r.n, ref_strong_pairs(r))
         weak = Poset(d.n, frozenset(ref_adjacency_pairs(d)))
         assert weak_poset(r).covers == weak.covers
         assert strong_key(r) == ref_leftmost(strong_poset(r))
@@ -1107,6 +1166,88 @@ def test_exhaustive_lean_matches_validated(n):
 def test_exhaustive_orders_against_references(n):
     for seed, pi in enumerate(all_permutations(n)):
         check_orders_against_references(pi, seed)
+
+
+@functools.lru_cache(maxsize=1)
+def images_to_s7():
+    """Every distinct image of S_1..S_7 under both maps, then their
+    ``reflect_swne`` images."""
+    found = {
+        draw(pi) for n in range(1, 8) for pi in all_permutations(n) for draw in (gamma_s, gamma_w)
+    }
+    images = sorted(found, key=lambda r: r.boxes)
+    return images + [reflect_swne(r) for r in images]
+
+
+def random_drawings(n, seed):
+    """Both images of a random permutation, their reflections, and the
+    strong image's boxes shuffled through ``from_rects``."""
+    rng = random.Random(seed)
+    pi = Permutation(rng.sample(range(1, n + 1), n))
+    boxes = list(gamma_s(pi).boxes)
+    rng.shuffle(boxes)
+    drawings = [gamma_s(pi), gamma_w(pi)]
+    return drawings + [reflect_swne(r) for r in drawings] + [from_rects(boxes)]
+
+
+def test_wall_covers_are_the_consecutive_pairs():
+    """The fact the labelings rest on: each wall holds exactly one pair of
+    consecutive labels of either order, the last of its earlier side and
+    the first of its later side, read against the product reference."""
+    for r in images_to_s7():
+        for swne in (False, True):
+            order = ref_linear_order(r.n, r.walls, swne)
+            covers = list(_wall_covers(r.walls, swne))
+            assert len(covers) == r.n - 1
+            assert set(covers) == set(zip(order, order[1:])), (r.boxes, swne)
+
+
+def test_linear_order_matches_the_product_reference():
+    """The Kahn pass over one cover per wall reads the same labelings as
+    the parent pass over every pair across each wall's two sides."""
+    drawings = images_to_s7() + [
+        r for n in (64, 256, 1024) for r in random_drawings(n, n)
+    ]
+    for r in drawings:
+        for swne in (False, True):
+            assert rect._linear_order(r.n, r.walls, swne) == ref_linear_order(
+                r.n, r.walls, swne
+            )
+
+
+@pytest.mark.parametrize("swne", [False, True])
+def test_linear_order_refuses_tampering_like_the_reference(swne):
+    """D1 with one wall dropped is refused as incomparable by both passes,
+    and with a reversed copy of one wall added, as cyclic."""
+    walls = build(D1_RECTS).walls
+    for tampered, what in (
+        *((walls[:k] + walls[k + 1 :], "not comparable") for k in range(len(walls))),
+        *((walls + ((o, b, a),), "on a cycle") for o, a, b in walls),
+    ):
+        for order in (rect._linear_order, ref_linear_order):
+            with pytest.raises(RectangulationError, match=what):
+                order(16, tampered, swne)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 50])
+def test_brick_against_references(k):
+    """A long segment with staggered joints on both sides, and its mirror
+    image with a long horizontal segment: labelings, keys and all three
+    posets against the references."""
+    for r in (brick(k), reflect_swne(brick(k))):
+        assert nwse_labeling(r) == ref_labeling(r) == tuple(range(1, r.n + 1))
+        assert swne_labeling(r) == ref_labeling(r, flip_above=True)
+        strong = Poset(r.n, frozenset(ref_strong_pairs(r)))
+        weak = Poset(r.n, frozenset(ref_adjacency_pairs(ref_diagonal(r))))
+        adjacency = Poset(r.n, frozenset(ref_adjacency_pairs(r)))
+        assert strong_key(r) == ref_leftmost(strong)
+        assert weak_key(r) == ref_leftmost(weak)
+        for make, ref in ((strong_poset, strong), (weak_poset, weak), (adjacency_poset, adjacency)):
+            p = make(r)
+            assert p == ref and p.pairs <= ref.pairs
+            check_order(p)
+            assert leftmost_extension(p) == ref_leftmost(ref)
+            assert rightmost_extension(p) == ref_rightmost(ref)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -1520,7 +1661,8 @@ def relations(n: int):
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), relations(n))))
 @settings(max_examples=300, deadline=None)
 def test_poset_matches_fixpoint_or_refuses(case):
-    """A cyclic relation is refused as cyclic.  An acyclic one reads as its
+    """A cyclic relation is refused as cyclic, naming two labels on a cycle.
+    An acyclic one reads as its
     fixpoint closure when that closure is the intersection of its leftmost
     and rightmost extensions (both from the reference greedy), and is
     refused by name when it is not."""
@@ -1530,8 +1672,11 @@ def test_poset_matches_fixpoint_or_refuses(case):
     reads = (lambda: p.less(1, 1), lambda: p.covers, lambda: p == p)
     if any(ref[i] >> i & 1 for i in range(n)):
         for read in reads:
-            with pytest.raises(ValueError, match="cyclic"):
+            with pytest.raises(ValueError, match="cyclic") as exc:
                 read()
+            # the two labels it names reach each other
+            i, j = (int(v) - 1 for v in re.findall(r"\d+", str(exc.value)))
+            assert ref[i] >> j & 1 and ref[j] >> i & 1, str(exc.value)
         return
     b, t = ({v: k for k, v in enumerate(ext)} for ext in (ref_leftmost(p), ref_rightmost(p)))
     both = [

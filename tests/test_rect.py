@@ -36,7 +36,6 @@ from rectlab.rect import (
     Rect,
     Rectangulation,
     RectangulationError,
-    Segment,
     _linear_order,
     find_windmills,
     from_json,
@@ -292,8 +291,7 @@ class TestLabelings:
         for k in range(len(walls)):
             r.walls = walls[:k] + walls[k + 1 :]
             i, j = named_pair(labeling, r, "are not comparable")
-            segments = [Segment(o, 0, 0, 0, a, b) for o, a, b in r.walls]
-            after = labels_after(segments, r.n, labeling is swne_labeling)
+            after = labels_after(r.walls, r.n, labeling is swne_labeling)
             assert j not in after[i] and i not in after[j]
 
     @pytest.mark.parametrize("labeling", [nwse_labeling, swne_labeling])
@@ -305,8 +303,7 @@ class TestLabelings:
         for orientation, side_a, side_b in walls:
             r.walls = walls + ((orientation, side_b, side_a),)
             i, j = named_pair(labeling, r, "lie on a cycle of the order")
-            segments = [Segment(o, 0, 0, 0, a, b) for o, a, b in r.walls]
-            after = labels_after(segments, r.n, labeling is swne_labeling)
+            after = labels_after(r.walls, r.n, labeling is swne_labeling)
             assert j in after[i] and i in after[j]
 
     def test_linear_order_reads_walls(self):
@@ -337,9 +334,10 @@ class TestLabelings:
     @settings(max_examples=300, deadline=None)
     def test_linear_order_matches_reachability(self, case, swne):
         n, walls = case
+        # sides are disjoint and, as on every wall of a drawing, non-empty
         walls = [(o, a, [q for q in b if q not in a]) for o, a, b in walls]
-        segments = [Segment(o, 0, 0, 0, tuple(a), tuple(b)) for o, a, b in walls]
-        after = labels_after(segments, n, swne)
+        walls = [wall for wall in walls if wall[2]]
+        after = labels_after(walls, n, swne)
         total = all(q not in after[q] for q in after) and all(
             (j in after[i]) != (i in after[j]) for i in after for j in after if i < j
         )
@@ -356,15 +354,17 @@ class TestLabelings:
             assert all(after[q] == set(order[k + 1 :]) for k, q in enumerate(order))
 
 
-def labels_after(segments, n, swne=False):
-    """Label -> the labels that a chain of pairs across ``segments`` leads
-    to (side a before side b; SW-NE reverses the horizontal sides)."""
+def labels_after(walls, n, swne=False):
+    """Label -> the labels that a chain of wall covers leads to.  A wall's
+    cover joins the last label of its earlier side to the first of its
+    later side: side a before side b, read along the wall; SW-NE reads
+    vertical sides bottom-up and puts the horizontal side b first."""
     labels = range(1, n + 1)
     succ = {q: set() for q in labels}
-    for s in segments:
-        flip = swne and s.orientation == "h"
-        for i in s.side_b if flip else s.side_a:
-            succ[i].update(s.side_a if flip else s.side_b)
+    for orientation, a, b in walls:
+        if swne:
+            a, b = (a[::-1], b[::-1]) if orientation == "v" else (b, a)
+        succ[a[-1]].add(b[0])
     after = {}
     for start in labels:
         seen, stack = set(), [start]
