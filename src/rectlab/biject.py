@@ -41,7 +41,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .perm import Permutation, all_permutations
+from .perm import Permutation, _numeral, all_permutations
 from .rect import (
     Rectangulation,
     RectangulationError,
@@ -453,10 +453,12 @@ class FlipGraph:
 
 
 def _env_bound(name: str, default: int) -> int:
-    """The integer size bound in environment variable ``name``."""
+    """The size bound in environment variable ``name``: an ASCII decimal
+    numeral, so signs, underscores, spaces and non-ASCII digits, which
+    ``int()`` accepts, raise ``ValueError`` naming the variable."""
     raw = os.environ.get(name, str(default))
     try:
-        return int(raw)
+        return _numeral(raw)
     except ValueError:
         raise ValueError("%s must be an integer, got %r" % (name, raw)) from None
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, sub
 from typing import Iterator
 
@@ -241,55 +241,63 @@ def _excursion_count(
     time, so it is never stored.  Both step rules leave a contiguous window
     of x: leftmost asks x2 >= x - dl and rightmost y2 >= y - dr, that is
     x2 <= x + step + dr.  So the point (x2, h2) collects the window
-    x2 - step - dr <= x <= x2 + dl of one source row per color, a
-    difference of two prefix sums: O(1) per state and color pair instead
-    of O(n).  Arbitrary-precision integers throughout.
+    x2 - step - dr <= x <= x2 + dl of one source row per color: a
+    difference of two prefix sums, or one prefix sum when a rule is off.
+    Each source row sums its windows once per distinct (dl, dr) that a
+    target color reads, and each target adds its four windows.
+
+    Transposing a walk (x <-> y) swaps red with green and the leftmost rule
+    with the rightmost one: ``_left_slack(σc, σc2) == _right_slack(c, c2)``
+    for that swap σ, and red and green share a level step.  So when the two
+    rules are alike, green's rows are red's reversed, and only black, red
+    and white are computed.  Arbitrary-precision integers throughout.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # (dl, dr) per color pair; a slack of n is wider than any row, which
-    # switches the rule off
+    mirror = leftmost == rightmost
+    targets = ("black", "red", "white") if mirror else COLORS
+    # (dl, dr) per color pair; None switches the rule off
     slack = {
         (c, c2): (
-            _left_slack(c, c2, weak) if leftmost else n,
-            _right_slack(c, c2, weak) if rightmost else n,
+            _left_slack(c, c2, weak) if leftmost else None,
+            _right_slack(c, c2, weak) if rightmost else None,
         )
         for c in COLORS
-        for c2 in COLORS
+        for c2 in targets
     }
-    # prefix sums padded with n + 1 zeros on the left and n + 1 copies of
-    # the row total on the right, so that every window end is a plain slice
-    pad = n + 1
+    windows = {c: {slack[c, c2] for c2 in targets} for c in COLORS}
     rows = {c: [[1]] for c in COLORS}
     for t in range(1, n):
-        prefix = {}
-        for c in COLORS:
-            prefix[c] = padded = []
-            for row in rows[c]:
-                p = list(accumulate(row, initial=0))
-                padded.append([0] * pad + p + [p[-1]] * pad)
         # levels rise by at most 1 per point, and point t must leave
         # n - 1 - t points to come back down to the origin
-        levels = range(min(t, n - 1 - t) + 1)
-        nxt = {}
-        for c2 in COLORS:
-            out = []
-            for h2 in levels:
+        top = min(t, n - 1 - t)
+        # every level gets a window: red's from the same level, or black's
+        # from below at the new top
+        acc = {c2: [None] * (top + 1) for c2 in targets}
+        for c in COLORS:
+            step = _LEVEL_STEP[c]
+            for h, row in enumerate(rows[c]):
+                h2 = h + step
+                if not 0 <= h2 <= top:
+                    continue
+                # prefix sums padded by the widest step plus slack: two
+                # zeros on the left, two totals on the right, p[x + 2] the
+                # sum of row[:x]
+                p = list(accumulate(chain((0, 0, 0), row, (0, 0))))
                 m = h2 + 1
-                acc = [0] * m
-                for c in COLORS:
-                    step = _LEVEL_STEP[c]
-                    h = h2 - step
-                    if not 0 <= h < len(prefix[c]):
-                        continue
-                    p = prefix[c][h]
-                    dl, dr = slack[c, c2]
-                    hi = pad + dl + 1
-                    lo = pad - step - dr
-                    acc = list(map(add, acc, map(sub, p[hi : hi + m], p[lo : lo + m])))
-                out.append(acc)
-            nxt[c2] = out
-        rows = nxt
+                win = {}
+                for dl, dr in windows[c]:
+                    w = [p[-1]] * m if dl is None else p[dl + 3 : dl + 3 + m]
+                    if dr is not None:
+                        lo = 2 - step - dr
+                        w = list(map(sub, w, p[lo : lo + m]))
+                    win[dl, dr] = w
+                for c2 in targets:
+                    w, a = win[slack[c, c2]], acc[c2]
+                    a[h2] = w if a[h2] is None else map(add, a[h2], w)
+        rows = {c2: [list(a) for a in acc[c2]] for c2 in targets}
+        if mirror:
+            rows["green"] = [row[::-1] for row in rows["red"]]
     return rows["white"][0][0]
 
 

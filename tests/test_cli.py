@@ -258,6 +258,20 @@ class TestCount:
             "error: RECTLAB_MAX_GUILLOTINE_N must be an integer, got 'abc'\n"
         )
 
+    @pytest.mark.parametrize("raw", ["-3", "+7", "1_0", "٣", " 7"])
+    @pytest.mark.parametrize(
+        "argv,variable",
+        [(["count", "u", "5"], "RECTLAB_MAX_U_N"), (["flipgraph", "3"], "RECTLAB_MAX_N")],
+    )
+    def test_bound_must_be_a_decimal_numeral(self, capsys, monkeypatch, raw, argv, variable):
+        # int() would read these as -3, 7, 10, 3 and 7
+        monkeypatch.setenv(variable, raw)
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: %s must be an integer, got %r\n" % (variable, raw),
+        )
+
 
 # ---------------------------------------------------------------------------
 # fiber / key: JSON files and stdin

@@ -337,6 +337,13 @@ class TestCounts:
         want = BAXTER[:8]
         assert [count_weak_rect(n) for n in range(1, 9)] == want
 
+    def test_weak_engine_matches_closed_forms_at_large_n(self):
+        # up to the CLI's default bound of 150, about a second in all
+        from rectlab.counting import baxter_number
+
+        for n in [*range(1, 61), 100, 150]:
+            assert count_weak_rect(n) == baxter_number(n) == nit_count(n), n
+
     def test_count_u(self):
         want = U_COUNTS
         assert [count_U(n) for n in range(1, 11)] == want
