@@ -41,6 +41,21 @@ def _load_rectangulation(path: str) -> rect.Rectangulation:
     return rect.from_json(_read_text(path))
 
 
+class _SizeError(Exception):
+    """A size argument that is not a numeral.  argparse would turn a
+    ``ValueError`` from a type into a usage error (exit 2); this one reaches
+    :func:`run`, which reports it as bad input (exit 1)."""
+
+
+def _size(text: str) -> int:
+    """A size argument: an ASCII decimal numeral, or one after a leading
+    ``-`` for the command's own range check to refuse."""
+    try:
+        return -perm._numeral(text[1:]) if text.startswith("-") else perm._numeral(text)
+    except ValueError:
+        raise _SizeError("expected a size, a decimal numeral [0-9]+, got %r" % text) from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -107,7 +122,8 @@ def _bounded(count: Callable[[int], int], variable: str, default: int) -> Callab
 
 
 # Each default admits about a second of work, except the strong-guillotine
-# table's: its 32 packaged rows take about a minute cold.
+# table's: its 32 packaged rows take about 15 s cold (14.2 s for
+# ``count strong-guillotine 32`` on 2 cores).
 _COUNTS: dict[str, Callable[[int], int]] = {
     "schroder": _bounded(
         lambda n: counting.schroder_counts(n)[-1], "RECTLAB_MAX_SCHRODER_N", 1000
@@ -352,8 +368,8 @@ def _check_guillotine_table(max_n: int, data_dir: Path) -> tuple[bool, str]:
         return False, "table must list sizes 1..32"
     if any(rows[n] >= rows[n + 1] for n in range(1, 32)):
         return False, "table values must increase"
-    table = counting.strong_guillotine_table(22)
-    for n in range(1, 23):
+    table = counting.strong_guillotine_table(23)
+    for n in range(1, 24):
         if table.total(n) != rows[n]:
             return False, "recurrence disagrees with table at n=%d" % n
     return True, ""
@@ -529,13 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact counts of the supported families")
     p.add_argument("family", choices=tuple(_COUNTS))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("flipgraph", help="quotient cover graph of the strong classes")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
-    p.add_argument("--max-n", type=int, default=None, help="override the sweep bound")
+    p.add_argument("--max-n", type=_size, default=None, help="override the sweep bound")
     p.set_defaults(func=_cmd_flipgraph)
 
     p = sub.add_parser("walk", help="encode/decode insertion-history walks")
@@ -556,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the packaged verification sweeps")
     p.add_argument("suite", choices=("all",) + tuple(sorted(_SUITES)))
-    p.add_argument("--max-n", type=int, default=None, help="bound exhaustive sweeps")
+    p.add_argument("--max-n", type=_size, default=None, help="bound exhaustive sweeps")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("constants", help="print the growth constants")
@@ -583,6 +599,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         code = exc.code
         return code if isinstance(code, int) else 2
+    except _SizeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, rect.RectangulationError, OSError) as exc:

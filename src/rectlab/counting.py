@@ -172,13 +172,12 @@ class CountTable:
     Only the vertical-cut table is stored; the horizontal one is its
     transpose.  Layer n sums over the size n1 of the left factor at the
     leftmost cut.  Top and bottom counts only add, so each split is a
-    convolution in (t, b), done by one bigint product per (left, cut-side,
-    right) count triple on packed grids (Kronecker substitution, see
-    ``_Packing``).  Each count is computed for left count <= right count
-    and written to both mirror profiles, so the left-right symmetry holds
-    by construction; its independent evidence is the direct-recurrence
-    oracle in the tests and the packaged totals.  The top-bottom symmetry
-    is checked on every stored layer.
+    convolution in (t, b), done by bigint products of packed grids
+    (Kronecker substitution, see ``_Packing``).  Each count is computed for
+    left count <= right count and written to both mirror profiles, so the
+    left-right symmetry holds by construction; its independent evidence is
+    the direct-recurrence oracle in the tests and the packaged totals.  The
+    top-bottom symmetry is checked on every stored layer.
     """
 
     def __init__(self) -> None:
@@ -242,6 +241,9 @@ class CountTable:
             # no later layer reads the store: free it before the layer's
             # dict is built, which lowers the build's peak memory
             packing.left = packing.right = {}
+        else:
+            # the next layer packs this one from its accumulators
+            packing.acc = {n: acc}
         return packing.unpack(acc)
 
 
@@ -255,29 +257,41 @@ class _Packing:
 
     - ``width = N - 1``: a class of size n has at most n - 1 endpoints on a
       side and a cut adds one to t1 + t2 and to b1 + b2, so both stay below.
-    - ``nbytes`` holds ``count_strong_rect(N)``, which bounds every digit.
-      A packed digit counts classes of a layer below N.  A digit of an
-      accumulator, of a product, or of a left factor z (formed only for
-      cut-side counts some right factor has) counts composites of one
-      profile of a layer n <= N: strong rectangulations of size <= N.
+    - ``nbytes`` holds ``count_strong_rect(N)``.  Only the digits of an
+      accumulator must fit, and each counts the composites of one profile
+      of a layer n <= N: strong rectangulations of size <= N.  The factors
+      and partial sums in between may carry from digit to digit, since the
+      integer identity holds whatever their digits; every term is
+      nonnegative, so no partial sum exceeds the accumulator.
     """
 
     def __init__(self, N: int) -> None:
         self.N = N
         self.width = N - 1
         self.nbytes = (count_strong_rect(N).bit_length() + 7) // 8
-        # left factors of size m, horizontal or size 1: l -> [(r1, grid)]
+        # left factors of size m, horizontal or size 1: r1 -> [(l, grid)]
         self.left: dict[int, dict[int, list[tuple[int, int]]]] = {}
         # right factors of size m, any orientation: lp -> {r: grid}
         self.right: dict[int, dict[int, dict[int, int]]] = {}
+        # the accumulators of the last layer computed, until it is packed
+        self.acc: dict[int, dict[tuple[int, int], int]] = {}
         # one tuple per profile, shared by all layers and mirror images
         self.keys: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
     def pack(self, m: int, layer: dict[tuple[int, int, int, int], int]) -> None:
-        """Pack layer ``m`` once per orientation into ``left`` and ``right``."""
+        """Pack layer ``m`` once per orientation into ``left`` and ``right``.
+        If this call computed the layer, its accumulators shifted by the
+        cut's +1 in t and in b are its vertical grids, each shared with
+        its mirror (r, l); every other orientation is packed entry by entry."""
         width, nbytes = self.width, self.nbytes
+        acc = self.acc.pop(m, None)
         grids: list[dict[tuple[int, int], int]] = []
-        for transpose in (False, True):
+        if acc is not None:
+            shift = 8 * nbytes * (width + 1)
+            grids.append({})
+            for (l, r), packed in acc.items():
+                grids[0][(l, r)] = grids[0][(r, l)] = packed << shift
+        for transpose in (False, True)[len(grids) :]:
             bufs: dict[tuple[int, int], bytearray] = {}
             for (a, b, c, d), v in layer.items():
                 # s_h(m, b, a, d, c) == s_v(m, a, b, c, d)
@@ -290,7 +304,7 @@ class _Packing:
         vertical, horizontal = grids
         left = self.left[m] = {}
         for (l, r1), grid in horizontal.items():
-            left.setdefault(l, []).append((r1, grid))
+            left.setdefault(r1, []).append((l, grid))
         right = self.right[m] = {}
         # size 1 counts once, not as both a degenerate vertical and a
         # degenerate horizontal
@@ -302,17 +316,23 @@ class _Packing:
         """Packed (t, b) grids of layer ``n``, one per (l, r) with l <= r.
 
         A vertical composite splits at its leftmost full-height cut into a
-        horizontal-or-size-1 left factor and any right factor; the endpoints
-        meeting the cut from the two sides interleave freely."""
+        horizontal-or-size-1 left factor and any right factor; the r1 and
+        lp endpoints meeting the cut from the two sides interleave freely,
+        in C(r1 + lp, r1) ways.  That binomial is folded into the right
+        factors once per split and r1, so one product per grid pair."""
         acc: dict[tuple[int, int], int] = {}
         for n1 in range(1, n):
             by_lp = self.right[n - n1]
-            for l, grids in self.left[n1].items():
+            for r1, lefts in self.left[n1].items():
+                w: dict[int, int] = {}
                 for lp, rights in by_lp.items():
-                    z = sum(math.comb(r1 + lp, r1) * grid for r1, grid in grids)
+                    c = math.comb(r1 + lp, r1)
                     for r, grid in rights.items():
+                        w[r] = w.get(r, 0) + c * grid
+                for l, grid in lefts:
+                    for r, folded in w.items():
                         if l <= r:
-                            acc[(l, r)] = acc.get((l, r), 0) + z * grid
+                            acc[(l, r)] = acc.get((l, r), 0) + grid * folded
         return acc
 
     def unpack(self, acc: dict[tuple[int, int], int]) -> dict[tuple[int, int, int, int], int]:
@@ -432,26 +452,25 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
 def rho(v: int | float | Fraction) -> Fraction | float:
     """Radius-of-convergence function 2(2+v) / (2v^2+18v+27+(9+4v)^{3/2}).
 
+    With s = sqrt(9+4v), the numerator is (s-1)(s+1)/2 and the denominator
+    (s-1)(s+3)^3/8, so rho(v) = 4(1+s) / (3+s)^3, which is how it is
+    evaluated: the common factor vanishes at v = -2, where rho is 1/8.
     Exact (Fraction) when ``v`` is rational and 9+4v is a rational square;
     float otherwise.  Defined for 9+4v > 0.
 
     >>> rho(0)
     Fraction(2, 27)
+    >>> rho(-2)
+    Fraction(1, 8)
     """
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-        vq = Fraction(v)
-        base = 9 + 4 * vq
-        if base <= 0:
-            raise ValueError("rho(v) requires 9 + 4v > 0")
-        root = _exact_sqrt(base)
-        if root is not None:
-            return 2 * (2 + vq) / (2 * vq * vq + 18 * vq + 27 + base * root)
-        vf = float(vq)
-    else:
-        vf = float(v)
-        if 9 + 4 * vf <= 0:
-            raise ValueError("rho(v) requires 9 + 4v > 0")
-    return 2 * (2 + vf) / (2 * vf * vf + 18 * vf + 27 + (9 + 4 * vf) ** 1.5)
+    exact = isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+    base = 9 + 4 * (Fraction(v) if exact else float(v))
+    if base <= 0:
+        raise ValueError("rho(v) requires 9 + 4v > 0")
+    s = _exact_sqrt(base) if exact else None
+    if s is None:
+        s = math.sqrt(base)
+    return 4 * (1 + s) / (3 + s) ** 3
 
 
 def _small_windmill_poly(x: float) -> float:

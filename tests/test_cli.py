@@ -64,6 +64,24 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "u", "1_0"],
+            ["count", "u", "\u0663"],
+            ["flipgraph", "3", "--max-n", "+1_0"],
+            ["verify", "counting", "--max-n", " 3"],
+            ["count", "u", "--", "-1_0"],
+        ],
+    )
+    def test_sizes_parse_exactly(self, capsys, argv):
+        # int() would read 10, 3, 10, 3 and -10; a size is an ASCII numeral
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: expected a size, a decimal numeral [0-9]+, got %r\n" % argv[-1],
+        )
+
+    @pytest.mark.parametrize(
         "family, series, quantity",
         [
             ("schroder", "schroder_series", "Schroder count"),
@@ -722,7 +740,8 @@ _PERM_TEXT = st.one_of(
     _TEXT,
     _SMALL_PERMS.map(lambda p: " ".join(map(str, p))),
 ).filter(lambda text: _parsed_size(text, lambda t: parse_permutation(t).n) <= 6)
-# what argparse's ``int`` reads, in and out of range, and near misses
+# what ``int`` reads (every size the CLI accepts, and more), in and out of
+# range, and near misses
 _SIZE_TEXT = st.one_of(
     st.integers(-2, 8).map(str), _PIECES, _TEXT
 ).filter(lambda text: _parsed_size(text, int) <= 6)

@@ -327,6 +327,16 @@ class TestGrowthConstants:
         # irrational square root stays float even for rational input
         assert isinstance(rho(1), float)
 
+    def test_rho_removable_singularity(self):
+        # numerator and denominator both vanish at v = -2; rho is 1/8 there
+        for v in (-2, Fraction(-2)):
+            assert rho(v) == Fraction(1, 8) and isinstance(rho(v), Fraction)
+        assert rho(-2.0) == 0.125
+        # rho(-2 + h) = 1/8 - h/16 + h^2/16 + O(h^3)
+        for h in (1e-6, -1e-6):
+            assert rho(-2 + h) == pytest.approx(0.125 - h / 16 + h * h / 16, rel=1e-12)
+            assert rho(Fraction(-2) + Fraction(h)) == pytest.approx(rho(-2 + h), rel=1e-15)
+
     def test_rho_domain(self):
         with pytest.raises(ValueError):
             rho(Fraction(-9, 4))

@@ -1745,6 +1745,16 @@ def test_guillotine_layer_matches_direct_recurrence(ref_guillotine_layers, n):
         assert 0 not in layer.values()
 
 
+def test_guillotine_table_matches_direct_recurrence(ref_guillotine_layers):
+    # one extension over the whole oracle range: each layer but the first
+    # is packed from the accumulators that computed it, which a single
+    # ``_compute_layer`` over reference layers never reaches
+    table = CountTable()
+    table.extend_to(GUILLOTINE_ORACLE_N)
+    for n in range(1, GUILLOTINE_ORACLE_N + 1):
+        assert table.layer(n) == ref_guillotine_layers[n]
+
+
 def test_schroder_series_matches_picard_iteration():
     ref = ref_schroder_series(60)
     for N in range(1, 61):
