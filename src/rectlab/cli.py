@@ -280,9 +280,10 @@ def _check_weak_counts(max_n: int) -> tuple[bool, str]:
 
 
 def _check_strong_counts(max_n: int) -> tuple[bool, str]:
+    counts = walks._excursion_counts(max(max_n, 1), **walks._STRONG)
     for n in range(1, max_n + 1):
         keys = {rect.strong_key(biject.gamma_s(pi)) for pi in perm.all_permutations(n)}
-        if len(keys) != walks.count_strong_rect(n):
+        if len(keys) != counts[n - 1]:
             return False, "strong class count mismatch at n=%d" % n
     return True, ""
 
@@ -324,13 +325,14 @@ def _check_walk_round_trip(max_n: int) -> tuple[bool, str]:
 
 def _check_u_o_sequences(max_n: int, data_dir: Path) -> tuple[bool, str]:
     data = json.loads((data_dir / "oeis.json").read_text())
-    for name, count in (
-        ("strong_leftright", walks.count_U),
-        ("one_sided", walks.count_O),
-        ("strong_rect", walks.count_strong_rect),
+    N = max(len(entry["terms"]) for entry in data.values())
+    for name, counts in (
+        ("strong_leftright", walks._excursion_counts(N, **walks._U)),
+        ("one_sided", walks._excursion_counts(N, **walks._O)),
+        ("strong_rect", walks._excursion_counts(N, **walks._STRONG)),
     ):
         for n, want in enumerate(data[name]["terms"], start=1):
-            if count(n) != want:
+            if counts[n - 1] != want:
                 return False, "%s mismatch at n=%d" % (name, n)
     return True, ""
 

@@ -421,7 +421,7 @@ def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
 def _transfer_matrix(weak: bool) -> list[list[int]]:
     """Entry (c, c2): the width dl + dr + step + 1 of the x-window that a
     point colored ``c2`` collects from color ``c`` in the leftright DP of
-    :func:`rectlab.walks._excursion_count`, under the weak or strong rules."""
+    :func:`rectlab.walks._excursion_counts`, under the weak or strong rules."""
     slack = lambda c, c2: _left_slack(c, c2, weak) + _right_slack(c, c2, weak)
     return [[slack(c, c2) + _LEVEL_STEP[c] + 1 for c2 in COLORS] for c in COLORS]
 

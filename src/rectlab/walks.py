@@ -230,21 +230,23 @@ def is_leftright(w: HistoryQuadrantWalk) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _excursion_count(
-    n: int, *, leftmost: bool = False, rightmost: bool = False, weak: bool = False
-) -> int:
-    """Closed excursions with ``n`` points under the chosen step rules.
+def _excursion_counts(
+    N: int, *, leftmost: bool = False, rightmost: bool = False, weak: bool = False
+) -> list[int]:
+    """Closed excursions with ``n`` points under the step rules, n = 1..N.
 
     Frontier DP over the points in order: ``rows[c][h][x]`` counts the
     admissible prefixes ending in the point (x, h - x) colored ``c``.  A
-    level above the number of points still to come cannot return to 0 in
-    time, so it is never stored.  Both step rules leave a contiguous window
-    of x: leftmost asks x2 >= x - dl and rightmost y2 >= y - dr, that is
-    x2 <= x + step + dr.  So the point (x2, h2) collects the window
-    x2 - step - dr <= x <= x2 + dl of one source row per color: a
-    difference of two prefix sums, or one prefix sum when a rule is off.
-    Each source row sums its windows once per distinct (dl, dr) that a
-    target color reads, and each target adds its four windows.
+    level above the points still to come before point N - 1 cannot reach
+    0 by then, nor by any earlier point, so it is never stored, and after
+    point n - 1 ``rows["white"][0][0]`` is the count for n points.  Both
+    step rules leave a contiguous window of x: leftmost asks x2 >= x - dl
+    and rightmost y2 >= y - dr, that is x2 <= x + step + dr.  So the point
+    (x2, h2) collects the window x2 - step - dr <= x <= x2 + dl of one
+    source row per color: a difference of two prefix sums, or one prefix
+    sum when a rule is off.  Each source row sums its windows once per
+    distinct (dl, dr) that a target color reads, and each target adds its
+    four windows.
 
     Transposing a walk (x <-> y) swaps red with green and the leftmost rule
     with the rightmost one: ``_left_slack(σc, σc2) == _right_slack(c, c2)``
@@ -252,7 +254,7 @@ def _excursion_count(
     rules are alike, green's rows are red's reversed, and only black, red
     and white are computed.  Arbitrary-precision integers throughout.
     """
-    if n < 1:
+    if N < 1:
         raise ValueError("n must be >= 1")
     mirror = leftmost == rightmost
     targets = ("black", "red", "white") if mirror else COLORS
@@ -267,10 +269,9 @@ def _excursion_count(
     }
     windows = {c: {slack[c, c2] for c2 in targets} for c in COLORS}
     rows = {c: [[1]] for c in COLORS}
-    for t in range(1, n):
-        # levels rise by at most 1 per point, and point t must leave
-        # n - 1 - t points to come back down to the origin
-        top = min(t, n - 1 - t)
+    counts = [1]  # one point: the white origin
+    for t in range(1, N):
+        top = min(t, N - 1 - t)
         # every level gets a window: red's from the same level, or black's
         # from below at the new top
         acc = {c2: [None] * (top + 1) for c2 in targets}
@@ -298,18 +299,26 @@ def _excursion_count(
         rows = {c2: [list(a) for a in acc[c2]] for c2 in targets}
         if mirror:
             rows["green"] = [row[::-1] for row in rows["red"]]
-    return rows["white"][0][0]
+        counts.append(rows["white"][0][0])
+    return counts
+
+
+# The step rules of the counted families: a sequence is one pass under them.
+_STRONG = {"leftmost": True}
+_WEAK = {"leftmost": True, "weak": True}
+_U = {"leftmost": True, "rightmost": True}
+_O = {"leftmost": True, "rightmost": True, "weak": True}
 
 
 def count_strong_rect(n: int) -> int:
     """Strong rectangulations of size ``n``: leftmost closed excursions."""
-    return _excursion_count(n, leftmost=True)
+    return _excursion_counts(n, **_STRONG)[-1]
 
 
 def count_weak_rect(n: int) -> int:
     """Weak rectangulations of size ``n``: weak-variant leftmost excursions
     (equals the Baxter numbers)."""
-    return _excursion_count(n, leftmost=True, weak=True)
+    return _excursion_counts(n, **_WEAK)[-1]
 
 
 def count_U(n: int) -> int:
@@ -318,12 +327,12 @@ def count_U(n: int) -> int:
     Counts the strong rectangulations whose fiber is a single permutation;
     equivalently the permutations that are both 2-clumped and co-2-clumped.
     """
-    return _excursion_count(n, leftmost=True, rightmost=True)
+    return _excursion_counts(n, **_U)[-1]
 
 
 def count_O(n: int) -> int:
     """Weak leftright excursions with ``n`` points (one-sided weak classes)."""
-    return _excursion_count(n, leftmost=True, rightmost=True, weak=True)
+    return _excursion_counts(n, **_O)[-1]
 
 
 # ---------------------------------------------------------------------------

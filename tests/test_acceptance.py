@@ -75,11 +75,12 @@ from rectlab.rect import (
     weak_key,
 )
 from rectlab.walks import (
+    _O,
+    _STRONG,
+    _U,
+    _WEAK,
+    _excursion_counts,
     closed_excursions,
-    count_O,
-    count_U,
-    count_strong_rect,
-    count_weak_rect,
     is_leftmost,
     nit_count,
 )
@@ -163,8 +164,9 @@ class TestClassCounts:
             len({gamma_s(pi) for pi in all_permutations(n)}) for n in range(1, 8)
         ]
         assert got == STRONG_COUNTS
-        assert got == [count_strong_rect(n) for n in range(1, 8)]
-        assert [count_strong_rect(n) for n in range(1, 11)] == STRONG_RECT
+        counts = _excursion_counts(10, **_STRONG)
+        assert got == counts[:7]
+        assert counts == STRONG_RECT
         assert time.perf_counter() - start < 120
 
 
@@ -207,12 +209,12 @@ class TestGuillotineCounts:
 class TestWalkRecurrences:
     def test_singleton_class_counts(self):
         start = time.perf_counter()
-        assert [count_U(n) for n in range(1, 11)] == U_COUNTS
+        assert _excursion_counts(10, **_U) == U_COUNTS
         assert time.perf_counter() - start < 10
 
     def test_one_sided_class_counts(self):
         start = time.perf_counter()
-        assert [count_O(n) for n in range(1, 11)] == O_COUNTS
+        assert _excursion_counts(10, **_O) == O_COUNTS
         assert time.perf_counter() - start < 10
 
 
@@ -654,7 +656,8 @@ class TestCrossChecks:
 
     def test_diagonal_images_and_weak_counts_agree(self, sweeps):
         # the weak sweep, the walk recurrence, and the closed formula agree
+        weak_rect = _excursion_counts(6, **_WEAK)
         for n in range(1, 7):
             classes = sweeps.weak_classes(n)
-            assert len(classes) == count_weak_rect(n) == baxter_number(n)
+            assert len(classes) == weak_rect[n - 1] == baxter_number(n)
             assert all(is_diagonal(r) for r in classes.values())

@@ -32,7 +32,7 @@ from rectlab.counting import (
 )
 from rectlab.perm import all_permutations, classify
 from rectlab.rect import is_guillotine
-from rectlab.walks import count_O, count_U
+from rectlab.walks import _O, _STRONG, _U, _WEAK, _excursion_counts
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "rectlab" / "data"
 
@@ -307,13 +307,38 @@ class TestGrowthConstants:
     def test_leftright_counts_below_the_transfer_powers(self):
         # each x-window of a leftright walk holds at most M[c][c2] points, so
         # the walks with n points number at most 1^T M^(n-1) 1: gamma and
-        # gamma' bound the growth of count_U and count_O
-        for weak, count in ((False, count_U), (True, count_O)):
+        # gamma' bound the growth of count_U and count_O, checked for every
+        # n up to the CLI's bound of 150 from one pass each
+        for weak, rules in ((False, _U), (True, _O)):
             m = counting._transfer_matrix(weak)
             row = [1] * len(m)  # 1^T M^(n-1)
-            for n in range(1, 61):
-                assert count(n) <= sum(row), (weak, n)
+            for n, count in enumerate(_excursion_counts(150, **rules), start=1):
+                assert count <= sum(row), (weak, n)
                 row = [sum(r * m_c[c2] for r, m_c in zip(row, m)) for c2 in range(len(m))]
+
+    def test_growth_rates_from_the_counts(self):
+        # fit r_n = c_n / c_(n-1) ~ a + b/n + c/n^2 through n = 148, 149, 150
+        # and read a at 1/n = 0: the weight of r_n is the product over the
+        # other nodes m of n / (n - m).  Strong rectangulations grow like
+        # (27/2)^n (Fusy, Narmanli and Schaeffer), Baxter numbers like 8^n,
+        # and U and O like the transfer matrices' spectral radii.  The fit
+        # errors are 1.7e-3, 9.8e-5, 5.3e-4 and 2.6e-5; each tolerance is
+        # about 2x its error, rounded up to one digit (about 4x for O).
+        gc = growth_constants()
+        nodes = (148, 149, 150)
+        for rules, rate, tol in (
+            (_STRONG, 27 / 2, 3e-3),
+            (_WEAK, 8, 2e-4),
+            (_U, gc.gamma, 1e-3),
+            (_O, gc.gamma_prime, 1e-4),
+        ):
+            c = _excursion_counts(150, **rules)
+            a = sum(
+                Fraction(c[n - 1], c[n - 2])
+                * math.prod(Fraction(n, n - m) for m in nodes if m != n)
+                for n in nodes
+            )
+            assert abs(float(a) - rate) < tol, (rules, float(a))
 
     def test_rho_exact_rational_points(self):
         assert rho(0) == Fraction(2, 27)

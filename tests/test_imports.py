@@ -5,8 +5,8 @@ its object views, no transitive closure is built (a poset reads its order
 off its extremal extensions), walls are read through their covers and
 one merge along each, only fibers list linear extensions, the mesh
 matcher and the weak-order helpers live in the tests, every public name is
-exported or used by the package itself, and the package keeps its checks
-under ``python -O``."""
+exported or used by the package itself, no loop reads the walk counts one
+size at a time, and the package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -40,6 +40,42 @@ def test_no_imports_inside_functions():
         for name, line in _function_imports(ast.parse(path.read_text()))
     }
     assert {(f, name) for f, name, _ in found} == LAZY, sorted(found)
+
+
+# The walk-counting engine and the counts that read its last entry.
+WALK_COUNTS = {"_excursion_counts", "count_strong_rect", "count_weak_rect", "count_U", "count_O"}
+
+
+def _looped_counts(tree: ast.AST):
+    """(name, line) of every walk count that a loop or comprehension reaches
+    once per iteration: anywhere in it but a call in the one iterable it
+    evaluates once (a ``for``'s, or a comprehension's first)."""
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            once = loop.iter
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            once = loop.generators[0].iter
+        elif isinstance(loop, ast.While):
+            once = None
+        else:
+            continue
+        calls = () if once is None else ast.walk(once)
+        called = {id(node.func) for node in calls if isinstance(node, ast.Call)}
+        for node in ast.walk(loop):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in WALK_COUNTS and id(node) not in called:
+                yield name, node.lineno
+
+
+def test_no_loop_over_single_walk_counts():
+    """One DP pass holds every walk count up to its size, so no loop calls
+    the engine or a ``count_*`` per size, nor hands one to its body."""
+    found = {
+        (path.name, name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _looped_counts(ast.parse(path.read_text()))
+    }
+    assert found == set(), sorted(found)
 
 
 def _package_imports(tree: ast.Module):

@@ -152,7 +152,9 @@ from rectlab.walks import (
     COLORS,
     HistoryQuadrantWalk,
     WalkPoint,
-    _excursion_count,
+    _O,
+    _U,
+    _excursion_counts,
     _permutation,
     closed_excursions,
     count_O,
@@ -1691,25 +1693,30 @@ def test_poset_matches_fixpoint_or_refuses(case):
                 read()
 
 
+# One DP pass per size bound and flag set, shared by the cases below: each
+# compares one entry of the pass with the per-size reference.
+_excursion_pass = functools.lru_cache(maxsize=None)(_excursion_counts)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("leftmost", [False, True])
 @pytest.mark.parametrize("rightmost", [False, True])
 @pytest.mark.parametrize("weak", [False, True])
 def test_excursion_count_matches_dense_dp(n, leftmost, rightmost, weak):
     flags = dict(leftmost=leftmost, rightmost=rightmost, weak=weak)
-    assert _excursion_count(n, **flags) == ref_excursion_count(n, **flags)
+    assert _excursion_pass(12, **flags)[n - 1] == ref_excursion_count(n, **flags)
 
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_leftright_counts_match_recurrences(n):
-    assert count_U(n) == ref_count_U(n)
-    assert count_O(n) == ref_count_O(n)
+    assert _excursion_pass(40, **_U)[n - 1] == ref_count_U(n)
+    assert _excursion_pass(40, **_O)[n - 1] == ref_count_O(n)
 
 
 @pytest.mark.parametrize("n", [0, -1, -5])
 def test_counts_reject_sizes_below_one(n):
     for count in (
-        _excursion_count,
+        _excursion_counts,
         count_strong_rect,
         count_weak_rect,
         count_U,

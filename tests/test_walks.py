@@ -20,8 +20,13 @@ from rectlab.perm import (
 )
 from rectlab.rect import is_one_sided, strong_key, weak_key
 from rectlab.walks import (
+    _O,
+    _STRONG,
+    _U,
+    _WEAK,
     HistoryQuadrantWalk,
     WalkPoint,
+    _excursion_counts,
     closed_excursions,
     count_O,
     count_U,
@@ -329,61 +334,74 @@ class TestColorDisambiguation:
 
 
 class TestCounts:
+    """Each family's counts are one DP pass, compared whole, and each
+    ``count_*`` is the last entry of its pass."""
+
     def test_count_strong_rect(self):
-        want = STRONG_RECT
-        assert [count_strong_rect(n) for n in range(1, 11)] == want
+        assert _excursion_counts(10, **_STRONG) == STRONG_RECT
+        assert count_strong_rect(10) == STRONG_RECT[-1]
 
     def test_count_weak_rect(self):
-        want = BAXTER[:8]
-        assert [count_weak_rect(n) for n in range(1, 9)] == want
+        assert _excursion_counts(10, **_WEAK) == BAXTER
+        assert count_weak_rect(10) == BAXTER[-1]
 
     def test_weak_engine_matches_closed_forms_at_large_n(self):
-        # up to the CLI's default bound of 150, about a second in all
+        # every n up to the CLI's default bound of 150, from one pass
         from rectlab.counting import baxter_number
 
-        for n in [*range(1, 61), 100, 150]:
-            assert count_weak_rect(n) == baxter_number(n) == nit_count(n), n
+        want = [baxter_number(n) for n in range(1, 151)]
+        assert _excursion_counts(150, **_WEAK) == want
+        assert [nit_count(n) for n in range(1, 151)] == want
 
     def test_count_u(self):
-        want = U_COUNTS
-        assert [count_U(n) for n in range(1, 11)] == want
+        assert _excursion_counts(10, **_U) == U_COUNTS
+        assert count_U(10) == U_COUNTS[-1]
 
     def test_count_o(self):
-        want = O_COUNTS
-        assert [count_O(n) for n in range(1, 11)] == want
+        assert _excursion_counts(10, **_O) == O_COUNTS
+        assert count_O(10) == O_COUNTS[-1]
 
     def test_counts_match_brute_force_excursions(self):
+        strong_rect, weak_rect, u, o = (
+            _excursion_counts(6, **rules) for rules in (_STRONG, _WEAK, _U, _O)
+        )
         for n in range(1, 7):
             strong = list(closed_excursions(n, "strong"))
-            assert sum(1 for w in strong if is_leftmost(w)) == count_strong_rect(n)
-            assert sum(1 for w in strong if is_leftright(w)) == count_U(n)
+            assert sum(1 for w in strong if is_leftmost(w)) == strong_rect[n - 1]
+            assert sum(1 for w in strong if is_leftright(w)) == u[n - 1]
             weak = list(closed_excursions(n, "weak"))
-            assert sum(1 for w in weak if is_leftmost(w)) == count_weak_rect(n)
-            assert sum(1 for w in weak if is_leftright(w)) == count_O(n)
+            assert sum(1 for w in weak if is_leftmost(w)) == weak_rect[n - 1]
+            assert sum(1 for w in weak if is_leftright(w)) == o[n - 1]
 
     def test_u_counts_doubly_clumped_permutations(self):
-        for n in range(1, 8):
-            c = sum(
+        got = [
+            sum(
                 1
                 for pi in all_permutations(n)
                 if {"two_clumped", "co_two_clumped"} <= classify(pi)
             )
-            assert c == count_U(n)
+            for n in range(1, 8)
+        ]
+        assert got == _excursion_counts(7, **_U)
 
     def test_o_counts_one_sided_weak_classes(self, sweeps):
-        for n in range(1, 7):
-            c = sum(1 for r in sweeps.weak_classes(n).values() if is_one_sided(r))
-            assert c == count_O(n)
+        got = [
+            sum(1 for r in sweeps.weak_classes(n).values() if is_one_sided(r))
+            for n in range(1, 7)
+        ]
+        assert got == _excursion_counts(6, **_O)
 
     def test_o_counts_avoiders_of_all_four_vincular(self):
-        for n in range(1, 7):
-            c = sum(
+        got = [
+            sum(
                 1
                 for pi in all_permutations(n)
                 if {"twisted_baxter", "co_twisted_baxter", "baxter"}
                 <= classify(pi)
             )
-            assert c == count_O(n)
+            for n in range(1, 7)
+        ]
+        assert got == _excursion_counts(6, **_O)
 
 
 class TestNit:
