@@ -96,16 +96,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _weighted_guillotine_count(n: int) -> int:
-    """The x^n coefficient of the weighted guillotine series at y=2."""
-    coeff = counting.weighted_guillotine_series(2, n).coefficient(n)
-    if coeff.denominator != 1:
-        raise ArithmeticError(
-            "weighted guillotine count %s at n=%d is not an integer" % (coeff, n)
-        )
-    return coeff.numerator
-
-
 def _bounded(count: Callable[[int], int], variable: str, default: int) -> Callable[[int], int]:
     """``count`` refusing any size above the bound in environment variable
     ``variable`` (else ``default``), before any work is done."""
@@ -121,9 +111,10 @@ def _bounded(count: Callable[[int], int], variable: str, default: int) -> Callab
     return bounded
 
 
-# Each default admits about a second of work, except the strong-guillotine
-# table's: its 32 packaged rows take about 15 s cold (14.2 s for
-# ``count strong-guillotine 32`` on 2 cores).
+# Each default admits about a second of work or less, except the
+# strong-guillotine table's: its 32 packaged rows take about 15 s cold (14.2 s
+# for ``count strong-guillotine 32`` on 2 cores).  ``count weighted-guillotine
+# 700`` takes about 0.12 s in-process.
 _COUNTS: dict[str, Callable[[int], int]] = {
     "schroder": _bounded(
         lambda n: counting.schroder_counts(n)[-1], "RECTLAB_MAX_SCHRODER_N", 1000
@@ -136,7 +127,11 @@ _COUNTS: dict[str, Callable[[int], int]] = {
         counting.strong_guillotine_count, "RECTLAB_MAX_GUILLOTINE_N", 32
     ),
     "weighted-guillotine": _bounded(
-        _weighted_guillotine_count, "RECTLAB_MAX_WEIGHTED_GUILLOTINE_N", 700
+        lambda n: counting._integer_term(
+            counting.weighted_guillotine_series(2, n), n, "weighted guillotine count"
+        ),
+        "RECTLAB_MAX_WEIGHTED_GUILLOTINE_N",
+        700,
     ),
 }
 
@@ -221,11 +216,11 @@ def _data_dir() -> Path:
 
 
 def _check_perm_counts(max_n: int) -> tuple[bool, str]:
-    for n in range(1, min(max_n, 6) + 1):
+    for n, schroder in enumerate(counting.schroder_counts(min(max_n, 6)), start=1):
         flags = [perm.classify(p) for p in perm.all_permutations(n)]
         if sum("baxter" in f for f in flags) != counting.baxter_number(n):
             return False, "baxter class count mismatch at n=%d" % n
-        if sum("separable" in f for f in flags) != counting.schroder_counts(n)[-1]:
+        if sum("separable" in f for f in flags) != schroder:
             return False, "separable class count mismatch at n=%d" % n
     return True, ""
 
@@ -280,7 +275,7 @@ def _check_weak_counts(max_n: int) -> tuple[bool, str]:
 
 
 def _check_strong_counts(max_n: int) -> tuple[bool, str]:
-    counts = walks._excursion_counts(max(max_n, 1), **walks._STRONG)
+    counts = walks._excursion_counts(max_n, **walks._STRONG)
     for n in range(1, max_n + 1):
         keys = {rect.strong_key(biject.gamma_s(pi)) for pi in perm.all_permutations(n)}
         if len(keys) != counts[n - 1]:
@@ -426,15 +421,15 @@ def _check_constants(max_n: int) -> tuple[bool, str]:
 def _check_oeis(max_n: int, data_dir: Path) -> tuple[bool, str]:
     # The walk-count entries are checked by walks/u-o-strong-sequences alone.
     data = json.loads((data_dir / "oeis.json").read_text())
-    if data["schroder"]["terms"] != counting.schroder_counts(10):
+    schroder = counting.schroder_counts(10)
+    if data["schroder"]["terms"] != schroder:
         return False, "schroder terms"
     if data["baxter"]["terms"] != [counting.baxter_number(n) for n in range(1, 11)]:
         return False, "baxter terms"
-    G = counting.schroder_series(10)
     half = data["half_schroder"]["terms"]
     # H = (G - x)/2; terms[n-1] is the x^n coefficient of H for n >= 2
     for n in range(2, 11):
-        if G.coefficient(n) / 2 != half[n - 1]:
+        if schroder[n - 1] != 2 * half[n - 1]:
             return False, "half_schroder terms at n=%d" % n
     return True, ""
 
@@ -482,9 +477,13 @@ def verify_fixtures(
 
     Failures are reported, never raised; every check carries its wall time.
     ``max_n`` bounds the exhaustive sweeps (default: the RECTLAB_MAX_N
-    environment variable, itself defaulting to 6).
+    environment variable, itself defaulting to 6).  A bound below 1 or an
+    unknown suite raises ``ValueError`` before any check runs.
     """
     bound = biject._default_max_n() if max_n is None else max_n
+    if bound < 1:
+        source = "RECTLAB_MAX_N" if max_n is None else "max_n"
+        raise ValueError("%s must be >= 1, got %d" % (source, bound))
     directory = _data_dir() if data_dir is None else data_dir
     chosen = tuple(_SUITES) if suites is None else suites
     for name in chosen:

@@ -111,17 +111,9 @@ class Series:
 
 
 def schroder_series(N: int) -> Series:
-    """The guillotine-class generating function G = x + (x + G) * G.
-
-    G has no constant term, so the system is solved one coefficient at a
-    time: g_n = [n = 1] + g_{n-1} + sum(g_i * g_{n-i} for 0 < i < n).
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    g = [0] * (N + 1)
-    for n in range(1, N + 1):
-        g[n] = (n == 1) + g[n - 1] + sum(g[i] * g[n - i] for i in range(1, n))
-    return Series(tuple(map(Fraction, g)))
+    """The guillotine-class generating function G = x + (x + G) * G: the
+    weighted guillotine series at y = 1, where every class counts once."""
+    return weighted_guillotine_series(1, N)
 
 
 def schroder_counts(N: int) -> list[int]:
@@ -131,13 +123,16 @@ def schroder_counts(N: int) -> list[int]:
     [1, 2, 6, 22, 90]
     """
     G = schroder_series(N)
-    out = []
-    for k in range(1, N + 1):
-        c = G.coefficient(k)
-        if c.denominator != 1:
-            raise ArithmeticError("Schroder count %s at n=%d is not an integer" % (c, k))
-        out.append(c.numerator)
-    return out
+    return [_integer_term(G, k, "Schroder count") for k in range(1, N + 1)]
+
+
+def _integer_term(series: Series, n: int, what: str) -> int:
+    """The coefficient of x^n in ``series``, which must be an integer;
+    ``ArithmeticError`` names ``what`` and ``n`` otherwise."""
+    c = series.coefficient(n)
+    if c.denominator != 1:
+        raise ArithmeticError("%s %s at n=%d is not an integer" % (what, c, n))
+    return c.numerator
 
 
 def baxter_number(n: int) -> int:
@@ -175,9 +170,10 @@ class CountTable:
     convolution in (t, b), done by bigint products of packed grids
     (Kronecker substitution, see ``_Packing``).  Each count is computed for
     left count <= right count and written to both mirror profiles, so the
-    left-right symmetry holds by construction; its independent evidence is
-    the direct-recurrence oracle in the tests and the packaged totals.  The
-    top-bottom symmetry is checked on every stored layer.
+    left-right symmetry holds by construction; both it and the top-bottom
+    symmetry are checked on every layer before it is stored.  The counts'
+    independent evidence is the tests' direct-recurrence oracle and the
+    packaged totals.
     """
 
     def __init__(self) -> None:
@@ -223,28 +219,19 @@ class CountTable:
         if n <= self.max_n:
             return
         packing = _Packing(n)
+        for m in range(1, self.max_n + 1):
+            packing.pack(m, self._sv[m])
         for m in range(self.max_n + 1, n + 1):
-            layer = self._compute_layer(m, packing)
+            acc = packing.products(m)
+            if m == n:
+                # no later layer reads the store: free it before the layer's
+                # dict is built, which lowers the build's peak memory
+                packing.left = packing.right = {}
+            layer = packing.unpack(acc)
             _check_symmetries(m, layer)
             self._sv[m] = layer
-
-    def _compute_layer(
-        self, n: int, packing: _Packing
-    ) -> dict[tuple[int, int, int, int], int]:
-        """Layer ``n`` from the stored layers below it, in the layout of
-        ``packing`` (that of the running ``extend_to`` call)."""
-        for m in range(1, n):
-            if m not in packing.left:
-                packing.pack(m, self._sv[m])
-        acc = packing.products(n)
-        if n == packing.N:
-            # no later layer reads the store: free it before the layer's
-            # dict is built, which lowers the build's peak memory
-            packing.left = packing.right = {}
-        else:
-            # the next layer packs this one from its accumulators
-            packing.acc = {n: acc}
-        return packing.unpack(acc)
+            if m < n:
+                packing.pack(m, layer, acc)
 
 
 class _Packing:
@@ -266,25 +253,26 @@ class _Packing:
     """
 
     def __init__(self, N: int) -> None:
-        self.N = N
         self.width = N - 1
         self.nbytes = (count_strong_rect(N).bit_length() + 7) // 8
         # left factors of size m, horizontal or size 1: r1 -> [(l, grid)]
         self.left: dict[int, dict[int, list[tuple[int, int]]]] = {}
         # right factors of size m, any orientation: lp -> {r: grid}
         self.right: dict[int, dict[int, dict[int, int]]] = {}
-        # the accumulators of the last layer computed, until it is packed
-        self.acc: dict[int, dict[tuple[int, int], int]] = {}
         # one tuple per profile, shared by all layers and mirror images
         self.keys: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
-    def pack(self, m: int, layer: dict[tuple[int, int, int, int], int]) -> None:
+    def pack(
+        self,
+        m: int,
+        layer: dict[tuple[int, int, int, int], int],
+        acc: dict[tuple[int, int], int] | None = None,
+    ) -> None:
         """Pack layer ``m`` once per orientation into ``left`` and ``right``.
-        If this call computed the layer, its accumulators shifted by the
-        cut's +1 in t and in b are its vertical grids, each shared with
-        its mirror (r, l); every other orientation is packed entry by entry."""
+        The accumulators ``acc`` that computed it, if given, shifted by the
+        cut's +1 in t and in b are its vertical grids, each shared with its
+        mirror (r, l); every other orientation is packed entry by entry."""
         width, nbytes = self.width, self.nbytes
-        acc = self.acc.pop(m, None)
         grids: list[dict[tuple[int, int], int]] = []
         if acc is not None:
             shift = 8 * nbytes * (width + 1)
@@ -399,13 +387,16 @@ def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
     v_n = g_{n-1} + sum(v_i * w_{n-i} for 0 < i < n) reads only lower
     coefficients, and g_n and w_n follow from v_n.
 
-    At y=1 this reduces to the plain class-counting series; at y=2 the
-    coefficient of x^n is the sum over weak guillotine classes of size n of
-    2 to the number of two-sided segments.
+    An integral ``y`` runs in integer arithmetic.  At y=1 this is the plain
+    class-counting series, ``schroder_series``; at y=2 the coefficient of
+    x^n sums 2 to the number of two-sided segments over the weak guillotine
+    classes of size n.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     y = Fraction(y_value)
+    if y.denominator == 1:
+        y = y.numerator
     v, w, g = ([0] * (N + 1) for _ in range(3))
     for n in range(1, N + 1):
         v[n] = g[n - 1] + sum(v[i] * w[n - i] for i in range(1, n))

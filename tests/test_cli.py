@@ -537,6 +537,49 @@ class TestVerifyFixtures:
         with pytest.raises(ValueError):
             verify_fixtures(suites=("nonsense",))
 
+    @pytest.mark.parametrize(
+        "max_n, env, named",
+        [
+            (0, None, "max_n must be >= 1, got 0"),
+            (-1, None, "max_n must be >= 1, got -1"),
+            (None, "0", "RECTLAB_MAX_N must be >= 1, got 0"),
+        ],
+    )
+    def test_bound_below_one_is_refused_before_any_check(
+        self, monkeypatch, max_n, env, named
+    ):
+        ran = []
+
+        def check(bound):
+            ran.append(bound)
+            return True, ""
+
+        monkeypatch.setitem(cli._SUITES, "perm", (("perm/spy", check),))
+        if env is not None:
+            monkeypatch.setenv("RECTLAB_MAX_N", env)
+        with pytest.raises(ValueError) as exc:
+            verify_fixtures(max_n=max_n, suites=("perm",))
+        assert str(exc.value) == named
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "argv, env, named",
+        [
+            (["--max-n", "0"], None, "max_n must be >= 1, got 0"),
+            (["--max-n=-1"], None, "max_n must be >= 1, got -1"),
+            ([], "0", "RECTLAB_MAX_N must be >= 1, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("suite", ["all", "biject", "perm", "walks"])
+    def test_cli_verify_refuses_a_bound_below_one(
+        self, capsys, monkeypatch, argv, env, named, suite
+    ):
+        # one error line and no check line
+        if env is not None:
+            monkeypatch.setenv("RECTLAB_MAX_N", env)
+        assert run(["verify", suite, *argv]) == 1
+        assert capsys.readouterr() == ("", "error: %s\n" % named)
+
     def test_tampered_table_detected(self, tmp_path):
         for f in DATA_DIR.iterdir():
             shutil.copy(f, tmp_path / f.name)

@@ -231,21 +231,27 @@ class TestCountTable:
         packed = []
         real = counting._Packing.pack
 
-        def spy(packing, m, layer):
-            packed.append((packing.N, m))
-            return real(packing, m, layer)
+        def spy(packing, m, layer, acc=None):
+            # a build to N has width N - 1
+            packed.append((packing.width + 1, m, acc is not None))
+            return real(packing, m, layer, acc)
 
         monkeypatch.setattr(counting._Packing, "pack", spy)
         t = CountTable()
         t.extend_to(3)
         t.extend_to(10)
-        # the top layer of a build is never packed
-        assert packed == [(3, 1), (3, 2)] + [(10, m) for m in range(1, 10)]
+        # stored layers are packed entry by entry, computed ones from their
+        # accumulators, and the top layer of a build is never packed
+        assert packed == (
+            [(3, 1, False), (3, 2, True)]
+            + [(10, m, False) for m in range(1, 4)]
+            + [(10, m, True) for m in range(4, 10)]
+        )
 
     def test_corrupted_layer_is_not_stored(self, monkeypatch):
         t = CountTable()
         t.extend_to(3)
-        monkeypatch.setattr(t, "_compute_layer", lambda n, packing: {(0, 1, 2, 1): 1})
+        monkeypatch.setattr(counting._Packing, "unpack", lambda packing, acc: {(0, 1, 2, 1): 1})
         with pytest.raises(ArithmeticError, match="layer 4"):
             t.extend_to(4)
         assert t.max_n == 3

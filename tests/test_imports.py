@@ -5,8 +5,10 @@ its object views, no transitive closure is built (a poset reads its order
 off its extremal extensions), walls are read through their covers and
 one merge along each, only fibers list linear extensions, the mesh
 matcher and the weak-order helpers live in the tests, every public name is
-exported or used by the package itself, no loop reads the walk counts one
-size at a time, and the package keeps its checks under ``python -O``."""
+exported or used by the package itself, no loop reads the walk counts or
+the guillotine series one size at a time, one recurrence solves the
+guillotine series, one loop builds the guillotine table, and the package
+keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -42,14 +44,24 @@ def test_no_imports_inside_functions():
     assert {(f, name) for f, name, _ in found} == LAZY, sorted(found)
 
 
-# The walk-counting engine and the counts that read its last entry.
-WALK_COUNTS = {"_excursion_counts", "count_strong_rect", "count_weak_rect", "count_U", "count_O"}
+# The walk-counting engine and the counts that read its last entry, and the
+# guillotine series with the Schroder counts, which hold every size up to N.
+ONE_PASS = {
+    "_excursion_counts",
+    "count_strong_rect",
+    "count_weak_rect",
+    "count_U",
+    "count_O",
+    "schroder_counts",
+    "schroder_series",
+    "weighted_guillotine_series",
+}
 
 
 def _looped_counts(tree: ast.AST):
-    """(name, line) of every walk count that a loop or comprehension reaches
-    once per iteration: anywhere in it but a call in the one iterable it
-    evaluates once (a ``for``'s, or a comprehension's first)."""
+    """(name, line) of every ``ONE_PASS`` count that a loop or comprehension
+    reaches once per iteration: anywhere in it but a call in the one
+    iterable it evaluates once (a ``for``'s, or a comprehension's first)."""
     for loop in ast.walk(tree):
         if isinstance(loop, (ast.For, ast.AsyncFor)):
             once = loop.iter
@@ -63,13 +75,15 @@ def _looped_counts(tree: ast.AST):
         called = {id(node.func) for node in calls if isinstance(node, ast.Call)}
         for node in ast.walk(loop):
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if name in WALK_COUNTS and id(node) not in called:
+            if name in ONE_PASS and id(node) not in called:
                 yield name, node.lineno
 
 
 def test_no_loop_over_single_walk_counts():
-    """One DP pass holds every walk count up to its size, so no loop calls
-    the engine or a ``count_*`` per size, nor hands one to its body."""
+    """One DP pass holds every walk count up to its size, and one series
+    solve every coefficient up to its order, so no loop calls the engine, a
+    ``count_*``, a series or ``schroder_counts`` per size, nor hands one to
+    its body."""
     found = {
         (path.name, name, line)
         for path in sorted(SRC.glob("*.py"))
@@ -225,6 +239,29 @@ def test_walls_are_read_through_their_covers():
         for name in ("_adjacency_pairs", "_strong_pairs")
         if name in path.read_text()
     ] == []
+
+
+def test_one_series_recurrence_and_one_table_loop():
+    """The Schroder series is the weighted guillotine series at y = 1, so
+    ``schroder_series`` only calls ``weighted_guillotine_series``, and one
+    helper reads the integer terms of a series.  ``CountTable.extend_to``
+    is the one loop of a table build: it alone packs, multiplies and
+    unpacks, and no per-layer hook or accumulator stash is left."""
+    tree = ast.parse((SRC / "counting.py").read_text())
+    (schroder,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "schroder_series"
+    ]
+    _, body = schroder.body  # the docstring, then one statement
+    assert isinstance(body, ast.Return) and ast.unparse(body.value) == (
+        "weighted_guillotine_series(1, N)"
+    )
+    assert _calls("_integer_term") == [("cli.py", None), ("counting.py", "schroder_counts")]
+    for name in ("products", "unpack", "pack"):
+        assert set(_calls(name)) == {("counting.py", "extend_to")}, name
+    assert [path.name for path in sorted(SRC.glob("*.py")) if "_compute_layer" in path.read_text()] == []
+    assert _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "acc") == []
 
 
 def test_only_fibers_list_extensions():

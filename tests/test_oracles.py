@@ -87,12 +87,11 @@ from hypothesis import strategies as st
 
 from conftest import D1_RECTS, brick, build
 from patterns import FORBIDDEN, avoids_all, matcher_flags
-from rectlab import biject, rect
+from rectlab import biject, counting, rect
 from rectlab.cli import run
 from rectlab.counting import (
     CountTable,
     Series,
-    _Packing,
     schroder_series,
     weighted_guillotine_series,
 )
@@ -841,11 +840,13 @@ def ref_excursion_count(n, *, leftmost=False, rightmost=False, weak=False):
     return layer["white"][0][0]
 
 
-def ref_count_U(n):
-    """Strong leftright excursions by the four-color first-point-removal
-    recurrence over (i, j) layers."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+@functools.lru_cache(maxsize=None)
+def ref_counts_U(N):
+    """Strong leftright excursions with n = 1..N points by the four-color
+    first-point-removal recurrence over (i, j) layers: the count for n is
+    A(0, 0) after layer n - 1."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     # B and W are symmetric, G is the transpose of R, so only B, R, W are
     # stored.  A = B + R + R^T + W.
     B = {}
@@ -864,7 +865,8 @@ def ref_count_U(n):
             return 0
         return d.get((i, j), 0)
 
-    for t in range(1, n):
+    counts = [A(0, 0)]
+    for t in range(1, N):
         B2, R2, W2 = {}, {}, {}
         for i in range(2 * t + 1):
             for j in range(2 * t + 1 - i):
@@ -890,20 +892,23 @@ def ref_count_U(n):
                 if w:
                     W2[(i, j)] = w
         B, R, W = B2, R2, W2
-    return A(0, 0)
+        counts.append(A(0, 0))
+    return counts
 
 
-def ref_count_O(n):
-    """Weak leftright excursions by first-point removal from the weak
-    leftright step set (steps written target-relative as (dx, dy)):
+@functools.lru_cache(maxsize=None)
+def ref_counts_O(N):
+    """Weak leftright excursions with n = 1..N points by first-point
+    removal from the weak leftright step set (steps written
+    target-relative as (dx, dy)), read as in ``ref_counts_U``:
 
         black:  (0,1), (1,0)  -> any color
         red:    (0,0)         -> any;  (1,-1) -> green/white
         green:  (0,0)         -> any;  (-1,1) -> red/white
         white:  (-1,0) -> red/white;   (0,-1) -> green/white
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     B = {}
     R = {(0, 0): 0}
     W = {(0, 0): 1}
@@ -920,7 +925,8 @@ def ref_count_O(n):
             return 0
         return d.get((i, j), 0)
 
-    for t in range(1, n):
+    counts = [A(0, 0)]
+    for t in range(1, N):
         B2, R2, W2 = {}, {}, {}
         for i in range(2 * t + 1):
             for j in range(2 * t + 1 - i):
@@ -943,7 +949,8 @@ def ref_count_O(n):
                 if w:
                     W2[(i, j)] = w
         B, R, W = B2, R2, W2
-    return A(0, 0)
+        counts.append(A(0, 0))
+    return counts
 
 
 def ref_guillotine_layer(sv, n):
@@ -1709,8 +1716,8 @@ def test_excursion_count_matches_dense_dp(n, leftmost, rightmost, weak):
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_leftright_counts_match_recurrences(n):
-    assert _excursion_pass(40, **_U)[n - 1] == ref_count_U(n)
-    assert _excursion_pass(40, **_O)[n - 1] == ref_count_O(n)
+    assert _excursion_pass(40, **_U)[n - 1] == ref_counts_U(40)[n - 1]
+    assert _excursion_pass(40, **_O)[n - 1] == ref_counts_O(40)[n - 1]
 
 
 @pytest.mark.parametrize("n", [0, -1, -5])
@@ -1739,23 +1746,25 @@ def ref_guillotine_layers():
 
 
 @pytest.mark.parametrize("n", range(2, GUILLOTINE_ORACLE_N + 1))
-def test_guillotine_layer_matches_direct_recurrence(ref_guillotine_layers, n):
-    # the packed layer is computed from the reference layers below it and
-    # compared before the symmetry check could reject it
-    # in the layout of a one-layer extension (N = n) and in that of one
-    # extension over the whole oracle range
+def test_guillotine_layer_matches_direct_recurrence(ref_guillotine_layers, n, monkeypatch):
+    # layer n is built from the reference layers below it, in the layout of
+    # a one-layer extension (N = n) and in that of one extension over the
+    # whole oracle range, and is read as the symmetry check would receive
+    # it, so it is compared before that check could reject it
     for N in (n, GUILLOTINE_ORACLE_N):
+        built = {}
+        monkeypatch.setattr(counting, "_check_symmetries", built.__setitem__)
         table = CountTable()
         table._sv = {m: ref_guillotine_layers[m] for m in range(1, n)}
-        layer = table._compute_layer(n, _Packing(N))
-        assert layer == ref_guillotine_layers[n]
-        assert 0 not in layer.values()
+        table.extend_to(N)
+        assert built[n] == ref_guillotine_layers[n]
+        assert 0 not in built[n].values()
 
 
 def test_guillotine_table_matches_direct_recurrence(ref_guillotine_layers):
     # one extension over the whole oracle range: each layer but the first
-    # is packed from the accumulators that computed it, which a single
-    # ``_compute_layer`` over reference layers never reaches
+    # is packed from the accumulators that computed it, which an extension
+    # by one layer over reference layers never reaches
     table = CountTable()
     table.extend_to(GUILLOTINE_ORACLE_N)
     for n in range(1, GUILLOTINE_ORACLE_N + 1):
@@ -1770,11 +1779,14 @@ def test_schroder_series_matches_picard_iteration():
         assert schroder_series(N) == ref_schroder_series(N)
 
 
-@pytest.mark.parametrize("y", [0, 1, 2, 3, -1, Fraction(1, 3)])
+@pytest.mark.parametrize("y", [0, 1, 2, 3, -1, Fraction(1, 3), -2, Fraction(4, 2), 0.5, True])
 def test_weighted_series_matches_picard_iteration(y):
     ref = ref_weighted_guillotine_series(y, 30)
     for N in range(1, 31):
         assert weighted_guillotine_series(y, N) == Series(ref.coeffs[: N + 1])
+    # an integral y is solved in integers, but every coefficient comes back
+    # as a Fraction, whose equality with an int would not show the type
+    assert {type(c) for c in weighted_guillotine_series(y, 30).coeffs} == {Fraction}
     for N in (1, 2, 7):
         assert weighted_guillotine_series(y, N) == ref_weighted_guillotine_series(y, N)
 
