@@ -36,7 +36,6 @@ Conventions
 from __future__ import annotations
 
 import functools
-import heapq
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -46,9 +45,9 @@ from .rect import (
     Rectangulation,
     RectangulationError,
     _compact,
-    _cycle_pair,
     _diagonal_boxes,
     _Staircase,
+    _topological_order,
     is_diagonal,
     strong_key,
     swne_labeling,
@@ -301,35 +300,14 @@ def count_linear_extensions(p: Poset) -> int:
 
 def _least_order(n: int, pairs: Iterable[tuple[int, int]], reverse: bool = False) -> Permutation:
     """The least topological order of the relation ``pairs`` on labels 1..n
-    (the greatest with ``reverse``).
+    (the greatest with ``reverse``), :func:`rectlab.rect._topological_order`.
 
     A topological order of any relation is a linear extension of the poset
     it generates, and the smallest-ready-first choice is that poset's
-    leftmost extension, so no closure or cover reduction is needed: one Kahn
-    (1962) pass whose ready labels wait in a heap.  Raises ``ValueError``
-    naming two labels on a cycle when labels are left over.
+    leftmost extension, so no closure or cover reduction is needed.  Raises
+    ``ValueError`` naming two labels on a cycle.
     """
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    indeg = [0] * (n + 1)
-    for i, j in pairs:
-        succ[i].append(j)
-        indeg[j] += 1
-    sign = -1 if reverse else 1
-    ready = [sign * j for j in range(1, n + 1) if not indeg[j]]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = sign * heapq.heappop(ready)
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                heapq.heappush(ready, sign * j)
-    if len(order) < n:
-        raise ValueError(
-            "relation is cyclic: %d and %d lie on a cycle" % _cycle_pair(n, succ, order)
-        )
-    return Permutation(tuple(order))
+    return Permutation(_topological_order(n, pairs, reverse))
 
 
 def leftmost_extension(p: Poset) -> Permutation:

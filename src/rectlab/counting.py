@@ -379,7 +379,7 @@ def strong_guillotine_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
+def weighted_guillotine_series(y_value: int | Fraction | float, N: int) -> Series:
     """Guillotine classes weighted by ``y`` per two-sided segment.
 
     Solves V = x*G + V*W, W = (1 - y)*(x*G + x) + y*G, G = x + 2V one
@@ -387,10 +387,11 @@ def weighted_guillotine_series(y_value: int | Fraction, N: int) -> Series:
     v_n = g_{n-1} + sum(v_i * w_{n-i} for 0 < i < n) reads only lower
     coefficients, and g_n and w_n follow from v_n.
 
-    An integral ``y`` runs in integer arithmetic.  At y=1 this is the plain
-    class-counting series, ``schroder_series``; at y=2 the coefficient of
-    x^n sums 2 to the number of two-sided segments over the weak guillotine
-    classes of size n.
+    A float ``y`` is read at its exact binary value, so 0.1 is not 1/10
+    (pass ``Fraction(1, 10)`` for that).  An integral ``y`` runs in integer
+    arithmetic.  At y=1 this is the plain class-counting series,
+    ``schroder_series``; at y=2 the coefficient of x^n sums 2 to the number
+    of two-sided segments over the weak guillotine classes of size n.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

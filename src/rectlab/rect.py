@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import json
 import math
 from collections import Counter
@@ -134,10 +135,11 @@ class Rectangulation:
         if min(r.x1 for r in rect_list) != 0 or min(r.y1 for r in rect_list) != 0:
             raise RectangulationError("coordinates must start at 0 (not normalized)")
         self._assemble(tuple(r.box for r in rect_list), _tile_walls(rect_list))
-        order = nwse_labeling(self)
-        if order != tuple(range(1, n + 1)):
+        # A generic tiling with n - 1 walls: its covers are the consecutive
+        # pairs of the NW-SE order, which is 1..n iff each is (i, i + 1).
+        if any(j != i + 1 for i, j in _wall_covers(self.walls)):
             raise RectangulationError(
-                "labels are not the NW-SE labeling (expected order %r)" % (order,)
+                "labels are not the NW-SE labeling (expected order %r)" % (nwse_labeling(self),)
             )
 
     @classmethod
@@ -474,35 +476,50 @@ def _cycle_pair(n: int, succ: list[list[int]], placed) -> tuple[int, int]:
     return pred[j], j
 
 
-def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
-    """Labels ``1..n`` in NW-SE order (SW-NE with ``swne``): consecutive
-    labels of either order share a wall, one pair per wall, so the order is
-    the unique topological order of the ``n - 1`` :func:`_wall_covers`.  One
-    Kahn (1962) pass that must find exactly one label ready at every step;
-    raises :class:`RectangulationError` naming two labels that are not
-    comparable or that lie on a cycle."""
+_CYCLIC = (ValueError, "relation is cyclic: %d and %d lie on a cycle")
+
+
+def _topological_order(n: int, pairs, reverse: bool = False, cyclic=_CYCLIC) -> list[int]:
+    """The least topological order of the relation ``pairs`` on labels 1..n
+    (the greatest with ``reverse``): one Kahn (1962) pass whose ready labels
+    wait in a heap.  On a cycle raises ``cyclic[0]`` with the text
+    ``cyclic[1]`` naming two of its labels (:func:`_cycle_pair`)."""
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     indeg = [0] * (n + 1)
-    for i, j in _wall_covers(walls, swne):
+    for i, j in pairs:
         succ[i].append(j)
         indeg[j] += 1
-    ready = [i for i in range(1, n + 1) if not indeg[i]]
+    sign = -1 if reverse else 1
+    ready = [sign * j for j in range(1, n + 1) if not indeg[j]]
+    heapq.heapify(ready)
     order = []
-    while len(ready) == 1:
-        i = ready.pop()
+    while ready:
+        i = sign * heapq.heappop(ready)
         order.append(i)
         for j in succ[i]:
             indeg[j] -= 1
             if not indeg[j]:
-                ready.append(j)
-    if ready:
-        raise RectangulationError(
-            "rectangles %d and %d are not comparable" % tuple(sorted(ready)[:2])
-        )
+                heapq.heappush(ready, sign * j)
     if len(order) < n:
-        raise RectangulationError(
-            "rectangles %d and %d lie on a cycle of the order" % _cycle_pair(n, succ, order)
-        )
+        error, text = cyclic
+        raise error(text % _cycle_pair(n, succ, order))
+    return order
+
+
+def _linear_order(n: int, walls, swne: bool = False) -> tuple[int, ...]:
+    """Labels ``1..n`` in NW-SE order (SW-NE with ``swne``): consecutive
+    labels of either order share a wall, one pair per wall, so the order is
+    the unique topological order of the ``n - 1`` :func:`_wall_covers`, and
+    each two consecutive labels of the least one must be a cover.  Raises
+    :class:`RectangulationError` naming two labels that lie on a cycle, or
+    the first consecutive two that are no cover: no label can come between
+    comparable ones, so they are not comparable."""
+    covers = set(_wall_covers(walls, swne))
+    cyclic = (RectangulationError, "rectangles %d and %d lie on a cycle of the order")
+    order = _topological_order(n, covers, cyclic=cyclic)
+    for pair in zip(order, order[1:]):
+        if pair not in covers:
+            raise RectangulationError("rectangles %d and %d are not comparable" % pair)
     return tuple(order)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RUNNING_PERM, brick, inversion_set, reverse_permutation
+from sequences import BAXTER, STRONG_RECT
 from rectlab import biject
 from rectlab.biject import (
     FlipGraph,
@@ -78,11 +79,11 @@ class TestForwardMaps:
                 assert q.x1 == 0 and q.x2 == r.width
 
     def test_weak_image_counts(self, sweeps):
-        for n, want in zip(range(1, 6), (1, 2, 6, 22, 92)):
+        for n, want in zip(range(1, 6), BAXTER[:5]):
             assert len(sweeps.weak_classes(n)) == want
 
     def test_strong_image_counts(self, sweeps):
-        for n, want in zip(range(1, 6), (1, 2, 6, 24, 116)):
+        for n, want in zip(range(1, 6), STRONG_RECT[:5]):
             assert len(sweeps.strong_classes(n)) == want
 
     def test_weak_images_are_diagonal(self):
@@ -389,7 +390,10 @@ class TestLinearExtensions:
         def refuse(mask):
             raise AssertionError("== ran the cover reduction")
 
-        for make, draw, classes in ((strong_poset, gamma_s, 116), (weak_poset, gamma_w, 92)):
+        for make, draw, classes in (
+            (strong_poset, gamma_s, STRONG_RECT[4]),
+            (weak_poset, gamma_w, BAXTER[4]),
+        ):
             posets = [make(draw(pi)) for pi in all_permutations(5)]
             with mock.patch.object(biject, "_bits", refuse):
                 again = [Poset(p.n, p.pairs) for p in posets]

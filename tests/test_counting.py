@@ -259,12 +259,12 @@ class TestCountTable:
 
 class TestMultiplicityOracle:
     def test_counts_all_strong_classes(self):
-        assert strong_count_via_multiplicity(4) == 24
-        assert strong_count_via_multiplicity(5) == 116
+        assert strong_count_via_multiplicity(4) == STRONG_RECT[3]
+        assert strong_count_via_multiplicity(5) == STRONG_RECT[4]
 
     def test_guillotine_restriction(self):
-        assert strong_count_via_multiplicity(5, guillotine_only=True) == 114
-        assert strong_count_via_multiplicity(6, guillotine_only=True) == 606
+        assert strong_count_via_multiplicity(5, guillotine_only=True) == STRONG_GUILLOTINE[4]
+        assert strong_count_via_multiplicity(6, guillotine_only=True) == STRONG_GUILLOTINE[5]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ one merge along each, only fibers list linear extensions, the mesh
 matcher and the weak-order helpers live in the tests, every public name is
 exported or used by the package itself, no loop reads the walk counts or
 the guillotine series one size at a time, one recurrence solves the
-guillotine series, one loop builds the guillotine table, and the package
-keeps its checks under ``python -O``."""
+guillotine series, one loop builds the guillotine table, one Kahn pass
+orders labels, and the package keeps its checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -222,9 +222,12 @@ def test_walls_are_read_through_their_covers():
     the other.  The labelings read one cover per wall (``_linear_order``,
     and the Baxter flag of ``classify``); keys and posets read the touching
     and same-segment pairs of one merge along each wall (``_wall_pairs``);
-    and a Kahn pass that stops on a cycle names two of its labels through
-    one walk back (``_cycle_pair``)."""
-    assert _calls("_wall_covers") == [("perm.py", "classify"), ("rect.py", "_linear_order")]
+    and the constructor's label check)."""
+    assert _calls("_wall_covers") == [
+        ("perm.py", "classify"),
+        ("rect.py", "__init__"),
+        ("rect.py", "_linear_order"),
+    ]
     assert _calls("_wall_pairs") == [
         ("biject.py", "adjacency_poset"),
         ("biject.py", "strong_poset"),
@@ -232,13 +235,47 @@ def test_walls_are_read_through_their_covers():
         ("rect.py", "strong_key"),
         ("rect.py", "weak_key"),
     ]
-    assert _calls("_cycle_pair") == [("biject.py", "_least_order"), ("rect.py", "_linear_order")]
     assert [
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name in ("_adjacency_pairs", "_strong_pairs")
         if name in path.read_text()
     ] == []
+
+
+def test_one_topological_order_pass():
+    """Labelings, keys and extremal extensions share one Kahn loop, the
+    least-first pass ``rect._topological_order``: it alone keeps ready
+    labels in a heap and counts in-degrees down, and on a cycle it names
+    two labels through one walk back (``_cycle_pair``).
+    ``biject._least_order`` only wraps its labels in a ``Permutation``."""
+
+    def kahn_loop(node):  # a while loop that counts a subscript down
+        return isinstance(node, ast.While) and any(
+            isinstance(sub, ast.AugAssign)
+            and isinstance(sub.op, ast.Sub)
+            and isinstance(sub.target, ast.Subscript)
+            for sub in ast.walk(node)
+        )
+
+    def imports_heapq(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "heapq"
+        return isinstance(node, ast.Import) and "heapq" in {a.name for a in node.names}
+
+    assert _owners(kahn_loop) == [("rect.py", "_topological_order")]
+    assert _owners(imports_heapq) == [("rect.py", None)]
+    assert _calls("_cycle_pair") == [("rect.py", "_topological_order")]
+    tree = ast.parse((SRC / "biject.py").read_text())
+    (least,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_least_order"
+    ]
+    _, body = least.body  # the docstring, then one statement
+    assert isinstance(body, ast.Return) and ast.unparse(body.value) == (
+        "Permutation(_topological_order(n, pairs, reverse))"
+    )
 
 
 def test_one_series_recurrence_and_one_table_loop():

@@ -21,6 +21,7 @@ from conftest import (
     count_two_sided_segments,
     reverse_permutation,
 )
+from sequences import STRONG_RECT
 from rectlab import rect
 from rectlab.biject import fiber_w, gamma_s, gamma_w
 from rectlab.perm import (
@@ -151,6 +152,46 @@ class TestConstruction:
             assert from_json(to_json(r)) == r
             assert Rectangulation(r.rects) == r
             assert from_rects(r.boxes).n == 1024
+
+    def test_valid_labels_are_accepted_without_an_order_pass(self, monkeypatch):
+        # a generic tiling with n - 1 walls is NW-SE-labeled iff every wall
+        # cover is (i, i + 1), so accepting it computes no order
+        def refuse(*args, **kwargs):
+            raise AssertionError("accepting a drawing ran an order pass")
+
+        monkeypatch.setattr(rect, "_linear_order", refuse)
+        monkeypatch.setattr(rect, "_topological_order", refuse, raising=False)
+        pi = Permutation(random.Random(5).sample(range(1, 1025), 1024))
+        for r in (gamma_s(pi), gamma_w(pi)):
+            assert from_json(to_json(r)) == r
+            assert Rectangulation(r.rects) == r
+
+    def test_mislabeled_drawing_is_named_by_one_order_pass(self, monkeypatch):
+        # only a refused labeling computes the NW-SE order, to name it;
+        # from_rects and each labeling run one pass too
+        passes = []
+        order = rect._topological_order
+
+        def counted(n, *args, **kwargs):
+            passes.append(n)
+            return order(n, *args, **kwargs)
+
+        monkeypatch.setattr(rect, "_topological_order", counted)
+        r = gamma_s(Permutation(random.Random(5).sample(range(1, 1025), 1024)))
+        doc = json.loads(to_json(r))
+        for q in doc["rects"]:
+            q["label"] = {1: 1024, 1024: 1}.get(q["label"], q["label"])
+        with pytest.raises(RectangulationError) as exc:
+            from_json(json.dumps(doc))
+        want = (1024,) + tuple(range(2, 1024)) + (1,)
+        assert str(exc.value) == (
+            "labels are not the NW-SE labeling (expected order %r)" % (want,)
+        )
+        assert passes == [1024]
+        from_rects(r.boxes)
+        nwse_labeling(r)
+        swne_labeling(r)
+        assert passes == [1024] * 4
 
     def test_empty_input(self):
         with pytest.raises(RectangulationError):
@@ -465,7 +506,7 @@ class TestWindmills:
 
     def test_size5_windmill_free_count(self, sweeps):
         classes = sweeps.strong_classes(5)
-        assert len(classes) == 116
+        assert len(classes) == STRONG_RECT[4]
         free = sum(1 for r in classes.values() if not find_windmills(r))
         assert free == 114
 

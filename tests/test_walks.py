@@ -312,7 +312,7 @@ class TestColorDisambiguation:
     def test_leftmost_set_is_exactly_key_encodings_n5(self, sweeps):
         marked = {w for w in closed_excursions(5, "strong") if is_leftmost(w)}
         keys = {encode_strong(k) for k in sweeps.strong_classes(5)}
-        assert len(marked) == 116
+        assert len(marked) == STRONG_RECT[4]
         assert marked == keys
 
     def test_swapped_convention_marks_non_keys(self, sweeps):
