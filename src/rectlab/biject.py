@@ -161,7 +161,7 @@ class Poset:
         later = [-1] * self.n
         for reverse in (False, True):
             after = 0
-            for v in reversed(_least_order(self.n, self.pairs, reverse)):
+            for v in reversed(_topological_order(self.n, self.pairs, reverse)):
                 later[v - 1] &= after
                 after |= 1 << (v - 1)
         reach = [0] * self.n
@@ -188,7 +188,7 @@ class Poset:
     @functools.cached_property
     def _pred_masks(self) -> tuple[int, ...]:
         """Predecessors among the pairs: an extension places ``j`` after them."""
-        _least_order(self.n, self.pairs)  # rejects a cyclic relation
+        _topological_order(self.n, self.pairs)  # rejects a cyclic relation
         pred = [0] * self.n
         for i, j in self.pairs:
             pred[j - 1] |= 1 << (i - 1)

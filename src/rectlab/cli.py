@@ -104,8 +104,9 @@ def _bounded(count: Callable[[int], int], variable: str, default: int) -> Callab
 
 
 # Each default admits about a second of work or less, except the
-# strong-guillotine table's: its 32 packaged rows take about 15 s cold (14.2 s
-# for ``count strong-guillotine 32`` on 2 cores).  ``count weighted-guillotine
+# strong-guillotine table's: its 32 packaged rows take about 12 s cold
+# (11.6-12.7 s at 87 MiB peak RSS for ``count strong-guillotine 32`` on 2
+# cores).  ``count weighted-guillotine
 # 700`` takes about 0.12 s in-process.
 _COUNTS: dict[str, Callable[[int], int]] = {
     "schroder": _bounded(

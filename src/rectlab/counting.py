@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .walks import COLORS, _LEVEL_STEP, _left_slack, _right_slack, count_strong_rect
 
@@ -170,14 +170,20 @@ class CountTable:
     convolution in (t, b), done by bigint products of packed grids
     (Kronecker substitution, see ``_Packing``).  Each count is computed for
     left count <= right count and written to both mirror profiles, so the
-    left-right symmetry holds by construction; both it and the top-bottom
-    symmetry are checked on every layer before it is stored.  The counts'
-    independent evidence is the tests' direct-recurrence oracle and the
-    packaged totals.
+    left-right symmetry holds by construction; the top-bottom symmetry is
+    checked on every layer, one integer comparison per horizontal grid,
+    before the layer is stored.  The counts' independent evidence is the
+    tests' direct-recurrence oracle and the packaged totals.
+
+    A computed layer is stored as the accumulators that computed it, in
+    the layout of its build (``_PackedLayer``), and ``total`` reads their
+    digit sums.  The per-profile dict is a view, built the first time
+    ``layer``, ``s_v``, ``s_h`` or ``s`` reads the layer; it then replaces
+    the accumulators, so each layer is held in one form at a time.
     """
 
     def __init__(self) -> None:
-        self._sv: dict[int, dict[tuple[int, int, int, int], int]] = {
+        self._sv: dict[int, dict[tuple[int, int, int, int], int] | _PackedLayer] = {
             1: {(0, 0, 0, 0): 1}
         }
 
@@ -185,10 +191,17 @@ class CountTable:
     def max_n(self) -> int:
         return max(self._sv)
 
+    def _view(self, n: int) -> dict[tuple[int, int, int, int], int]:
+        """The per-profile dict of stored layer ``n``, built once."""
+        layer = self._sv[n]
+        if isinstance(layer, _PackedLayer):
+            layer = self._sv[n] = layer.unpack()
+        return layer
+
     def s_v(self, n: int, l: int, t: int, r: int, b: int) -> int:
         """Vertical (or size-1) classes with the given side-endpoint counts."""
         self.extend_to(n)
-        return self._sv[n].get((l, t, r, b), 0)
+        return self._view(n).get((l, t, r, b), 0)
 
     def s_h(self, n: int, l: int, t: int, r: int, b: int) -> int:
         """Horizontal (or size-1) classes: the transpose of ``s_v``."""
@@ -205,13 +218,15 @@ class CountTable:
         if n == 1:
             return 1
         self.extend_to(n)
+        layer = self._sv[n]
+        vertical = layer.total() if isinstance(layer, _PackedLayer) else sum(layer.values())
         # the transpose is a bijection on entries, so the horizontal total
         # equals the vertical one
-        return 2 * sum(self._sv[n].values())
+        return 2 * vertical
 
     def layer(self, n: int) -> dict[tuple[int, int, int, int], int]:
         self.extend_to(n)
-        return dict(self._sv[n])
+        return dict(self._view(n))
 
     def extend_to(self, n: int) -> None:
         if n < 1:
@@ -220,18 +235,67 @@ class CountTable:
             return
         packing = _Packing(n)
         for m in range(1, self.max_n + 1):
-            packing.pack(m, self._sv[m])
+            packing.pack(m, *packing.grids(m, self._view(m)))
         for m in range(self.max_n + 1, n + 1):
             acc = packing.products(m)
             if m == n:
                 # no later layer reads the store: free it before the layer's
-                # dict is built, which lowers the build's peak memory
+                # horizontal grids are built, which lowers the build's peak
+                # memory
                 packing.left = packing.right = {}
-            layer = packing.unpack(acc)
-            _check_symmetries(m, layer)
+            layer = _PackedLayer(acc, packing.width, packing.nbytes)
+            horizontal = packing.transpose(m, acc)
+            _check_packed(m, layer, horizontal)
             self._sv[m] = layer
             if m < n:
-                packing.pack(m, layer, acc)
+                packing.pack(m, packing.shifted(acc), horizontal)
+
+
+class _PackedLayer(NamedTuple):
+    """A computed layer: its accumulators (``_Packing.products``) and the
+    layout ``(width, nbytes)`` of the build that computed it."""
+
+    acc: dict[tuple[int, int], int]
+    width: int
+    nbytes: int
+
+    def unpack(self) -> dict[tuple[int, int, int, int], int]:
+        """The nonzero counts of the accumulators, each written to its
+        profile and to the left-right mirror.  The cut adds one endpoint to
+        the top and bottom sides."""
+        width, nbytes = self.width, self.nbytes
+        out: dict[tuple[int, int, int, int], int] = {}
+        for (l, r), packed in self.acc.items():
+            ndigits = -(-packed.bit_length() // (8 * nbytes))
+            buf = packed.to_bytes(ndigits * nbytes, "little")
+            for pos in range(ndigits):
+                v = int.from_bytes(buf[pos * nbytes : (pos + 1) * nbytes], "little")
+                if v:
+                    t, b = divmod(pos, width)
+                    out[(l, t + 1, r, b + 1)] = out[(r, t + 1, l, b + 1)] = v
+        return out
+
+    def total(self) -> int:
+        """The sum of the view's counts, read off the digits.  The base
+        B = 2**(8 * nbytes) is 1 mod B - 1, so a grid is congruent to its
+        digit sum.  That sum counts vertical classes of one size <= N, fewer
+        than ``count_strong_rect(N)`` <= B - 1, so it equals the remainder.
+        A grid with l < r also stands for its mirror (r, l)."""
+        mod = (1 << 8 * self.nbytes) - 1
+        return sum((1 if l == r else 2) * (grid % mod) for (l, r), grid in self.acc.items())
+
+
+def _check_packed(n: int, layer: _PackedLayer, horizontal: dict[tuple[int, int], int]) -> None:
+    """Raise ``ArithmeticError`` unless the packed layer ``n`` is invariant
+    under the top-bottom reflection.  Its horizontal grid (t, b)
+    (``_Packing.transpose``) holds the count of (l, t, r, b) at the digit
+    where grid (b, t) holds that of (l, b, r, t), so the layer is
+    symmetric iff every two such grids are equal.  The left-right symmetry
+    holds by construction.  On failure the view names the layer and
+    profile; the build raises even if it names none."""
+    if any(horizontal.get((b, t), 0) != grid for (t, b), grid in horizontal.items()):
+        _check_symmetries(n, layer.unpack())
+        raise ArithmeticError("top-bottom symmetry broken in layer %d" % n)
 
 
 class _Packing:
@@ -249,7 +313,14 @@ class _Packing:
       of a layer n <= N: strong rectangulations of size <= N.  The factors
       and partial sums in between may carry from digit to digit, since the
       integer identity holds whatever their digits; every term is
-      nonnegative, so no partial sum exceeds the accumulator.
+      nonnegative, so no partial sum exceeds the accumulator.  A whole
+      accumulator's digit sum is below B - 1 as well, which
+      ``_PackedLayer.total`` reads.
+
+    A layer that the call computed is packed from its accumulators: shifted
+    by the cut's +1 in t and in b they are its vertical grids, and one pass
+    over their digits gives its horizontal ones.  A stored view is packed
+    entry by entry.
     """
 
     def __init__(self, N: int) -> None:
@@ -259,37 +330,65 @@ class _Packing:
         self.left: dict[int, dict[int, list[tuple[int, int]]]] = {}
         # right factors of size m, any orientation: lp -> {r: grid}
         self.right: dict[int, dict[int, dict[int, int]]] = {}
-        # one tuple per profile, shared by all layers and mirror images
-        self.keys: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
-    def pack(
-        self,
-        m: int,
-        layer: dict[tuple[int, int, int, int], int],
-        acc: dict[tuple[int, int], int] | None = None,
-    ) -> None:
-        """Pack layer ``m`` once per orientation into ``left`` and ``right``.
-        The accumulators ``acc`` that computed it, if given, shifted by the
-        cut's +1 in t and in b are its vertical grids, each shared with its
-        mirror (r, l); every other orientation is packed entry by entry."""
+    def grids(
+        self, m: int, layer: dict[tuple[int, int, int, int], int]
+    ) -> list[dict[tuple[int, int], int]]:
+        """The vertical and horizontal grids of the view ``layer`` of size
+        ``m``, packed entry by entry."""
         width, nbytes = self.width, self.nbytes
-        grids: list[dict[tuple[int, int], int]] = []
-        if acc is not None:
-            shift = 8 * nbytes * (width + 1)
-            grids.append({})
-            for (l, r), packed in acc.items():
-                grids[0][(l, r)] = grids[0][(r, l)] = packed << shift
-        for transpose in (False, True)[len(grids) :]:
+        out = []
+        for horizontal in (False, True):
             bufs: dict[tuple[int, int], bytearray] = {}
             for (a, b, c, d), v in layer.items():
                 # s_h(m, b, a, d, c) == s_v(m, a, b, c, d)
-                key, pos = ((b, d), a * width + c) if transpose else ((a, c), b * width + d)
+                key, pos = ((b, d), a * width + c) if horizontal else ((a, c), b * width + d)
                 buf = bufs.get(key)
                 if buf is None:
                     buf = bufs[key] = bytearray(m * width * nbytes)
                 buf[pos * nbytes : (pos + 1) * nbytes] = v.to_bytes(nbytes, "little")
-            grids.append({key: int.from_bytes(buf, "little") for key, buf in bufs.items()})
-        vertical, horizontal = grids
+            out.append({key: int.from_bytes(buf, "little") for key, buf in bufs.items()})
+        return out
+
+    def shifted(self, acc: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+        """The vertical grids of a computed layer: its accumulators shifted
+        by the cut's +1 in t and in b, each shared with its mirror."""
+        shift = 8 * self.nbytes * (self.width + 1)
+        out = {}
+        for (l, r), packed in acc.items():
+            out[(l, r)] = out[(r, l)] = packed << shift
+        return out
+
+    def transpose(self, m: int, acc: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+        """The horizontal grids of the computed layer ``m``, in one pass over
+        its accumulators' digits.  The digit of ``acc[(l, r)]`` at
+        (t - 1, b - 1) is s_v(m, l, t, r, b) = s_h(m, t, l, b, r), so it is
+        copied to positions l * width + r and, for the mirror,
+        r * width + l of grid (t, b)."""
+        width, nbytes = self.width, self.nbytes
+        zero = bytes(nbytes)
+        bufs: dict[int, bytearray] = {}  # digit position -> grid
+        for (l, r), packed in acc.items():
+            ndigits = -(-packed.bit_length() // (8 * nbytes))
+            digits = packed.to_bytes(ndigits * nbytes, "little")
+            i, j = (l * width + r) * nbytes, (r * width + l) * nbytes
+            for pos, start in enumerate(range(0, ndigits * nbytes, nbytes)):
+                digit = digits[start : start + nbytes]
+                if digit != zero:
+                    buf = bufs.get(pos)
+                    if buf is None:
+                        buf = bufs[pos] = bytearray(m * width * nbytes)
+                    buf[i : i + nbytes] = buf[j : j + nbytes] = digit
+        out = {}
+        for pos, buf in bufs.items():
+            t, b = divmod(pos, width)
+            out[(t + 1, b + 1)] = int.from_bytes(buf, "little")
+        return out
+
+    def pack(
+        self, m: int, vertical: dict[tuple[int, int], int], horizontal: dict[tuple[int, int], int]
+    ) -> None:
+        """Store layer ``m``'s grids as left and right factors."""
         left = self.left[m] = {}
         for (l, r1), grid in horizontal.items():
             left.setdefault(r1, []).append((l, grid))
@@ -322,23 +421,6 @@ class _Packing:
                         if l <= r:
                             acc[(l, r)] = acc.get((l, r), 0) + grid * folded
         return acc
-
-    def unpack(self, acc: dict[tuple[int, int], int]) -> dict[tuple[int, int, int, int], int]:
-        """The nonzero counts of the accumulators, each written to its
-        profile and to the left-right mirror.  The cut adds one endpoint to
-        the top and bottom sides."""
-        width, nbytes, keys = self.width, self.nbytes, self.keys
-        out: dict[tuple[int, int, int, int], int] = {}
-        for (l, r), packed in acc.items():
-            ndigits = -(-packed.bit_length() // (8 * nbytes))
-            buf = packed.to_bytes(ndigits * nbytes, "little")
-            for pos in range(ndigits):
-                v = int.from_bytes(buf[pos * nbytes : (pos + 1) * nbytes], "little")
-                if v:
-                    t, b = divmod(pos, width)
-                    for key in ((l, t + 1, r, b + 1), (r, t + 1, l, b + 1)):
-                        out[keys.setdefault(key, key)] = v
-        return out
 
 
 def _check_symmetries(n: int, layer: dict[tuple[int, int, int, int], int]) -> None:

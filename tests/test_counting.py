@@ -228,34 +228,131 @@ class TestCountTable:
         )
 
     def test_one_extension_packs_each_layer_once(self, monkeypatch):
-        packed = []
-        real = counting._Packing.pack
+        packed, by_entry = [], []
+        real_pack, real_grids = counting._Packing.pack, counting._Packing.grids
 
-        def spy(packing, m, layer, acc=None):
+        def spy_pack(packing, m, vertical, horizontal):
             # a build to N has width N - 1
-            packed.append((packing.width + 1, m, acc is not None))
-            return real(packing, m, layer, acc)
+            packed.append((packing.width + 1, m))
+            return real_pack(packing, m, vertical, horizontal)
 
-        monkeypatch.setattr(counting._Packing, "pack", spy)
+        def spy_grids(packing, m, layer):
+            by_entry.append((packing.width + 1, m))
+            return real_grids(packing, m, layer)
+
+        monkeypatch.setattr(counting._Packing, "pack", spy_pack)
+        monkeypatch.setattr(counting._Packing, "grids", spy_grids)
         t = CountTable()
         t.extend_to(3)
         t.extend_to(10)
-        # stored layers are packed entry by entry, computed ones from their
-        # accumulators, and the top layer of a build is never packed
-        assert packed == (
-            [(3, 1, False), (3, 2, True)]
-            + [(10, m, False) for m in range(1, 4)]
-            + [(10, m, True) for m in range(4, 10)]
-        )
+        # each layer is packed once per extension, and the top layer of a
+        # build never; stored layers are packed entry by entry from their
+        # views, computed ones from their accumulators
+        assert packed == [(3, 1), (3, 2)] + [(10, m) for m in range(1, 10)]
+        assert by_entry == [(3, 1)] + [(10, m) for m in range(1, 4)]
 
-    def test_corrupted_layer_is_not_stored(self, monkeypatch):
+    @staticmethod
+    def _corrupt_layer_4(monkeypatch):
         t = CountTable()
         t.extend_to(3)
-        monkeypatch.setattr(counting._Packing, "unpack", lambda packing, acc: {(0, 1, 2, 1): 1})
-        with pytest.raises(ArithmeticError, match="layer 4"):
+        real = counting._Packing.products
+
+        def corrupted(packing, n):
+            # one more class at (t, b) = (1, 2) with l = r = 0, and none
+            # at its top-bottom mirror (2, 1)
+            acc = real(packing, n)
+            acc[(0, 0)] += 1 << 8 * packing.nbytes
+            return acc
+
+        monkeypatch.setattr(counting._Packing, "products", corrupted)
+        return t
+
+    def test_corrupted_layer_is_not_stored(self, monkeypatch):
+        t = self._corrupt_layer_4(monkeypatch)
+        with pytest.raises(ArithmeticError) as exc:
+            t.extend_to(4)
+        assert str(exc.value) == (
+            "top-bottom symmetry broken in layer 4 at profile (0, 1, 0, 2)"
+        )
+        assert t.max_n == 3
+
+    def test_unnamed_symmetry_break_still_raises(self, monkeypatch):
+        # the view names the profile; a build raises even if it names none
+        t = self._corrupt_layer_4(monkeypatch)
+        monkeypatch.setattr(counting, "_check_symmetries", lambda n, layer: None)
+        with pytest.raises(ArithmeticError, match="^top-bottom symmetry broken in layer 4$"):
             t.extend_to(4)
         assert t.max_n == 3
 
+
+class TestPackedLayers:
+    """Computed layers stay packed; the per-profile dict is a view."""
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        # packed totals read before any view exists, then the views
+        t = CountTable()
+        t.extend_to(20)
+        totals = [t.total(n) for n in range(1, 21)]
+        return totals, {n: t.layer(n) for n in range(1, 21)}
+
+    @staticmethod
+    def _count_views(monkeypatch):
+        views = []
+        real = counting._PackedLayer.unpack
+
+        def spy(layer):
+            views.append(layer)
+            return real(layer)
+
+        monkeypatch.setattr(counting._PackedLayer, "unpack", spy)
+        return views
+
+    def test_packed_totals_are_the_view_sums(self, cold):
+        totals, layers = cold
+        assert totals[0] == 1
+        for n in range(2, 21):
+            assert totals[n - 1] == 2 * sum(layers[n].values()), n
+        assert totals[:12] == STRONG_GUILLOTINE
+
+    @pytest.mark.parametrize(
+        "steps", [[20], list(range(2, 21)), [10, 20]], ids=["one-call", "by-layer", "10-then-20"]
+    )
+    def test_builds_agree(self, cold, steps):
+        totals, layers = cold
+        t = CountTable()
+        for m in steps:
+            t.extend_to(m)
+        packed = [n for n in range(2, 21) if isinstance(t._sv[n], counting._PackedLayer)]
+        # a later call views every layer it packs entry by entry, so only
+        # the layers of the last call are still packed before any read
+        assert packed == list(range((1, *steps)[-2] + 1, 21))
+        assert [t.total(n) for n in range(1, 21)] == totals
+        for n in range(1, 21):
+            assert t.layer(n) == layers[n], n
+            assert not isinstance(t._sv[n], counting._PackedLayer)
+            # a view's total is its sum, as the packed digits gave
+            assert t.total(n) == totals[n - 1]
+
+    def test_cold_build_makes_no_view(self, monkeypatch):
+        views = self._count_views(monkeypatch)
+        t = CountTable()
+        t.extend_to(20)
+        assert views == []
+        t.total(20)
+        assert views == []
+        # the first read of a profile builds its layer's view once
+        t.s_v(20, 0, 19, 0, 19)
+        t.s_h(20, 19, 0, 19, 0)
+        t.layer(20)
+        assert len(views) == 1
+
+    def test_strong_guillotine_count_makes_no_view(self, monkeypatch):
+        views = self._count_views(monkeypatch)
+        monkeypatch.setattr(counting, "_TABLE", CountTable())
+        count = strong_guillotine_count(20)
+        assert views == []
+        assert count == 2 * sum(counting._TABLE.layer(20).values())
 
 class TestMultiplicityOracle:
     def test_counts_all_strong_classes(self):

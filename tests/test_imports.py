@@ -282,8 +282,10 @@ def test_one_series_recurrence_and_one_table_loop():
     """The Schroder series is the weighted guillotine series at y = 1, so
     ``schroder_series`` only calls ``weighted_guillotine_series``, and one
     helper reads the integer terms of a series.  ``CountTable.extend_to``
-    is the one loop of a table build: it alone packs, multiplies and
-    unpacks, and no per-layer hook or accumulator stash is left."""
+    is the one loop of a table build: it alone packs, multiplies,
+    transposes and checks, and no per-layer hook is left; only a stored
+    ``_PackedLayer`` keeps accumulators.  It never unpacks: a layer's view is built when it is read, or
+    to name a profile that breaks the symmetry check."""
     tree = ast.parse((SRC / "counting.py").read_text())
     (schroder,) = [
         node
@@ -295,10 +297,15 @@ def test_one_series_recurrence_and_one_table_loop():
         "weighted_guillotine_series(1, N)"
     )
     assert _calls("_integer_term") == [("cli.py", None), ("counting.py", "schroder_counts")]
-    for name in ("products", "unpack", "pack"):
+    for name in ("products", "pack", "grids", "shifted", "transpose", "_check_packed"):
         assert set(_calls(name)) == {("counting.py", "extend_to")}, name
+    assert _calls("unpack") == [("counting.py", "_check_packed"), ("counting.py", "_view")]
     assert [path.name for path in sorted(SRC.glob("*.py")) if "_compute_layer" in path.read_text()] == []
-    assert _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "acc") == []
+    # a stored layer's accumulators are read only by its own view and total
+    assert _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "acc") == [
+        ("counting.py", "total"),
+        ("counting.py", "unpack"),
+    ]
 
 
 def test_only_fibers_list_extensions():

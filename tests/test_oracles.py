@@ -1749,16 +1749,25 @@ def ref_guillotine_layers():
 def test_guillotine_layer_matches_direct_recurrence(ref_guillotine_layers, n, monkeypatch):
     # layer n is built from the reference layers below it, in the layout of
     # a one-layer extension (N = n) and in that of one extension over the
-    # whole oracle range, and is read as the symmetry check would receive
-    # it, so it is compared before that check could reject it
+    # whole oracle range, and its accumulators are read as the symmetry
+    # check receives them, so it is compared before that check could
+    # reject it
+    real = counting._Packing.transpose
     for N in (n, GUILLOTINE_ORACLE_N):
         built = {}
-        monkeypatch.setattr(counting, "_check_symmetries", built.__setitem__)
+
+        def spy(packing, m, acc):
+            built[m] = counting._PackedLayer(acc, packing.width, packing.nbytes).unpack()
+            assert built[m] == ref_guillotine_layers[m]
+            return real(packing, m, acc)
+
+        monkeypatch.setattr(counting._Packing, "transpose", spy)
         table = CountTable()
         table._sv = {m: ref_guillotine_layers[m] for m in range(1, n)}
         table.extend_to(N)
-        assert built[n] == ref_guillotine_layers[n]
+        assert n in built
         assert 0 not in built[n].values()
+        assert table.layer(n) == ref_guillotine_layers[n]
 
 
 def test_guillotine_table_matches_direct_recurrence(ref_guillotine_layers):
