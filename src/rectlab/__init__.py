@@ -10,8 +10,9 @@ The package is organized by subject:
   posets, linear extensions, fibers, canonical representatives, flips.
 - :mod:`rectlab.walks` — history quadrant walks: encoding, leftmost/rightmost
   predicates, and DP counters.
-- :mod:`rectlab.counting` — closed-form and recursive enumeration, weighted
-  series, growth constants.
+- :mod:`rectlab.counting` — closed-form and recursive enumeration, the
+  weighted guillotine series as truncated coefficient lists, growth
+  constants.
 - :mod:`rectlab.cli` — the ``rectlab`` command-line tool.
 
 The most commonly used names are re-exported at the package top level.

@@ -366,30 +366,31 @@ def _check_guillotine_table(max_n: int, data_dir: Path) -> tuple[bool, str]:
     return True, ""
 
 
+def _is_sqrt(base: list, target: list[int], N: int) -> bool:
+    """Whether ``base`` is the square root of the polynomial ``target`` with
+    constant term 1, mod x^(N+1); the root with constant term -1 squares to
+    the same target.  One truncated square, no inverse."""
+    square = [sum(base[i] * base[k - i] for i in range(k + 1)) for k in range(len(base))]
+    return base[0] == 1 and square == target + [0] * (N + 1 - len(target))
+
+
 def _check_schroder_closed_form(max_n: int) -> tuple[bool, str]:
+    # G = (1 - x - sqrt(1 - 6x + x^2)) / 2 iff 1 - x - 2G is that root
     N = 12
-    x = counting.Series.x(N)
-    one = counting.Series.constant(1, N)
-    closed = (one - x - (one - x.scale(6) + x * x).sqrt()).scale(Fraction(1, 2))
-    if closed != counting.schroder_series(N):
+    G = counting.schroder_series(N).coeffs
+    base = [c - 2 * g for c, g in zip([1, -1, *[0] * N], G)]
+    if not _is_sqrt(base, [1, -6, 1], N):
         return False, "fixed point disagrees with closed form"
     return True, ""
 
 
 def _check_weighted_y2(max_n: int) -> tuple[bool, str]:
+    # G2 = (1 + x - x^2 - sqrt(D)) / (2(2 - x)), D = 1 - 6x - 5x^2 + 2x^3 + x^4,
+    # iff 1 + x - x^2 - 2(2 - x)G2 is the root of D
     N = 20
-    x = counting.Series.x(N)
-    one = counting.Series.constant(1, N)
-    inner = (
-        one
-        - x.scale(6)
-        - (x * x).scale(5)
-        + (x * x * x).scale(2)
-        + (x * x) * (x * x)
-    )
-    num = one + x - x * x - inner.sqrt()
-    den = (counting.Series.constant(2, N) - x).scale(2)
-    if num * den.inverse() != counting.weighted_guillotine_series(2, N):
+    G = counting.weighted_guillotine_series(2, N).coeffs
+    base = [c - 4 * g + 2 * prev for c, g, prev in zip([1, 1, -1, *[0] * (N - 1)], G, [0, *G])]
+    if not _is_sqrt(base, [1, -6, -5, 2, 1], N):
         return False, "weighted series disagrees with closed form at y=2"
     return True, ""
 

@@ -1,9 +1,11 @@
 """Exact enumeration: closed forms, recurrences, series, growth constants.
 
-Everything here is exact: integer counts use Python bigints, series use
-rational coefficients, and the few floating-point outputs (spectral radii,
-root locations) are produced by bisection/power iteration with stated
-tolerances.  No third-party numerics are involved.
+Integer counts use Python bigints.  The guillotine series come from one
+coefficient recurrence, in integers for an integral weight, and are
+returned as truncated ``Series`` of their coefficients.  The few
+floating-point outputs (spectral radii, root locations) are produced by
+bisection/power iteration with stated tolerances.  No third-party numerics
+are involved.
 """
 
 from __future__ import annotations
@@ -16,17 +18,14 @@ from typing import Callable, NamedTuple
 from .walks import COLORS, _LEVEL_STEP, _left_slack, _right_slack, count_strong_rect
 
 # ---------------------------------------------------------------------------
-# Truncated power series over exact rationals
+# Truncated power series
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Series:
-    """A power series truncated at a fixed order, with Fraction coefficients.
-
-    ``coeffs[k]`` is the coefficient of x^k; all arithmetic truncates to the
-    shorter operand's order and stays exact.
-    """
+    """A power series truncated at a fixed order, with Fraction coefficients:
+    ``coeffs[k]`` is the coefficient of x^k."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -34,75 +33,12 @@ class Series:
         if not self.coeffs:
             raise ValueError("a series carries at least the constant term")
 
-    @staticmethod
-    def constant(value: int | Fraction, order: int) -> Series:
-        c = [Fraction(0)] * (order + 1)
-        c[0] = Fraction(value)
-        return Series(tuple(c))
-
-    @staticmethod
-    def x(order: int) -> Series:
-        c = [Fraction(0)] * (order + 1)
-        if order >= 1:
-            c[1] = Fraction(1)
-        return Series(tuple(c))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
-
-    def __add__(self, other: Series) -> Series:
-        n = min(self.order, other.order)
-        return Series(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
-
-    def __sub__(self, other: Series) -> Series:
-        n = min(self.order, other.order)
-        return Series(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
-
-    def __mul__(self, other: Series) -> Series:
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(tuple(out))
-
-    def scale(self, factor: int | Fraction) -> Series:
-        f = Fraction(factor)
-        return Series(tuple(c * f for c in self.coeffs))
-
-    def inverse(self) -> Series:
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if not self.coeffs[0]:
-            raise ValueError("series with zero constant term has no inverse")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / self.coeffs[0]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / self.coeffs[0]
-        return Series(tuple(out))
-
-    def sqrt(self) -> Series:
-        """Square root by Newton iteration; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("series square root requires constant term 1")
-        s = Series.constant(1, self.order)
-        half = Fraction(1, 2)
-        # each Newton step doubles the number of correct coefficients
-        for _ in range(self.order.bit_length() + 1):
-            s = (s + self * s.inverse()).scale(half)
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +100,10 @@ class CountTable:
     """Layered memo for counts of guillotine classes refined by the numbers
     of segment endpoints on the four sides of the bounding box.
 
-    Only the vertical-cut table is stored; the horizontal one is its
-    transpose.  Layer n sums over the size n1 of the left factor at the
+    Only the vertical-cut table is stored: ``layer(n)`` maps (l, t, r, b)
+    to s_v(n, l, t, r, b), the vertical (or size-1) classes of size n with
+    that profile.  The horizontal table is its transpose,
+    s_h(n, l, t, r, b) = s_v(n, t, l, b, r).  Layer n sums over the size n1 of the left factor at the
     leftmost cut.  Top and bottom counts only add, so each split is a
     convolution in (t, b), done by bigint products of packed grids
     (Kronecker substitution, see ``_Packing``).  Each count is computed for
@@ -178,8 +116,8 @@ class CountTable:
     A computed layer is stored as the accumulators that computed it, in
     the layout of its build (``_PackedLayer``), and ``total`` reads their
     digit sums.  The per-profile dict is a view, built the first time
-    ``layer``, ``s_v``, ``s_h`` or ``s`` reads the layer; it then replaces
-    the accumulators, so each layer is held in one form at a time.
+    ``layer`` reads the layer; it then replaces the accumulators, so each
+    layer is held in one form at a time.
     """
 
     def __init__(self) -> None:
@@ -197,21 +135,6 @@ class CountTable:
         if isinstance(layer, _PackedLayer):
             layer = self._sv[n] = layer.unpack()
         return layer
-
-    def s_v(self, n: int, l: int, t: int, r: int, b: int) -> int:
-        """Vertical (or size-1) classes with the given side-endpoint counts."""
-        self.extend_to(n)
-        return self._view(n).get((l, t, r, b), 0)
-
-    def s_h(self, n: int, l: int, t: int, r: int, b: int) -> int:
-        """Horizontal (or size-1) classes: the transpose of ``s_v``."""
-        return self.s_v(n, t, l, b, r)
-
-    def s(self, n: int, l: int, t: int, r: int, b: int) -> int:
-        """All classes with the given side-endpoint counts."""
-        if n == 1:
-            return 1 if (l, t, r, b) == (0, 0, 0, 0) else 0
-        return self.s_v(n, l, t, r, b) + self.s_h(n, l, t, r, b)
 
     def total(self, n: int) -> int:
         """Sum over all side-endpoint profiles."""

@@ -9,7 +9,10 @@ construction code they are used to test.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+import sympy
 
 from rectlab.biject import gamma_s, gamma_w
 from rectlab.perm import Permutation, all_permutations
@@ -124,6 +127,15 @@ def strong_count_via_multiplicity(n: int, guillotine_only: bool = False) -> int:
 def count_two_sided_segments(r: Rectangulation) -> int:
     """Segments with at least one perpendicular arrival on each side."""
     return sum(1 for a, b in segment_joint_counts(r) if a > 0 and b > 0)
+
+
+def expansion(closed_form, N: int) -> list[Fraction]:
+    """Coefficients of x^0..x^N in sympy's series expansion of
+    ``closed_form(x)``: a second route to a series, independent of the
+    library's recurrences."""
+    x = sympy.Symbol("x")
+    poly = sympy.series(closed_form(x), x, 0, N + 1).removeO()
+    return [Fraction(str(poly.coeff(x, k))) for k in range(N + 1)]
 
 
 def brick(k: int) -> Rectangulation:

@@ -49,14 +49,12 @@ from rectlab.biject import (
     weak_poset,
 )
 from rectlab.counting import (
-    Series,
     baxter_number,
     growth_constants,
     rho,
     schroder_counts,
     strong_guillotine_count,
     strong_guillotine_table,
-    weighted_guillotine_series,
     z0_bound,
 )
 from rectlab.perm import (
@@ -506,17 +504,6 @@ class TestConstants:
     def test_upper_bound_refines_quintic_root(self):
         assert abs(z0_bound(1) - 13.154940757637178) < 1e-6
         assert z0_bound(12) < z0_bound(1)
-
-    def test_weighted_series_closed_form_to_order_twenty(self):
-        N = 20
-
-        def poly(*cs):
-            c = [Fraction(v) for v in cs] + [Fraction(0)] * (N + 1 - len(cs))
-            return Series(tuple(c))
-
-        num = poly(1, 1, -1) - poly(1, -6, -5, 2, 1).sqrt()
-        closed = num * poly(4, -2).inverse()
-        assert weighted_guillotine_series(2, N) == closed
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brick
+from conftest import brick, expansion
 from rectlab import biject, cli, counting
 from rectlab.cli import run, verify_fixtures
 from rectlab.perm import Permutation, parse_permutation
@@ -670,6 +670,47 @@ class TestVerifyFixtures:
         assert run(["verify", "perm", "--max-n", "4"]) == 1
         text = out_of(capsys)
         assert "FAIL" in text and "synthetic failure" in text
+
+    @pytest.mark.parametrize(
+        "series, check, message, other_root",
+        [
+            (
+                "schroder_series",
+                "counting/schroder-closed-form",
+                "fixed point disagrees with closed form",
+                lambda x: 1 - x,
+            ),
+            (
+                "weighted_guillotine_series",
+                "counting/weighted-y2-closed-form",
+                "weighted series disagrees with closed form at y=2",
+                lambda x: (1 + x - x**2) / (2 - x),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 7, 12, "branch"])
+    def test_closed_form_check_catches_a_wrong_series(
+        self, capsys, monkeypatch, series, check, message, other_root, k
+    ):
+        # one coefficient off by one, or the series of the closed form's
+        # other square root, ``other_root - G``, whose constant term is 1 or
+        # 1/2 (its base has constant term -1 and the same square)
+        real = getattr(counting, series)
+
+        def wrong(*args):
+            coeffs = list(real(*args).coeffs)
+            if k == "branch":
+                coeffs = [c - g for c, g in zip(expansion(other_root, len(coeffs) - 1), coeffs)]
+            else:
+                coeffs[k] += 1
+            return counting.Series(tuple(coeffs))
+
+        monkeypatch.setattr(counting, series, wrong)
+        assert run(["verify", "counting"]) == 1
+        (line,) = [
+            line for line in out_of(capsys).splitlines() if line.split()[:2] == ["FAIL", check]
+        ]
+        assert line.endswith("s  " + message)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ one merge along each, only fibers list linear extensions, the mesh
 matcher and the weak-order helpers live in the tests, every public name is
 exported or used by the package itself, no loop reads the walk counts or
 the guillotine series one size at a time, one recurrence solves the
-guillotine series, one loop builds the guillotine table, one Kahn pass
-orders labels, and the package keeps its checks under ``python -O``."""
+guillotine series, a series carries no arithmetic, one loop builds the
+guillotine table, one Kahn pass orders labels, and the package keeps its
+checks under ``python -O``."""
 
 from __future__ import annotations
 
@@ -306,6 +307,29 @@ def test_one_series_recurrence_and_one_table_loop():
         ("counting.py", "total"),
         ("counting.py", "unpack"),
     ]
+
+
+def test_series_keeps_only_its_coefficients():
+    """Every series the library returns comes from the one coefficient
+    recurrence, and ``verify`` checks the closed forms by one truncated
+    integer square, so ``Series`` has no arithmetic: no operator, no
+    series inverse and no Newton square root, in ``counting`` or anywhere
+    else in the package."""
+    tree = ast.parse((SRC / "counting.py").read_text())
+    (series,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Series"
+    ]
+    assert [node.name for node in series.body if isinstance(node, ast.FunctionDef)] == [
+        "__post_init__",
+        "order",
+        "coefficient",
+    ]
+    assert _owners(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("sqrt", "inverse")
+        and ast.unparse(node.func.value) != "math"
+    ) == []
 
 
 def test_only_fibers_list_extensions():
