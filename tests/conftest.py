@@ -138,6 +138,11 @@ def expansion(closed_form, N: int) -> list[Fraction]:
     return [Fraction(str(poly.coeff(x, k))) for k in range(N + 1)]
 
 
+def weight_two_closed_form(x):
+    """Closed form of the y = 2 weighted guillotine series."""
+    return (1 + x - x**2 - sympy.sqrt(1 - 6 * x - 5 * x**2 + 2 * x**3 + x**4)) / (4 - 2 * x)
+
+
 def brick(k: int) -> Rectangulation:
     """One vertical segment with ``k + 1`` boxes left of it and ``k`` right
     of it, their joints staggered (n = 2k + 1): every other segment runs

@@ -18,7 +18,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import inversion_set, strong_count_via_multiplicity
+from conftest import expansion, inversion_set
+from conftest import strong_count_via_multiplicity, weight_two_closed_form
 from patterns import (
     CO_TWO_CLUMPED_FORBIDDEN,
     PATTERN_2413,
@@ -55,6 +56,7 @@ from rectlab.counting import (
     schroder_counts,
     strong_guillotine_count,
     strong_guillotine_table,
+    weighted_guillotine_series,
     z0_bound,
 )
 from rectlab.perm import (
@@ -504,6 +506,10 @@ class TestConstants:
     def test_upper_bound_refines_quintic_root(self):
         assert abs(z0_bound(1) - 13.154940757637178) < 1e-6
         assert z0_bound(12) < z0_bound(1)
+
+    def test_weighted_series_closed_form_to_order_twenty(self):
+        N = 20
+        assert list(weighted_guillotine_series(2, N).coeffs) == expansion(weight_two_closed_form, N)
 
 
 # ---------------------------------------------------------------------------

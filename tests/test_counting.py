@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 import sympy
 
-from conftest import count_two_sided_segments, expansion, strong_count_via_multiplicity
+from conftest import count_two_sided_segments, expansion
+from conftest import strong_count_via_multiplicity, weight_two_closed_form
 from sequences import BAXTER, O_COUNTS, SCHRODER, STRONG_GUILLOTINE, STRONG_RECT
 from rectlab import counting
 from rectlab.biject import gamma_w
@@ -322,10 +323,7 @@ class TestWeightedSeries:
 
     def test_weight_two_closed_form(self):
         N = 20
-        closed = lambda x: (
-            1 + x - x**2 - sympy.sqrt(1 - 6 * x - 5 * x**2 + 2 * x**3 + x**4)
-        ) / (2 * (2 - x))
-        assert list(weighted_guillotine_series(2, N).coeffs) == expansion(closed, N)
+        assert list(weighted_guillotine_series(2, N).coeffs) == expansion(weight_two_closed_form, N)
 
     def test_weight_two_counts_segment_doublings(self):
         w2 = weighted_guillotine_series(2, 6)
